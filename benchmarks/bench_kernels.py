@@ -2,6 +2,9 @@
 
 Runs each hot kernel on a representative fixture under both paths, checks
 they agree to within floating-point tolerance, and reports wall times.
+Without numba there is only one path; the script then times the numpy
+``csr_softmax_fit`` on the fixture at n and 4n rows and prints the time
+ratio, which stays near 4 while the trainer is linear in the row count.
 
 Usage:
     python benchmarks/bench_kernels.py
@@ -24,9 +27,9 @@ def _load_kernels(no_numba: bool):
     return importlib.reload(k)
 
 
-def _fixtures(seed: int = 7):
+def _fixtures(seed: int = 7, n: int = 2000):
     rng = np.random.default_rng(seed)
-    n, d, k = 2000, 4096, 4
+    d, k = 4096, 4
     nnz_per_row = 40
     indptr = np.arange(0, (n + 1) * nnz_per_row, nnz_per_row, dtype=np.int64)
     indices = rng.integers(0, d, size=n * nnz_per_row).astype(np.int64)
@@ -43,6 +46,27 @@ def _fixtures(seed: int = 7):
     return dict(indptr=indptr, indices=indices, data=data, targets=targets,
                 coefs=np.ones(n), order=order, X=X, S=S, Q=Q, vals=vals, ys=ys,
                 n=n, d=d, k=k)
+
+
+def _time_csr_fit(kmod, f) -> float:
+    W = np.zeros((f["k"], f["d"]))
+    b = np.zeros(f["k"])
+    t0 = time.perf_counter()
+    kmod.csr_softmax_fit(f["indptr"], f["indices"], f["data"], f["targets"],
+                         f["coefs"], W, b, f["order"], 32, 0.3,
+                         1.0 - 0.3 * 1e-6)
+    return time.perf_counter() - t0
+
+
+def _scaling(kmod, n: int = 2000) -> None:
+    """Time the numpy CSR trainer at n and 4n rows (best of 3 each)."""
+    small, large = _fixtures(n=n), _fixtures(n=4 * n)
+    t_small = min(_time_csr_fit(kmod, small) for _ in range(3))
+    t_large = min(_time_csr_fit(kmod, large) for _ in range(3))
+    print(f"\n{'csr_softmax_fit':<20} {'n':>8} {'seconds':>10}")
+    print(f"{'':<20} {n:>8} {t_small:>10.4f}")
+    print(f"{'':<20} {4 * n:>8} {t_large:>10.4f}")
+    print(f"time ratio 4n / n: {t_large / t_small:.2f} (4.0 = linear in n)")
 
 
 def _run(kmod, f):
@@ -86,7 +110,8 @@ def main() -> int:
     print("warming up / running numba path ...")
     nb = _load_kernels(no_numba=False)
     if not nb.USE_NUMBA:
-        print("numba unavailable; nothing to compare")
+        print("numba unavailable; timing the numpy CSR trainer's scaling")
+        _scaling(nb)
         return 0
     _run(nb, f)  # warm-up: trigger jit compilation
     nb_res, nb_times = _run(nb, f)

@@ -8,6 +8,13 @@ compares the two paths for speed and agreement.
 
 All kernels are deterministic: shuffle orders are precomputed outside and
 passed in, so results depend only on inputs.
+
+The numpy CSR softmax trainer costs O(nnz) per epoch: once per epoch it
+regroups the nonzeros by mini-batch, so each batch is a contiguous slice,
+and it scatters with one 1-D ``ufunc.at`` per class.  The accumulation
+order of every sum matches the earlier per-batch ``np.isin`` formulation,
+so trained weights are bit-identical to it (``tests/test_kernels.py``
+checks this against a copy of that formulation).
 """
 
 from __future__ import annotations
@@ -42,41 +49,50 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 def _np_csr_logits(indptr, indices, data, W, b):
     n = len(indptr) - 1
-    z = np.tile(b, (n, 1))
-    rows = np.repeat(np.arange(n), np.diff(indptr))
+    zT = np.repeat(b[:, None], n, axis=1)  # (K, n): one contiguous row per class
     if len(indices):
-        contrib = W[:, indices] * data  # (K, nnz)
-        np.add.at(z, rows, contrib.T)
-    return z
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        for k in range(W.shape[0]):
+            np.add.at(zT[k], rows, W[k, indices] * data)
+    return np.ascontiguousarray(zT.T)
 
 
 def _np_csr_softmax_fit(indptr, indices, data, targets, coefs, W, b, order,
                         batch_size, lr, decay):
     n = targets.shape[0]
-    rows_all = np.repeat(np.arange(n), np.diff(indptr))
+    K = W.shape[0]
+    row_len = np.diff(indptr)
     for e in range(order.shape[0]):
         perm = order[e]
+        pos = np.empty(n, dtype=np.int64)
+        pos[perm] = np.arange(n)
+        # Rows grouped by batch, ascending row id within a batch (the stable
+        # sort keeps the arange order), then expanded to their nonzeros: each
+        # batch becomes one contiguous slice, in ascending nonzero order.
+        rows = np.argsort(pos // batch_size, kind="stable")
+        lens = row_len[rows]
+        offsets = np.concatenate(([0], np.cumsum(lens)))
+        eidx = (np.repeat(indptr[rows] - offsets[:-1], lens)
+                + np.arange(offsets[-1]))
+        cols_e = indices[eidx]
+        vals_e = data[eidx]
+        brows_e = np.repeat(pos[rows] % batch_size, lens)
         for start in range(0, n, batch_size):
             batch = perm[start:start + batch_size]
             bs = len(batch)
-            mask = np.isin(rows_all, batch)
-            # local CSR view of the batch
-            sel = np.flatnonzero(mask)
-            cols = indices[sel]
-            vals = data[sel]
-            # map global row -> position in batch
-            pos = np.full(n, -1, dtype=np.int64)
-            pos[batch] = np.arange(bs)
-            brows = pos[rows_all[sel]]
-            z = np.tile(b, (bs, 1))
-            if len(cols):
-                np.add.at(z, brows, (W[:, cols] * vals).T)
-            p = softmax(z)
+            lo, hi = offsets[start], offsets[start + bs]
+            cols = cols_e[lo:hi]
+            vals = vals_e[lo:hi]
+            brows = brows_e[lo:hi]
+            zT = np.repeat(b[:, None], bs, axis=1)
+            for k in range(K):
+                np.add.at(zT[k], brows, W[k, cols] * vals)
+            # softmax reduces along rows; a strided view would change its order
+            p = softmax(np.ascontiguousarray(zT.T))
             g = (p - targets[batch]) * (coefs[batch] / bs)[:, None]  # (bs, K)
             b -= lr * g.sum(axis=0)
-            if len(cols):
-                upd = g[brows] * vals[:, None] * lr  # (nnz_b, K)
-                np.subtract.at(W.T, cols, upd)
+            for k in range(K):
+                np.subtract.at(W[k], cols, g[brows, k] * vals * lr)
         if decay != 1.0:
             W *= decay
     return W, b

@@ -66,6 +66,9 @@ _DEFAULTS = {
     "external": None, "out": "out", "workers": 1,
 }
 
+#: integer settings that must be >= 1 (validated once, in resolve_config)
+_POSITIVE_INT_KEYS = ("epochs", "members", "rounds", "batch_size")
+
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Config file values overridden by explicit CLI flags, over defaults."""
@@ -88,7 +91,17 @@ def resolve_config(args: argparse.Namespace) -> dict:
             cfg[key] = val
     if cfg.get("schema") not in ("binary", "multiclass"):
         raise ConfigError(f"schema must be binary|multiclass, got {cfg.get('schema')!r}")
+    for key in _POSITIVE_INT_KEYS:
+        if not _is_int(cfg[key]) or cfg[key] < 1:
+            raise ConfigError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
+    dims = cfg["dims"]
+    if not _is_int(dims) or dims < 1 or dims & (dims - 1):
+        raise ConfigError(f"dims must be a power of two, got {dims!r}")
     return cfg
+
+
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
 
 
 def _echo(cfg: dict) -> dict:

@@ -40,7 +40,7 @@ def validate_prob_vector(raw) -> np.ndarray:
     if np.any(p > 1.0 + INGEST_SUM_TOL):
         raise InvalidProbVector(f"entries above 1 in {p!r}")
     s = float(p.sum())
-    if abs(s - 1.0) > INGEST_SUM_TOL:
+    if not abs(s - 1.0) <= INGEST_SUM_TOL:  # also rejects a NaN sum
         raise SumOutOfTolerance(f"entries sum to {s}, outside 1 +/- {INGEST_SUM_TOL}")
     if s != 1.0:
         p = p / s

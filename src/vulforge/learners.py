@@ -184,6 +184,8 @@ def fit_builtin(d: Dataset, ids, w: SampleWeights, cfg: LearnerConfig,
         raise EmptyTrainingSet("no training ids")
     if cfg.epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {cfg.epochs}")
+    if cfg.batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
     if set(ids) != set(w.ids):
         raise WeightCoverageMismatch("weights do not cover exactly the training ids")
     wmap = w.as_dict()

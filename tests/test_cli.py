@@ -140,6 +140,28 @@ class TestExitCodes:
         assert cli.main(["eval", "--dataset", str(data), "--out", out,
                          "--preds", "ghost"]) == 5
 
+    @pytest.mark.parametrize("key,argv", [
+        ("dims", ["featurize", "--dims", "1000"]),
+        ("dims", ["featurize", "--dims", "0"]),
+        ("epochs", ["train-base", "--model-id", "m", "--epochs", "0"]),
+        ("batch_size", ["train-base", "--model-id", "m", "--batch-size", "0"]),
+        ("members", ["bag", "--members", "0"]),
+        ("rounds", ["boost", "--rounds", "0"]),
+    ])
+    def test_bad_numeric_flag_is_2(self, key, argv, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        _write_dataset(data, synth.separable_corpus(100, seed=0))
+        out = str(tmp_path / "out")
+        assert cli.main(["split", "--dataset", str(data), "--out", out]) == 0
+        if argv[0] != "featurize":
+            assert cli.main(["featurize", "--dataset", str(data), "--out", out,
+                             "--dims", "1024"]) == 0
+        capsys.readouterr()
+        assert cli.main([*argv, "--dataset", str(data), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be ")
+        assert "Traceback" not in err
+
     def test_rank_incomplete_grid_is_2(self, tmp_path):
         scores = tmp_path / "scores.csv"
         scores.write_text("method,instance,metric,score\n"

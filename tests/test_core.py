@@ -33,6 +33,12 @@ class TestValidateProbVector:
         with pytest.raises(SumOutOfTolerance):
             validate_prob_vector([0.6, 0.6])
 
+    @pytest.mark.parametrize("raw", [[np.nan, np.nan], [np.nan, 1.0],
+                                     [0.5, np.nan, 0.5]])
+    def test_nan_entry(self, raw):
+        with pytest.raises(SumOutOfTolerance):
+            validate_prob_vector(raw)
+
     def test_entry_above_one(self):
         with pytest.raises(InvalidProbVector):
             validate_prob_vector([1.5, -0.0, 0.0])

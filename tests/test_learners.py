@@ -99,6 +99,13 @@ class TestFitBuiltin:
             fit_builtin(d, d.ids, SampleWeights.uniform(d.ids),
                         LearnerConfig(epochs=0), feats)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_validated(self, separable, batch_size):
+        d, feats = separable
+        with pytest.raises(ValueError):
+            fit_builtin(d, d.ids, SampleWeights.uniform(d.ids),
+                        LearnerConfig(batch_size=batch_size), feats)
+
     def test_dims_mismatch_on_predict(self, separable):
         d, feats = separable
         cfg = LearnerConfig(epochs=1, batch_size=len(d))
@@ -147,6 +154,13 @@ class TestFileProtocol:
         path = tmp_path / "preds" / "ext"
         path.mkdir(parents=True)
         (path / "val.jsonl").write_text('{"id": "a", "probs": [0.9, 0.9]}\n')
+        with pytest.raises(MalformedProbVector):
+            ingest_predictions(tmp_path, "ext", "val", ["a"])
+
+    def test_nan_probs(self, tmp_path):
+        path = tmp_path / "preds" / "ext"
+        path.mkdir(parents=True)
+        (path / "val.jsonl").write_text('{"id": "a", "probs": [NaN, NaN]}\n')
         with pytest.raises(MalformedProbVector):
             ingest_predictions(tmp_path, "ext", "val", ["a"])
 
