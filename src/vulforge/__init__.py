@@ -4,7 +4,13 @@ with reproducible metrics, rank tables, and divergence/overlap analyses.
 """
 
 from .codefeat import FeaturizerConfig, FeatureVector, featurize, featurize_code, tokenize
-from .core import PredictionSet, argmax_label, binary_label, validate_prob_vector
+from .core import (
+    PredictionSet,
+    argmax_label,
+    binary_label,
+    validate_prob_matrix,
+    validate_prob_vector,
+)
 from .ensembles import (
     BaggingEnsemble,
     BoostConfig,

@@ -158,15 +158,6 @@ else:
 csr_logits = _np_csr_logits
 
 
-def csr_softmax_loss(indptr, indices, data, targets, coefs, W, b, l2):
-    """Weighted cross-entropy plus L2 on W (bias unregularized)."""
-    p = softmax(_np_csr_logits(indptr, indices, data, W, b))
-    eps = 1e-300
-    ce = -(targets * np.log(p + eps)).sum(axis=1)
-    n = targets.shape[0]
-    return float((coefs / n * ce).sum() + 0.5 * l2 * (W * W).sum())
-
-
 # ---------------------------------------------------------------------------
 # dense softmax regression (meta-learners)
 # ---------------------------------------------------------------------------

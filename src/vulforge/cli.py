@@ -30,6 +30,7 @@ from . import ensembles, ingest, metrics, store, synth
 from .codefeat import FeaturizerConfig
 from .core import PredictionSet
 from .errors import ConfigError, IoError, ProtocolOrderError, VulforgeError
+from .ingest import _atomic_text
 from .learners import (
     BaseLearnerSpec,
     FeatureMatrix,
@@ -106,13 +107,6 @@ def _is_int(val) -> bool:
 
 def _echo(cfg: dict) -> dict:
     return {k: cfg.get(k) for k in _CONFIG_KEYS}
-
-
-def _atomic_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
 
 
 def _write_json(path: Path, payload: dict, cfg: dict) -> None:
@@ -419,9 +413,14 @@ def cmd_rank(args) -> int:
     instances = sorted({r["instance"] for r in rows})
     mets = sorted({r["metric"] for r in rows})
     scores = np.full((len(methods), len(instances), len(mets)), np.nan)
-    for r in rows:
+    for i, r in enumerate(rows, start=1):
+        try:
+            score = float(r["score"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"scores row {i} ({r['method']},{r['instance']},"
+                              f"{r['metric']}): score {r['score']!r} is not a number") from exc
         scores[methods.index(r["method"]), instances.index(r["instance"]),
-               mets.index(r["metric"])] = float(r["score"])
+               mets.index(r["metric"])] = score
     if np.isnan(scores).any():
         raise ConfigError("scores file does not cover the full method x "
                           "instance x metric grid")

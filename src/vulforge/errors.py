@@ -14,7 +14,11 @@ class VulforgeError(Exception):
 # --- probability / core ---------------------------------------------------
 
 class InvalidProbVector(VulforgeError):
-    pass
+    """``row`` is the index of the offending row of a validated matrix."""
+
+    def __init__(self, message: str = "", row: int | None = None):
+        self.row = row
+        super().__init__(message)
 
 
 class NegativeEntry(InvalidProbVector):

@@ -87,6 +87,15 @@ class BootstrapPlan:
     seed: int
 
 
+def _atomic_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and a rename, creating
+    the parent directory; readers never see a partial file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    tmp.replace(path)
+
+
 def load_dataset(path, schema: str, name: str | None = None) -> Dataset:
     """Load a dataset.jsonl file; K is 2 (binary) or 1 + distinct CWE count."""
     if schema not in ("binary", "multiclass"):
@@ -108,6 +117,8 @@ def load_dataset(path, schema: str, name: str | None = None) -> Dataset:
                 raise MalformedRecord(line_no, str(exc)) from exc
             if not isinstance(sid, str) or not sid:
                 raise MalformedRecord(line_no, "id must be a non-empty string")
+            if not isinstance(code, str):
+                raise MalformedRecord(line_no, "code must be a string")
             if sid in seen:
                 raise DuplicateId(f"duplicate id {sid!r} at line {line_no}")
             seen.add(sid)

@@ -22,18 +22,19 @@ import numpy as np
 
 from . import _kernels
 from .codefeat import FeaturizerConfig, FeatureVector, featurize_code, stack_features
-from .core import PredictionSet, make_prediction_set
+from .core import PredictionSet, make_prediction_set, validate_prob_matrix
 from .errors import (
     DimensionMismatch,
     DuplicateId,
     EmptyTrainingSet,
+    InvalidProbVector,
     MalformedProbVector,
     MissingSample,
     ProtocolOrderError,
     UnknownSample,
     WeightCoverageMismatch,
 )
-from .ingest import Dataset
+from .ingest import Dataset, _atomic_text
 
 
 @dataclass(frozen=True)
@@ -225,29 +226,9 @@ def predict_builtin_many(m: LinearModel, indptr, indices, data) -> np.ndarray:
     return _kernels.softmax(z)
 
 
-def training_loss(m: LinearModel, d: Dataset, ids, w: SampleWeights,
-                  features: FeatureMatrix) -> float:
-    ids = tuple(ids)
-    wmap = w.as_dict()
-    weights = np.array([wmap[s] for s in ids])
-    indptr, indices, data = features.rows_for(ids)
-    data = unit_rows(indptr, data)
-    n = len(ids)
-    targets = np.zeros((n, m.class_count))
-    targets[np.arange(n), d.labels_for(ids)] = 1.0
-    return _kernels.csr_softmax_loss(indptr, indices, data, targets,
-                                     weights * n, m.W, m.b, m.config.l2)
-
-
 # ---------------------------------------------------------------------------
 # external-model file protocol
 # ---------------------------------------------------------------------------
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
-
 
 def emit_round_weights(root, t: int, w: SampleWeights) -> Path:
     """Write boost/round_<t>/weights.jsonl; rounds must be emitted in order."""
@@ -256,67 +237,90 @@ def emit_round_weights(root, t: int, w: SampleWeights) -> Path:
         raise ProtocolOrderError(f"round index must be >= 1, got {t}")
     if t > 1 and not (root / "boost" / f"round_{t - 1}" / "weights.jsonl").exists():
         raise ProtocolOrderError(f"round {t} emitted before round {t - 1}")
-    out_dir = root / "boost" / f"round_{t}"
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = [json.dumps({"id": s, "weight": float(x)})
              for s, x in zip(w.ids, w.weights)]
-    path = out_dir / "weights.jsonl"
-    _atomic_write(path, "\n".join(lines) + "\n")
+    path = root / "boost" / f"round_{t}" / "weights.jsonl"
+    _atomic_text(path, "\n".join(lines) + "\n")
     return path
 
 
 def write_predictions(root, p: PredictionSet, subdir: str = "preds") -> Path:
-    out_dir = Path(root) / subdir / p.model_id
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = [json.dumps({"id": s, "probs": p.row(s).tolist()}) for s in p.ids]
-    path = out_dir / f"{p.split}.jsonl"
-    _atomic_write(path, "\n".join(lines) + "\n")
+    path = Path(root) / subdir / p.model_id / f"{p.split}.jsonl"
+    _atomic_text(path, "\n".join(lines) + "\n")
     return path
 
 
-def _read_pred_rows(path: Path, expected_ids) -> dict[str, np.ndarray]:
-    from .core import validate_prob_vector
-    from .errors import InvalidProbVector
+def _parse_pred_lines(path: Path, expected: set) -> dict:
+    """Sample id -> raw ``probs`` of each line of a prediction file.
 
-    expected = set(expected_ids)
-    rows: dict[str, np.ndarray] = {}
-    with path.open(encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            sid = rec["id"]
-            if sid not in expected:
-                raise UnknownSample(f"sample {sid!r} not in split")
-            if sid in rows:
-                raise DuplicateId(f"sample {sid!r} appears twice")
-            try:
-                rows[sid] = validate_prob_vector(rec["probs"])
-            except InvalidProbVector as exc:
-                raise MalformedProbVector(f"sample {sid!r}: {exc}") from exc
-    missing = expected - set(rows)
+    Lines are parsed one at a time, so a bad line is named by its number and
+    memory holds one list per row.
+    """
+    rows = {}
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedProbVector(f"{path} line {line_no}: not JSON: {exc}") from exc
+                sid = rec.get("id") if isinstance(rec, dict) else None
+                if not isinstance(sid, str):
+                    raise MalformedProbVector(f"{path} line {line_no}: expected an object "
+                                              f"with a string \"id\"")
+                if sid not in expected:
+                    raise UnknownSample(f"{path} line {line_no}: sample {sid!r} not in split")
+                if sid in rows:
+                    raise DuplicateId(f"{path} line {line_no}: sample {sid!r} appears twice")
+                if "probs" not in rec:
+                    raise MalformedProbVector(f"{path} line {line_no}: sample {sid!r} "
+                                              f"has no \"probs\"")
+                rows[sid] = rec["probs"]
+    except UnicodeDecodeError as exc:
+        raise MalformedProbVector(f"{path}: not UTF-8 text: {exc}") from exc
+    missing = expected - rows.keys()
     if missing:
         raise MissingSample(f"split samples missing from {path.name}: "
                             f"{sorted(missing)[:5]}{'...' if len(missing) > 5 else ''}")
     return rows
 
 
+def _ingest(path: Path, model_id: str, split: str, expected_ids) -> PredictionSet:
+    """Read one prediction file: the distinct ``expected_ids`` in that order,
+    their probs validated as one matrix.
+
+    Line and id faults anywhere in the file are raised before any probs
+    fault; see the README's table of malformed inputs.
+    """
+    if not path.exists():
+        raise MissingSample(f"prediction file {path} does not exist")
+    ids = tuple(dict.fromkeys(expected_ids))
+    rows = _parse_pred_lines(path, set(ids))
+    try:
+        first = make_prediction_set(model_id, split, {s: rows[s] for s in ids})
+    except InvalidProbVector as exc:
+        if exc.row is None:
+            raise InvalidProbVector(f"{path}: {exc}") from exc
+        raise MalformedProbVector(f"{path}: sample {ids[exc.row]!r}: {exc}") from exc
+    if not ids:
+        return first
+    # Ingest has always renormalized each row twice; the second pass
+    # changes the last bit of some rows, so dropping it changes results.
+    return PredictionSet(model_id=model_id, split=split, ids=ids,
+                         probs=validate_prob_matrix(first.probs))
+
+
 def ingest_predictions(root, model_id: str, split: str, expected_ids) -> PredictionSet:
     """Read and validate preds/<model_id>/<split>.jsonl against a split."""
     path = Path(root) / "preds" / model_id / f"{split}.jsonl"
-    if not path.exists():
-        raise MissingSample(f"prediction file {path} does not exist")
-    rows = _read_pred_rows(path, expected_ids)
-    ordered = {s: rows[s] for s in expected_ids}
-    return make_prediction_set(model_id, split, ordered)
+    return _ingest(path, model_id, split, expected_ids)
 
 
 def ingest_round_predictions(root, t: int, split: str, expected_ids,
                              model_id: str | None = None) -> PredictionSet:
     """Read boost/round_<t>/preds_<split>.jsonl for external boosting."""
     path = Path(root) / "boost" / f"round_{t}" / f"preds_{split}.jsonl"
-    if not path.exists():
-        raise MissingSample(f"prediction file {path} does not exist")
-    rows = _read_pred_rows(path, expected_ids)
-    ordered = {s: rows[s] for s in expected_ids}
-    return make_prediction_set(model_id or f"round_{t}", split, ordered)
+    return _ingest(path, model_id or f"round_{t}", split, expected_ids)

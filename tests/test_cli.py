@@ -169,6 +169,45 @@ class TestExitCodes:
         assert cli.main(["rank", "--scores", str(scores),
                          "--out", str(tmp_path / "out")]) == 2
 
+    def test_rank_non_numeric_score_is_2(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("method,instance,metric,score\n"
+                          "a,i,f1,60\na,i,acc,abc\n")
+        assert cli.main(["rank", "--scores", str(scores),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: scores row 2 (a,i,acc)")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bad_line,needle", [
+        (b"not json", "line {n}: not JSON"),
+        (b'{"id": "%s"}', "line {n}: sample"),
+        (b'["%s", [0.5, 0.5]]', "line {n}: expected an object"),
+        (b'{"probs": [0.5, 0.5]}', "line {n}: expected an object"),
+        (b'{"id": 7, "probs": [0.5, 0.5]}', "line {n}: expected an object"),
+        (b'{"id": "\xff", "probs": [0.5, 0.5]}', "not UTF-8 text"),
+    ], ids=["not-json", "no-probs", "not-object", "no-id", "non-string-id",
+            "not-utf8"])
+    def test_malformed_prediction_file_is_5(self, bad_line, needle, tmp_path,
+                                             capsys):
+        data = tmp_path / "d.jsonl"
+        _write_dataset(data, synth.separable_corpus(100, seed=0))
+        out = tmp_path / "out"
+        base = ["--dataset", str(data), "--out", str(out)]
+        assert cli.main(["split", *base]) == 0
+        test_ids = json.loads((out / "splits.json").read_text())["test"]
+        preds = out / "preds" / "m" / "test.jsonl"
+        preds.parent.mkdir(parents=True)
+        good = [json.dumps({"id": s, "probs": [0.5, 0.5]}).encode()
+                for s in test_ids[1:]]
+        preds.write_bytes(b"\n".join(
+            good + [bad_line.replace(b"%s", test_ids[0].encode())]) + b"\n")
+        capsys.readouterr()
+        assert cli.main(["eval", *base, "--preds", "m"]) == 5
+        err = capsys.readouterr().err
+        assert "test.jsonl" in err and needle.format(n=len(test_ids)) in err
+        assert "Traceback" not in err
+
     def test_verify_detects_tamper_is_2(self, tmp_path):
         data = tmp_path / "d.jsonl"
         _write_dataset(data, synth.separable_corpus(100, seed=0))

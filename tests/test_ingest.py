@@ -47,6 +47,14 @@ class TestLoadDataset:
             load_dataset(p, "binary")
         assert exc.value.line_no == 2
 
+    def test_non_string_code(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_text('{"id": "a", "code": "x", "label": 0}\n'
+                     '{"id": "b", "code": 5, "label": 0}\n')
+        with pytest.raises(MalformedRecord) as exc:
+            load_dataset(p, "binary")
+        assert exc.value.line_no == 2
+
     def test_duplicate_id(self, tmp_path):
         p = tmp_path / "d.jsonl"
         recs = _records(4)

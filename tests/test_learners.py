@@ -1,17 +1,30 @@
 """Built-in learner training/prediction and the external file protocol."""
 
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import TEST_FEATURIZER
 from vulforge import synth
-from vulforge.core import make_prediction_set
+from vulforge.core import (
+    INGEST_SUM_TOL,
+    make_prediction_set,
+    validate_prob_matrix,
+    validate_prob_vector,
+)
 from vulforge.errors import (
     DimensionMismatch,
     DuplicateId,
+    InvalidProbVector,
     MalformedProbVector,
     MissingSample,
+    NegativeEntry,
     ProtocolOrderError,
+    SumOutOfTolerance,
     UnknownSample,
     WeightCoverageMismatch,
 )
@@ -181,3 +194,243 @@ class TestFileProtocol:
         (tmp_path / "boost" / "round_1" / "preds_train.jsonl").write_text(rows)
         p = ingest_round_predictions(tmp_path, 1, "train", ids)
         assert p.model_id == "round_1" and p.ids == ("a", "b")
+
+
+# ---------------------------------------------------------------------------
+# batch ingest against the per-row reader it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_validate_prob_vector(raw):
+    """The per-row validator, kept as the reference."""
+    p = np.asarray(raw, dtype=np.float64)
+    if p.ndim != 1 or p.size == 0:
+        raise InvalidProbVector(f"expected non-empty 1-d vector, got shape {p.shape}")
+    if np.any(p < 0.0):
+        raise NegativeEntry(f"negative entries in {p!r}")
+    if np.any(p > 1.0 + INGEST_SUM_TOL):
+        raise InvalidProbVector(f"entries above 1 in {p!r}")
+    s = float(p.sum())
+    if not abs(s - 1.0) <= INGEST_SUM_TOL:
+        raise SumOutOfTolerance(f"entries sum to {s}")
+    if s != 1.0:
+        p = p / s
+    return p
+
+
+def _ref_make_prediction_set(model_id, split, rows):
+    ids = tuple(rows)
+    widths = {len(rows[s]) for s in ids}
+    if len(widths) > 1:
+        raise InvalidProbVector(f"inconsistent class counts {sorted(widths)}")
+    probs = (np.vstack([_ref_validate_prob_vector(rows[s]) for s in ids])
+             if ids else np.zeros((0, 0)))
+    return ids, probs
+
+
+def _ref_ingest(path, expected_ids):
+    """The per-row reader: validate each row, then again per row while
+    building the set."""
+    expected = set(expected_ids)
+    rows = {}
+    with path.open(encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            sid = rec["id"]
+            if sid not in expected:
+                raise UnknownSample(sid)
+            if sid in rows:
+                raise DuplicateId(sid)
+            try:
+                rows[sid] = _ref_validate_prob_vector(rec["probs"])
+            except InvalidProbVector as exc:
+                raise MalformedProbVector(f"sample {sid!r}: {exc}") from exc
+    if expected - set(rows):
+        raise MissingSample(path.name)
+    return _ref_make_prediction_set("ext", "val", {s: rows[s] for s in expected_ids})
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - the class is the outcome
+        return type(exc)
+
+
+@st.composite
+def _prob_row(draw, k):
+    kind = draw(st.sampled_from(["scaled", "onehot_int", "onehot", "dyadic"]))
+    if kind == "onehot_int":
+        row = [0] * k
+        row[draw(st.integers(0, k - 1))] = 1
+        return row
+    if kind == "onehot":
+        row = [0.0] * k
+        row[draw(st.integers(0, k - 1))] = 1.0
+        return row
+    if kind == "dyadic":  # sums to exactly 1
+        row = [0.0] * k
+        row[0], row[k - 1] = 0.25, 0.75
+        return row
+    raw = np.array(draw(st.lists(st.floats(0.001, 1.0), min_size=k, max_size=k)))
+    # off by up to 90% of the tolerance, so rounding keeps the row valid
+    off = draw(st.floats(-0.9, 0.9)) * INGEST_SUM_TOL
+    return (raw / raw.sum() * (1.0 + off)).tolist()
+
+
+@st.composite
+def _pred_files(draw):
+    k = draw(st.sampled_from([2, 3, 9]))
+    n = draw(st.integers(1, 12))
+    ids = [f"s{i}" for i in range(n)]
+    rows = {s: draw(_prob_row(k)) for s in ids}
+    order = draw(st.permutations(ids))
+    blanks = draw(st.lists(st.integers(0, n), max_size=3))
+    return ids, order, rows, blanks
+
+
+def _render(order, rows, blanks, extra=()):
+    lines = [json.dumps({"id": s, "probs": rows[s]}) for s in order]
+    lines += list(extra)
+    for pos in sorted(blanks, reverse=True):
+        lines.insert(pos, "   ")
+    return "\n".join(lines) + "\n"
+
+
+def _ingest_both(text, expected_ids):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "preds" / "ext" / "val.jsonl"
+        path.parent.mkdir(parents=True)
+        path.write_text(text, encoding="utf-8")
+        new = _outcome(lambda: ingest_predictions(tmp, "ext", "val", expected_ids))
+        ref = _outcome(lambda: _ref_ingest(path, expected_ids))
+    return new, ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pred_files())
+def test_ingest_bit_identical_to_per_row_reader(case):
+    ids, order, rows, blanks = case
+    new, ref = _ingest_both(_render(order, rows, blanks), ids)
+    assert isinstance(ref, tuple), ref
+    assert new.ids == ref[0] == tuple(ids)
+    assert new.probs.dtype == np.float64
+    assert np.array_equal(new.probs, ref[1])
+
+
+_FAULTS = ("negative", "above_one", "nan", "sum", "empty", "scalar", "ragged",
+           "unknown", "duplicate", "missing")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pred_files(), st.sampled_from(_FAULTS), st.data())
+def test_single_fault_raises_like_per_row_reader(case, fault, data):
+    ids, order, rows, blanks = case
+    assume(fault != "ragged" or len(ids) > 1)  # one row has no width to differ from
+    k = len(rows[ids[0]])
+    victim = data.draw(st.sampled_from(ids))
+    extra = []
+    bad = {
+        "negative": [-0.25, 1.25] + [0.0] * (k - 2),
+        "above_one": [1.5] + [0.0] * (k - 1),
+        "nan": [float("nan")] + [1.0 / (k - 1)] * (k - 1),
+        "sum": [0.9 / k] * k,
+        "empty": [],
+        "scalar": 1.0,
+        "ragged": [1.0] + [0.0] * k,
+    }
+    if fault in bad:
+        rows = {**rows, victim: bad[fault]}
+    elif fault == "unknown":
+        extra = [json.dumps({"id": "zz", "probs": rows[victim]})]
+    elif fault == "duplicate":
+        extra = [json.dumps({"id": victim, "probs": rows[victim]})]
+    else:
+        order = [s for s in order if s != victim]
+    new, ref = _ingest_both(_render(order, rows, blanks, extra), ids)
+    assert isinstance(ref, type) and issubclass(ref, Exception), fault
+    assert new is ref, (fault, new, ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 9]), st.data())
+def test_matrix_validator_matches_per_row(k, data):
+    rows = data.draw(st.lists(st.one_of(
+        _prob_row(k),
+        st.lists(st.one_of(st.floats(-0.1, 1.2), st.just(float("nan"))),
+                 min_size=k, max_size=k)),
+        min_size=1, max_size=8))
+    P = np.array(rows, dtype=np.float64)
+    expected = [_outcome(lambda r=r: _ref_validate_prob_vector(r)) for r in P]
+    first_bad = next((i for i, e in enumerate(expected) if isinstance(e, type)), None)
+    got = _outcome(lambda: validate_prob_matrix(P))
+    if first_bad is None:
+        assert np.array_equal(got, np.vstack(expected))
+    else:
+        assert got is expected[first_bad]
+        with pytest.raises(InvalidProbVector) as exc:
+            validate_prob_matrix(P)
+        assert exc.value.row == first_bad
+    for r, e in zip(P, expected):
+        one = _outcome(lambda r=r: validate_prob_vector(r))
+        if isinstance(e, type):
+            assert one is e
+        else:
+            assert np.array_equal(one, e)
+            assert np.array_equal(one, validate_prob_matrix(r[None])[0])
+
+
+_PROBS_FAULTS = ("negative", "above_one", "nan", "sum", "empty", "scalar")
+_ID_FAULTS = {"unknown": UnknownSample, "duplicate": DuplicateId, "missing": MissingSample,
+              "no_probs": MalformedProbVector}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pred_files(), st.sampled_from(_PROBS_FAULTS), st.sampled_from(sorted(_ID_FAULTS)),
+       st.data())
+def test_id_fault_anywhere_comes_before_a_probs_fault(case, probs_fault, id_fault, data):
+    # The per-row reader raised the fault of the earliest line; the batch
+    # reader checks every line's id before it validates any probs.
+    ids, order, rows, blanks = case
+    assume(len(ids) > 1)
+    k = len(rows[ids[0]])
+    bad = {"negative": [-0.25, 1.25] + [0.0] * (k - 2), "above_one": [1.5] + [0.0] * (k - 1),
+           "nan": [float("nan")] * k, "sum": [0.9 / k] * k, "empty": [], "scalar": 1.0}
+    first = order[0]
+    rows = {**rows, first: bad[probs_fault]}
+    other = data.draw(st.sampled_from([s for s in ids if s != first]))
+    lines = [json.dumps({"id": s, "probs": rows[s]}) for s in order]
+    if id_fault == "unknown":
+        lines.append(json.dumps({"id": "zz", "probs": rows[other]}))
+    elif id_fault == "duplicate":
+        lines.append(json.dumps({"id": other, "probs": rows[other]}))
+    elif id_fault == "missing":
+        lines = [ln for s, ln in zip(order, lines) if s != other]
+    else:
+        lines = [json.dumps({"id": s}) if s == other else ln for s, ln in zip(order, lines)]
+    new, ref = _ingest_both("\n".join(lines) + "\n", ids)
+    assert new is _ID_FAULTS[id_fault]
+    if id_fault != "no_probs":  # the per-row reader had no check for it
+        assert ref is MalformedProbVector
+
+
+def test_probs_fault_precedence(tmp_path):
+    """Row shapes first, then differing lengths, then values, the first bad
+    row in split order."""
+    root = tmp_path / "preds" / "ext"
+    root.mkdir(parents=True)
+
+    def ingest(rows):
+        (root / "val.jsonl").write_text(
+            "".join(json.dumps({"id": s, "probs": p}) + "\n" for s, p in rows.items()),
+            encoding="utf-8")
+        return ingest_predictions(tmp_path, "ext", "val", ["a", "b", "c"])
+
+    with pytest.raises(MalformedProbVector, match="sample 'c'.*non-empty"):
+        ingest({"a": [-1.0, 2.0], "b": [0.2, 0.3, 0.5], "c": []})
+    with pytest.raises(InvalidProbVector, match="inconsistent class counts") as exc:
+        ingest({"a": [-1.0, 2.0], "b": [0.2, 0.3, 0.5], "c": [0.5, 0.5]})
+    assert not isinstance(exc.value, MalformedProbVector)
+    with pytest.raises(MalformedProbVector, match="sample 'a'"):
+        ingest({"c": [0.9, 0.9], "a": [0.5, 0.6], "b": [0.5, 0.5]})
