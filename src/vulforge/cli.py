@@ -30,7 +30,7 @@ from . import ensembles, ingest, metrics, store, synth
 from .codefeat import FeaturizerConfig
 from .core import PredictionSet
 from .errors import ConfigError, IoError, ProtocolOrderError, VulforgeError
-from .ingest import _atomic_text
+from .ingest import _atomic_write
 from .learners import (
     BaseLearnerSpec,
     FeatureMatrix,
@@ -46,9 +46,6 @@ from .metamodels import META_KINDS, MetaConfig
 log = logging.getLogger("vulforge")
 
 EXIT_CONFIG, EXIT_IO, EXIT_PROTOCOL, EXIT_OTHER = 2, 3, 4, 5
-
-SCHEMA_VERSION = 1
-
 
 # ---------------------------------------------------------------------------
 # config resolution and artifact plumbing
@@ -111,17 +108,18 @@ def _echo(cfg: dict) -> dict:
 
 def _write_json(path: Path, payload: dict, cfg: dict) -> None:
     payload = dict(payload)
-    payload.setdefault("schema_version", SCHEMA_VERSION)
+    payload.setdefault("schema_version", store.SCHEMA_VERSION)
     payload["config_hash"] = store.config_hash(_echo(cfg))
-    _atomic_text(path, json.dumps(payload, indent=1, sort_keys=True,
-                                  default=float) + "\n")
+    _atomic_write(path, (json.dumps(payload, indent=1, sort_keys=True,
+                                    default=float) + "\n").encode("utf-8"))
     _record_artifact(Path(cfg["out"]), path, cfg)
 
 
 def _stamp_csv(path: Path, cfg: dict) -> None:
     """Prepend the config-hash comment line to a CSV just written."""
     text = path.read_text(encoding="utf-8")
-    _atomic_text(path, f"# config_hash={store.config_hash(_echo(cfg))}\n" + text)
+    _atomic_write(path, (f"# config_hash={store.config_hash(_echo(cfg))}\n"
+                         + text).encode("utf-8"))
     _record_artifact(Path(cfg["out"]), path, cfg)
 
 
@@ -135,8 +133,8 @@ def _record_artifact(out: Path, path: Path, cfg: dict) -> None:
     rel = str(path.relative_to(out)) if path.is_relative_to(out) else str(path)
     manifest[rel] = {"sha256": digest,
                      "config_hash": store.config_hash(_echo(cfg))}
-    _atomic_text(manifest_path,
-                 json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    _atomic_write(manifest_path, (json.dumps(manifest, indent=1, sort_keys=True)
+                                  + "\n").encode("utf-8"))
 
 
 def _load_dataset(cfg: dict) -> ingest.Dataset:
@@ -406,9 +404,17 @@ def cmd_rank(args) -> int:
     path = Path(args.scores)
     if not path.exists():
         raise IoError(f"scores file {path} does not exist")
-    rows = [r for r in csv.DictReader(
+    reader = csv.DictReader(
         line for line in path.read_text(encoding="utf-8").splitlines()
-        if not line.startswith("#"))]
+        if not line.startswith("#"))
+    missing = [c for c in ("method", "instance", "metric", "score")
+               if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ConfigError(f"scores file {path} has no column(s) {', '.join(missing)}")
+    rows = list(reader)
+    for i, r in enumerate(rows, start=1):
+        if None in r.values():
+            raise ConfigError(f"scores row {i} has fewer fields than the header")
     methods = sorted({r["method"] for r in rows})
     instances = sorted({r["instance"] for r in rows})
     mets = sorted({r["metric"] for r in rows})
@@ -494,7 +500,7 @@ def cmd_cwe_subsets(args) -> int:
                              "cwe": x.cwe, "pair_id": x.pair_id})
                  for x in sub.samples]
         path = out / f"{cwe}.jsonl"
-        _atomic_text(path, "\n".join(lines) + "\n")
+        _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
         _record_artifact(Path(cfg["out"]), path, cfg)
         print(f"cwe-subsets: {cwe} -> {len(sub)} samples (1:1)")
     return 0

@@ -1,6 +1,13 @@
 """The four ensemble strategies: bagging (hard/soft voting), AdaBoost
 (binary and SAMME), stacking, and dynamic gated stacking.
 
+The combiners are batch-first.  They act on an (M, N, K) stack: M members,
+rounds or experts, N samples, K classes, with ``stack[m, i]`` the
+probability vector member m gives sample i.  They return (N, K).  An
+(M, K) input is one sample's rows and gives one (K,) vector; the
+single-sample predictors (``bagging_predict``, ``adaboost_predict``,
+``dgs_predict``) are batches of one over the same code.
+
 Vote conventions, fixed across the package:
   * hard bagging: majority over member argmax labels; vote ties resolve by
     higher mean probability among tied classes, then lowest class index
@@ -8,6 +15,8 @@ Vote conventions, fixed across the package:
   * boosting: per-class sum of round coefficients over round argmax labels,
     normalized to a probability vector (the binary sign rule falls out at
     the 0.5 threshold)
+  * gated stacking: an (N, M) gate-score matrix; hard routing takes each
+    sample's top-scoring expert, soft routing weights the experts by score
 Binary boosting uses alpha = 0.5 ln((1-eps)/eps); multi-class uses the SAMME
 coefficient alpha = ln((1-eps)/eps) + ln(K-1).  Rounds with degenerate error
 stop training early, retaining previously accepted rounds.
@@ -22,10 +31,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .codefeat import FeatureVector
-from .core import PredictionSet, argmax_label
+from .codefeat import FeatureVector, stack_features
+from .core import PredictionSet
 from .errors import (
     CoverageMismatch,
+    DimensionMismatch,
     LayoutMismatch,
     MemberKMismatch,
     NoRoundsRetained,
@@ -54,29 +64,63 @@ def derive_seed(master: int, *path: int) -> int:
 # vote combiners
 # ---------------------------------------------------------------------------
 
-def soft_combine(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted per-class combination of (M, K) member rows."""
-    return (weights[:, None] * rows).sum(axis=0)
+def soft_combine(stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted per-class sum over the member axis: an (M, N, K) stack with
+    (M, N) per-sample weights, or one sample's (M, K) rows with (M,) weights."""
+    return (weights[..., None] * stack).sum(axis=0)
 
 
-def bagging_combine(rows: np.ndarray, mode: str) -> np.ndarray:
-    """Combine one sample's (M, K) member outputs under a voting mode."""
-    m, k = rows.shape
+def bagging_combine(stack: np.ndarray, mode: str) -> np.ndarray:
+    """Combine an (M, N, K) member stack, or one sample's (M, K) rows, under
+    a voting mode."""
+    if stack.ndim == 2:
+        return bagging_combine(stack[:, None, :], mode)[0]
+    m, n, k = stack.shape
     if mode == "soft":
-        return soft_combine(rows, np.full(m, 1.0 / m))
+        return soft_combine(stack, np.full((m, n), 1.0 / m))
     if mode != "hard":
         raise ValueError(f"unknown bagging mode {mode!r}")
-    labels = rows.argmax(axis=1)  # argmax breaks ties toward lowest index
-    votes = np.bincount(labels, minlength=k)
-    top = votes.max()
-    tied = np.flatnonzero(votes == top)
-    if len(tied) > 1:
-        means = rows.mean(axis=0)[tied]
-        tied = tied[means == means.max()]
-    winner = int(tied[0])  # lowest index among remaining ties
-    out = np.zeros(k)
-    out[winner] = 1.0
+    labels = stack.argmax(axis=2)  # argmax breaks ties toward lowest index
+    votes = np.bincount((labels + k * np.arange(n)).ravel(),
+                        minlength=n * k).reshape(n, k)
+    tied = votes == votes.max(axis=1, keepdims=True)
+    # among vote ties the higher mean wins; argmax takes the lowest index
+    means = np.where(tied, stack.mean(axis=0), -np.inf)
+    winner = (means == means.max(axis=1, keepdims=True)).argmax(axis=1)
+    out = np.zeros((n, k))
+    out[np.arange(n), winner] = 1.0
     return out
+
+
+def _member_stack(models, class_count: int, ids, features) -> np.ndarray:
+    """(M, N, K) outputs of bagging members or boosting rounds.
+
+    A PredictionSet member is reindexed to ``ids``.  A built-in member
+    predicts the rows of ``features`` (a FeatureMatrix) for ``ids``, or the
+    one row of a FeatureVector.
+    """
+    if isinstance(features, FeatureVector):
+        csr = stack_features([features])
+    elif features is not None:
+        csr = features.rows_for(ids)
+    rows = []
+    for m in models:
+        if isinstance(m, PredictionSet):
+            rows.append(m.reindexed(ids))
+        elif m.dims != features.dims:
+            raise DimensionMismatch(f"feature dims {features.dims} != model dims {m.dims}")
+        else:
+            rows.append(predict_builtin_many(m, *csr))
+    stack = np.stack(rows)
+    if stack.shape[2] != class_count:
+        raise MemberKMismatch(f"member K {stack.shape[2]} != {class_count}")
+    return stack
+
+
+def _one_sample(x) -> tuple:
+    """The ``ids, features`` of _member_stack for one sample: its feature
+    vector for built-in members, or its id for prediction-set members."""
+    return (None, x) if isinstance(x, FeatureVector) else ((x,), None)
 
 
 # ---------------------------------------------------------------------------
@@ -122,33 +166,17 @@ def bagging_from_predictions(predsets: list[PredictionSet], mode: str) -> Baggin
     return BaggingEnsemble(mode, tuple(predsets), ks.pop(), external=True)
 
 
-def member_rows(e, x: FeatureVector | str) -> np.ndarray:
-    """(M, K) member outputs for one sample (feature vector or sample id)."""
-    if e.external:
-        rows = np.vstack([p.row(x) for p in e.members])
-    else:
-        from .learners import predict_builtin
-        rows = np.vstack([predict_builtin(m, x) for m in e.members])
-    if rows.shape[1] != e.class_count:
-        raise MemberKMismatch(f"member K {rows.shape[1]} != {e.class_count}")
-    return rows
-
-
-def bagging_predict(e: BaggingEnsemble, x) -> np.ndarray:
-    return bagging_combine(member_rows(e, x), e.mode)
+def bagging_predict(e: BaggingEnsemble, x: FeatureVector | str) -> np.ndarray:
+    """One sample's combined vote: a batch of one for bagging_predict_set."""
+    return bagging_combine(_member_stack(e.members, e.class_count, *_one_sample(x)),
+                           e.mode)[0]
 
 
 def bagging_predict_set(e: BaggingEnsemble, ids, features: FeatureMatrix | None,
                         split: str, model_id: str = "bagging") -> PredictionSet:
-    if e.external:
-        stacked = np.stack([p.reindexed(ids) for p in e.members])  # (M, N, K)
-    else:
-        indptr, indices, data = features.rows_for(ids)
-        stacked = np.stack([predict_builtin_many(m, indptr, indices, data)
-                            for m in e.members])
-    out = np.vstack([bagging_combine(stacked[:, i, :], e.mode)
-                     for i in range(len(ids))])
-    return PredictionSet(model_id, split, tuple(ids), out)
+    ids = tuple(ids)
+    stack = _member_stack(e.members, e.class_count, ids, features)
+    return PredictionSet(model_id, split, ids, bagging_combine(stack, e.mode))
 
 
 # ---------------------------------------------------------------------------
@@ -273,50 +301,32 @@ def adaboost_fit_external(root, d: Dataset, train_ids, rounds: int,
                          "binary_adaboost" if k == 2 else "samme", vote_mode)
 
 
-def adaboost_round_rows(e: BoostEnsemble, x) -> np.ndarray:
-    from .learners import predict_builtin
-    rows = []
-    for r in e.rounds:
-        if isinstance(r.model, PredictionSet):
-            rows.append(r.model.row(x))
-        else:
-            rows.append(predict_builtin(r.model, x))
-    return np.vstack(rows)
-
-
-def boost_combine(rows: np.ndarray, alphas: np.ndarray, k: int,
+def boost_combine(stack: np.ndarray, alphas: np.ndarray, k: int,
                   vote_mode: str = "label") -> np.ndarray:
-    """Normalized coefficient-weighted vote over round outputs."""
-    if vote_mode == "score":
-        scores = (alphas[:, None] * rows).sum(axis=0)
-    else:
-        scores = np.zeros(k)
-        for label, a in zip(rows.argmax(axis=1), alphas):
-            scores[label] += a
-    return scores / alphas.sum()
+    """Normalized coefficient-weighted vote over a (T, N, K) round stack, or
+    one sample's (T, K) rows."""
+    if stack.ndim == 2:
+        return boost_combine(stack[:, None, :], alphas, k, vote_mode)[0]
+    if vote_mode != "score":
+        stack = np.eye(k)[stack.argmax(axis=2)]  # one-hot round labels
+    weights = np.broadcast_to(alphas[:, None], stack.shape[:2])
+    return soft_combine(stack, weights) / alphas.sum()
 
 
-def adaboost_predict(e: BoostEnsemble, x) -> np.ndarray:
-    rows = adaboost_round_rows(e, x)
+def adaboost_predict(e: BoostEnsemble, x: FeatureVector | str) -> np.ndarray:
+    """One sample's boosted vote: a batch of one for adaboost_predict_set."""
+    stack = _member_stack([r.model for r in e.rounds], e.class_count, *_one_sample(x))
     alphas = np.array([r.alpha for r in e.rounds])
-    return boost_combine(rows, alphas, e.class_count, e.vote_mode)
+    return boost_combine(stack, alphas, e.class_count, e.vote_mode)[0]
 
 
 def adaboost_predict_set(e: BoostEnsemble, ids, features: FeatureMatrix | None,
                          split: str, model_id: str = "boosting") -> PredictionSet:
     ids = tuple(ids)
-    csr = features.rows_for(ids) if features is not None else None
-    per_round = []
-    for r in e.rounds:
-        if isinstance(r.model, PredictionSet):
-            per_round.append(r.model.reindexed(ids))
-        else:
-            per_round.append(predict_builtin_many(r.model, *csr))
-    stacked = np.stack(per_round)  # (T, N, K)
+    stack = _member_stack([r.model for r in e.rounds], e.class_count, ids, features)
     alphas = np.array([r.alpha for r in e.rounds])
-    out = np.vstack([boost_combine(stacked[:, i, :], alphas, e.class_count, e.vote_mode)
-                     for i in range(len(ids))])
-    return PredictionSet(model_id, split, ids, out)
+    return PredictionSet(model_id, split, ids,
+                         boost_combine(stack, alphas, e.class_count, e.vote_mode))
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +525,19 @@ def gate_scores(g: GateModel, fv: FeatureVector, base_rows: np.ndarray,
     return _kernels.softmax(z)[0]
 
 
+def _route(stack: np.ndarray, scores: np.ndarray, mode: str) -> np.ndarray:
+    """Combine an (M, N, K) expert stack under an (N, M) gate-score matrix."""
+    if mode == "hard":
+        return stack[scores.argmax(axis=1), np.arange(stack.shape[1])]
+    return soft_combine(stack, scores.T)
+
+
 def dgs_predict(g: GateModel, fv: FeatureVector, base_rows, routing: str | None = None,
                 forced_uniform: bool = False) -> np.ndarray:
+    """One sample's routed output: a batch of one for dgs_predict_set."""
     base_rows = np.vstack([np.asarray(r, dtype=np.float64) for r in base_rows])
     scores = gate_scores(g, fv, base_rows, forced_uniform)
-    mode = routing or g.routing
-    if mode == "hard":
-        return base_rows[int(np.argmax(scores))].copy()
-    return soft_combine(base_rows, scores)
+    return _route(base_rows[:, None, :], scores[None, :], routing or g.routing)[0]
 
 
 def dgs_predict_set(g: GateModel, base_preds: list[PredictionSet], ids,
@@ -531,10 +546,9 @@ def dgs_predict_set(g: GateModel, base_preds: list[PredictionSet], ids,
     if tuple(p.model_id for p in base_preds) != g.base_ids:
         raise LayoutMismatch("base prediction sets out of order for this gate")
     ids = tuple(ids)
-    stacked = np.stack([p.reindexed(ids) for p in base_preds])
-    out = np.vstack([
-        dgs_predict(g, features.vector_for(sid), stacked[:, i, :],
-                    forced_uniform=forced_uniform)
+    stack = np.stack([p.reindexed(ids) for p in base_preds])  # (M, N, K)
+    scores = np.vstack([
+        gate_scores(g, features.vector_for(sid), stack[:, i, :], forced_uniform)
         for i, sid in enumerate(ids)
-    ])
-    return PredictionSet(model_id, split, ids, out)
+    ])  # (N, M)
+    return PredictionSet(model_id, split, ids, _route(stack, scores, g.routing))

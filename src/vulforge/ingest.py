@@ -87,13 +87,34 @@ class BootstrapPlan:
     seed: int
 
 
-def _atomic_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file and a rename, creating
+def _atomic_write(path: Path, blob: bytes) -> None:
+    """Write ``blob`` to ``path`` through a temp file and a rename, creating
     the parent directory; readers never see a partial file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    tmp.write_bytes(blob)
     tmp.replace(path)
+
+
+def _first_non_utf8_line(path: Path) -> int:
+    """Number of the first line of ``path`` that does not decode as UTF-8."""
+    with path.open("rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return 1
+
+
+def _utf8_lines(fh, path: Path):
+    """Lines of the text file ``fh``; bytes that are not UTF-8 raise
+    MalformedRecord naming ``path`` and the first line that holds them."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(_first_non_utf8_line(path),
+                              f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def load_dataset(path, schema: str, name: str | None = None) -> Dataset:
@@ -105,7 +126,7 @@ def load_dataset(path, schema: str, name: str | None = None) -> Dataset:
     seen: set[str] = set()
     cwes: list[str] = []
     with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+        for line_no, line in enumerate(_utf8_lines(fh, path), start=1):
             if not line.strip():
                 continue
             try:

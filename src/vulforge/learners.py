@@ -15,7 +15,7 @@ prediction files:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from .errors import (
     UnknownSample,
     WeightCoverageMismatch,
 )
-from .ingest import Dataset, _atomic_text
+from .ingest import Dataset, _atomic_write
 
 
 @dataclass(frozen=True)
@@ -212,18 +212,18 @@ def fit_builtin(d: Dataset, ids, w: SampleWeights, cfg: LearnerConfig,
     return LinearModel(W, b, features.dims, k, cfg)
 
 
-def predict_builtin(m: LinearModel, f: FeatureVector) -> np.ndarray:
-    """Softmax of W.f + b over the unit-normalized feature row."""
-    if f.dims != m.dims:
-        raise DimensionMismatch(f"feature dims {f.dims} != model dims {m.dims}")
-    scale = 1.0 / f.norm if f.norm > 0 else 1.0
-    z = m.W[:, f.indices] @ (f.counts * scale) + m.b
-    return _kernels.softmax(z)[0]
-
-
 def predict_builtin_many(m: LinearModel, indptr, indices, data) -> np.ndarray:
+    """Softmax of W.x + b over each unit-normalized CSR row: (N, K)."""
     z = _kernels.csr_logits(indptr, indices, unit_rows(indptr, data), m.W, m.b)
     return _kernels.softmax(z)
+
+
+def predict_builtin(m: LinearModel, f: FeatureVector) -> np.ndarray:
+    """One feature vector's class probabilities: a batch of one for
+    predict_builtin_many."""
+    if f.dims != m.dims:
+        raise DimensionMismatch(f"feature dims {f.dims} != model dims {m.dims}")
+    return predict_builtin_many(m, *stack_features([f]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +240,14 @@ def emit_round_weights(root, t: int, w: SampleWeights) -> Path:
     lines = [json.dumps({"id": s, "weight": float(x)})
              for s, x in zip(w.ids, w.weights)]
     path = root / "boost" / f"round_{t}" / "weights.jsonl"
-    _atomic_text(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
     return path
 
 
 def write_predictions(root, p: PredictionSet, subdir: str = "preds") -> Path:
     lines = [json.dumps({"id": s, "probs": p.row(s).tolist()}) for s in p.ids]
     path = Path(root) / subdir / p.model_id / f"{p.split}.jsonl"
-    _atomic_text(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
     return path
 
 

@@ -25,6 +25,7 @@ from .ensembles import (
     StackingModel,
 )
 from .errors import IoError
+from .ingest import _atomic_write
 from .learners import LearnerConfig, LinearModel
 from .metamodels import MetaConfig, MetaModel
 
@@ -35,12 +36,6 @@ def config_hash(echo: dict) -> str:
     """Stable hash of a config echo (canonical JSON, sorted keys)."""
     blob = json.dumps(echo, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _atomic_bytes(path: Path, blob: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(blob)
-    tmp.replace(path)
 
 
 def _npy_bytes(arr: np.ndarray) -> bytes:
@@ -66,7 +61,7 @@ class _ArrayStore:
         manifest = {}
         for name, arr in sorted(self.arrays.items()):
             blob = _npy_bytes(arr)
-            _atomic_bytes(params_dir / f"{name}.npy", blob)
+            _atomic_write(params_dir / f"{name}.npy", blob)
             manifest[name] = {
                 "file": f"params/{name}.npy",
                 "sha256": hashlib.sha256(blob).hexdigest(),
@@ -243,7 +238,7 @@ def save_ensemble(out_dir, e, config_echo: dict | None = None) -> Path:
     payload["params"] = store.flush(out_dir / "params")
     text = json.dumps(payload, indent=1, sort_keys=True, default=float) + "\n"
     path = out_dir / "ensemble.json"
-    _atomic_bytes(path, text.encode("utf-8"))
+    _atomic_write(path, text.encode("utf-8"))
     return path
 
 

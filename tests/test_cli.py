@@ -179,6 +179,29 @@ class TestExitCodes:
         assert err.startswith("config error: scores row 2 (a,i,acc)")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text,needle", [
+        ("meth,instance,metric,score\na,i,f1,60\n",
+         "scores.csv has no column(s) method"),
+        ("method,instance,metric,score\na,i,f1,60\nb,i\n",
+         "scores row 2 has fewer fields than the header"),
+    ], ids=["missing-column", "short-row"])
+    def test_rank_malformed_csv_is_2(self, text, needle, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(text)
+        assert cli.main(["rank", "--scores", str(scores),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert needle in err and "Traceback" not in err
+
+    def test_dataset_not_utf8_is_5(self, tmp_path, capsys):
+        data = tmp_path / "d2.jsonl"
+        data.write_bytes(b"\xff\xfe\n")
+        assert cli.main(["split", "--dataset", str(data),
+                         "--out", str(tmp_path / "out")]) == 5
+        err = capsys.readouterr().err
+        assert "line 1" in err and "d2.jsonl is not UTF-8 text" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("bad_line,needle", [
         (b"not json", "line {n}: not JSON"),
         (b'{"id": "%s"}', "line {n}: sample"),

@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_predset
 from vulforge import synth
 from vulforge.core import make_prediction_set
 from vulforge.ensembles import (
+    BaggingEnsemble,
     BaseLearnerSpec,
     BoostConfig,
     _boost_step,
+    _route,
     adaboost_fit,
     adaboost_fit_external,
     adaboost_predict,
@@ -65,6 +68,89 @@ class TestCombiners:
             bagging_combine(np.ones((2, 2)) / 2, "plurality")
 
 
+# Per-row combiners as they were before the (M, N, K) batch form; the
+# batched combiners must reproduce them bit for bit.
+
+def _ref_soft_combine(rows, weights):
+    return (weights[:, None] * rows).sum(axis=0)
+
+
+def _ref_bagging_combine(rows, mode):
+    m, k = rows.shape
+    if mode == "soft":
+        return _ref_soft_combine(rows, np.full(m, 1.0 / m))
+    labels = rows.argmax(axis=1)
+    votes = np.bincount(labels, minlength=k)
+    tied = np.flatnonzero(votes == votes.max())
+    if len(tied) > 1:
+        means = rows.mean(axis=0)[tied]
+        tied = tied[means == means.max()]
+    out = np.zeros(k)
+    out[int(tied[0])] = 1.0
+    return out
+
+
+def _ref_boost_combine(rows, alphas, k, vote_mode):
+    if vote_mode == "score":
+        scores = (alphas[:, None] * rows).sum(axis=0)
+    else:
+        scores = np.zeros(k)
+        for label, a in zip(rows.argmax(axis=1), alphas):
+            scores[label] += a
+    return scores / alphas.sum()
+
+
+def _ref_route(rows, scores, mode):
+    if mode == "hard":
+        return rows[int(np.argmax(scores))].copy()
+    return _ref_soft_combine(rows, scores)
+
+
+@st.composite
+def _stacks(draw):
+    """(M, N, K) stacks with frequent argmax, vote and mean ties, positive
+    round coefficients and an (N, M) gate-score matrix."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 20))
+    k = draw(st.sampled_from([2, 3, 9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.integers(0, draw(st.sampled_from([2, 4])), size=(m, n, k)).astype(np.float64)
+    if draw(st.booleans()):
+        stack = (stack + 1.0) / (stack + 1.0).sum(axis=2, keepdims=True)
+    alphas = rng.uniform(0.05, 3.0, size=m)
+    if draw(st.booleans()):
+        alphas = np.round(alphas)  # equal coefficients tie class scores
+        alphas[alphas == 0.0] = 1.0
+    scores = rng.uniform(size=(n, m))
+    if draw(st.booleans()):
+        scores = np.round(scores * 2.0)  # gate-score ties
+    return stack, alphas, scores
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stacks())
+def test_batched_combiners_match_per_row(case):
+    stack, alphas, scores = case
+    _, n, k = stack.shape
+
+    def per_row(fn):
+        return np.vstack([fn(stack[:, i, :], i) for i in range(n)])
+
+    for mode in ("hard", "soft"):
+        ref = per_row(lambda rows, i: _ref_bagging_combine(rows, mode))
+        assert np.array_equal(bagging_combine(stack, mode), ref)
+        assert np.array_equal(bagging_combine(stack[:, 0, :], mode), ref[0])
+    for vote_mode in ("label", "score"):
+        ref = per_row(lambda rows, i: _ref_boost_combine(rows, alphas, k, vote_mode))
+        assert np.array_equal(boost_combine(stack, alphas, k, vote_mode), ref)
+        assert np.array_equal(boost_combine(stack[:, 0, :], alphas, k, vote_mode), ref[0])
+    for mode in ("hard", "soft"):
+        ref = per_row(lambda rows, i: _ref_route(rows, scores[i], mode))
+        assert np.array_equal(_route(stack, scores, mode), ref)
+    assert np.array_equal(soft_combine(stack, scores.T),
+                          per_row(lambda rows, i: _ref_soft_combine(rows, scores[i])))
+
+
 class TestBagging:
     def test_builtin_fit_and_predict(self, separable, separable_split):
         from vulforge.ingest import bootstrap
@@ -79,7 +165,7 @@ class TestBagging:
         acc = (ps.probs.argmax(1) == d.labels_for(s.test)).mean()
         assert acc > 0.9
         one = bagging_predict(e, feats.vector_for(s.test[0]))
-        assert np.allclose(one, ps.probs[0], atol=1e-12)
+        assert np.array_equal(one, ps.probs[0])
 
     def test_external_members(self):
         a = make_predset("a", "test", ["x", "y"], [[0.9, 0.1], [0.2, 0.8]])
@@ -87,6 +173,14 @@ class TestBagging:
         e = bagging_from_predictions([a, b], "soft")
         out = bagging_predict_set(e, ["x", "y"], None, "test")
         assert np.allclose(out.probs, [[0.8, 0.2], [0.3, 0.7]])
+
+    def test_member_k_checked_on_predict(self):
+        a = make_predset("a", "test", ["x"], [[0.5, 0.3, 0.2]])
+        e = BaggingEnsemble("soft", (a,), 2, external=True)
+        with pytest.raises(MemberKMismatch):
+            bagging_predict_set(e, ["x"], None, "test")
+        with pytest.raises(MemberKMismatch):
+            bagging_predict(e, "x")
 
     def test_member_k_mismatch(self):
         a = make_predset("a", "test", ["x"], [[0.9, 0.1]])

@@ -55,6 +55,16 @@ class TestLoadDataset:
             load_dataset(p, "binary")
         assert exc.value.line_no == 2
 
+    def test_not_utf8_names_its_line(self, tmp_path):
+        # the text reader decodes ahead in chunks; the line is found exactly
+        p = tmp_path / "d.jsonl"
+        good = b"".join(b'{"id": "s%d", "code": "x", "label": 0}\n' % i
+                        for i in range(500))
+        p.write_bytes(good + b'{"id": "bad", "code": "\xff", "label": 0}\n' + good)
+        with pytest.raises(MalformedRecord, match="is not UTF-8 text") as exc:
+            load_dataset(p, "binary")
+        assert exc.value.line_no == 501
+
     def test_duplicate_id(self, tmp_path):
         p = tmp_path / "d.jsonl"
         recs = _records(4)

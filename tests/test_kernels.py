@@ -1,45 +1,10 @@
-"""Dual-path kernel agreement: numba fast path vs pure-numpy fallback, and
-bit-identity of the numpy CSR kernels with their original formulation."""
-
-import importlib
-import os
+"""Numeric kernels: softmax, split scan, and bit-identity of the CSR
+kernels with their original formulation."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import vulforge._kernels as kernels
-
-
-@pytest.fixture(scope="module")
-def run_both():
-    """Callable that evaluates ``fn(kernels_module)`` under the numba path
-    and the numpy fallback, returning both results.
-
-    ``importlib.reload`` re-executes the module in place, so the two runs
-    happen sequentially; the original path is restored afterwards.
-    """
-    if not kernels.USE_NUMBA:
-        pytest.skip("numba unavailable; only one path to test")
-    saved = os.environ.get("VULFORGE_NO_NUMBA")
-
-    def runner(fn):
-        os.environ["VULFORGE_NO_NUMBA"] = "0"
-        mod = importlib.reload(kernels)
-        assert mod.USE_NUMBA
-        fast = fn(mod)
-        os.environ["VULFORGE_NO_NUMBA"] = "1"
-        mod = importlib.reload(kernels)
-        assert not mod.USE_NUMBA
-        slow = fn(mod)
-        return fast, slow
-
-    yield runner
-    if saved is None:
-        os.environ.pop("VULFORGE_NO_NUMBA", None)
-    else:
-        os.environ["VULFORGE_NO_NUMBA"] = saved
-    importlib.reload(kernels)
 
 
 def _csr_fixture(seed=0, n=50, d=64, k=3, nnz=6):
@@ -73,79 +38,6 @@ def test_csr_logits_match_dense():
                        X @ W.T + b)
 
 
-def test_csr_softmax_fit_paths_agree(run_both):
-    indptr, indices, data, targets, order, n, d, k = _csr_fixture()
-    coefs = np.ones(n)
-
-    def fit(mod):
-        W = np.zeros((k, d))
-        b = np.zeros(k)
-        mod.csr_softmax_fit(indptr, indices, data, targets, coefs, W, b,
-                            order, 8, 0.3, 1.0)
-        return W, b
-
-    (Wf, bf), (Ws, bs) = run_both(fit)
-    assert np.allclose(Wf, Ws, atol=1e-10)
-    assert np.allclose(bf, bs, atol=1e-10)
-
-
-def test_dense_softmax_fit_paths_agree(run_both):
-    rng = np.random.default_rng(3)
-    X = rng.normal(size=(40, 5))
-    y = rng.integers(0, 3, size=40)
-    targets = np.eye(3)[y]
-    order = np.vstack([rng.permutation(40) for _ in range(3)]).astype(np.int64)
-
-    def fit(mod):
-        W = np.zeros((3, 5))
-        b = np.zeros(3)
-        mod.dense_softmax_fit(X, targets, np.ones(40), W, b, order, 40, 0.2, 1.0)
-        return W, b
-
-    (Wf, bf), (Ws, bs) = run_both(fit)
-    assert np.allclose(Wf, Ws, atol=1e-10)
-    assert np.allclose(bf, bs, atol=1e-10)
-
-
-def test_hinge_fit_paths_agree(run_both):
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(30, 4))
-    S = np.where(rng.random((30, 3)) < 0.3, 1.0, -1.0)
-
-    def fit(mod):
-        W = np.zeros((3, 4))
-        b = np.zeros(3)
-        mod.hinge_ovr_fit(X, S, W, b, 20, 0.1, 1e-4)
-        return W, b
-
-    (Wf, bf), (Ws, bs) = run_both(fit)
-    assert np.allclose(Wf, Ws, atol=1e-10)
-    assert np.allclose(bf, bs, atol=1e-10)
-
-
-def test_sq_dists_paths_agree(run_both):
-    rng = np.random.default_rng(5)
-    Q = rng.normal(size=(12, 6))
-    X = rng.normal(size=(20, 6))
-    fast, slow = run_both(lambda mod: mod.sq_dists(Q, X))
-    assert np.allclose(fast, slow, atol=1e-10)
-
-
-def test_split_scan_paths_agree(run_both):
-    rng = np.random.default_rng(6)
-    cases = []
-    for _ in range(20):
-        vals = np.sort(rng.integers(0, 6, size=30).astype(np.float64))
-        ys = rng.integers(0, 3, size=30)
-        cases.append((vals, ys))
-    fast, slow = run_both(
-        lambda mod: [mod.split_scan(v, y, 3) for v, y in cases])
-    for (gf, pf), (gs, ps) in zip(fast, slow):
-        assert pf == ps
-        if pf >= 0:
-            assert gf == pytest.approx(gs, abs=1e-12)
-
-
 def test_split_scan_constant_column():
     vals = np.ones(10)
     ys = np.arange(10) % 2
@@ -154,7 +46,7 @@ def test_split_scan_constant_column():
 
 
 # ---------------------------------------------------------------------------
-# numpy CSR kernels: bit-identical to the original per-batch np.isin form
+# CSR kernels: bit-identical to the original per-batch np.isin form
 # ---------------------------------------------------------------------------
 
 def _ref_csr_logits(indptr, indices, data, W, b):
@@ -232,8 +124,8 @@ def test_np_csr_softmax_fit_bit_identical(problem):
     _ref_csr_softmax_fit(indptr, indices, data, targets, coefs, Wr, br,
                          order, bs, lr, decay)
     W, b = W0.copy(), b0.copy()
-    kernels._np_csr_softmax_fit(indptr, indices, data, targets, coefs, W, b,
-                                order, bs, lr, decay)
+    kernels.csr_softmax_fit(indptr, indices, data, targets, coefs, W, b,
+                            order, bs, lr, decay)
     assert np.array_equal(W, Wr)
     assert np.array_equal(b, br)
 

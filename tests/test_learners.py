@@ -90,7 +90,7 @@ class TestFitBuiltin:
         many = predict_builtin_many(m, *feats.rows_for(d.ids[:5]))
         for i, sid in enumerate(d.ids[:5]):
             one = predict_builtin(m, feats.vector_for(sid))
-            assert np.allclose(one, many[i], atol=1e-12)
+            assert np.array_equal(one, many[i])
 
     def test_deterministic(self, separable):
         d, feats = separable
