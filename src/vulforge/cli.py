@@ -379,7 +379,7 @@ def cmd_dgs(args) -> int:
     gate = ensembles.dgs_fit(
         base_val, s.val, d.labels_for(s.val), fm,
         ensembles.DgsConfig(cfg["routing"], args.gate),
-        gate_learner_cfg=_learner_cfg(cfg), seed=cfg["seed"], dataset=d)
+        gate_learner_cfg=_learner_cfg(cfg), seed=cfg["seed"])
     base_test = _base_predsets(cfg, base_ids, "test", s.test)
     pred = ensembles.dgs_predict_set(gate, base_test, s.test, fm, "test", name)
     store.save_ensemble(Path(cfg["out"]) / "ensembles" / name, gate, _echo(cfg))
@@ -412,6 +412,8 @@ def cmd_rank(args) -> int:
     if missing:
         raise ConfigError(f"scores file {path} has no column(s) {', '.join(missing)}")
     rows = list(reader)
+    if not rows:
+        raise ConfigError(f"scores file {path} has no data rows")
     for i, r in enumerate(rows, start=1):
         if None in r.values():
             raise ConfigError(f"scores row {i} has fewer fields than the header")

@@ -6,7 +6,8 @@ rounds or experts, N samples, K classes, with ``stack[m, i]`` the
 probability vector member m gives sample i.  They return (N, K).  An
 (M, K) input is one sample's rows and gives one (K,) vector; the
 single-sample predictors (``bagging_predict``, ``adaboost_predict``,
-``dgs_predict``) are batches of one over the same code.
+``dgs_predict``) are batches of one over the same code.  Gate scores are
+an (N, M) batch too, from the one gate-input builder ``dgs_fit`` trains on.
 
 Vote conventions, fixed across the package:
   * hard bagging: majority over member argmax labels; vote ties resolve by
@@ -442,87 +443,85 @@ def gate_targets(stacked: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return targets / targets.sum(axis=1, keepdims=True)
 
 
-def _augmented_features(features: FeatureMatrix, ids, stacked: np.ndarray) -> FeatureMatrix:
-    """Hashed code features with flattened base probabilities appended as
-    extra columns beyond the hash space."""
-    m, n, k = stacked.shape
-    flat = np.transpose(stacked, (1, 0, 2)).reshape(n, m * k)  # base order layout
-    indptr, indices, data = features.rows_for(ids)
-    n_extra = m * k
-    new_indptr = np.zeros(n + 1, dtype=np.int64)
-    chunks_i, chunks_d = [], []
-    extra_cols = features.dims + np.arange(n_extra, dtype=np.int64)
-    for i in range(n):
-        lo, hi = indptr[i], indptr[i + 1]
-        chunks_i += [indices[lo:hi], extra_cols]
-        chunks_d += [data[lo:hi], flat[i]]
-        new_indptr[i + 1] = new_indptr[i] + (hi - lo) + n_extra
-    return FeatureMatrix(tuple(ids), new_indptr, np.concatenate(chunks_i),
-                         np.concatenate(chunks_d), features.dims + n_extra)
+#: bytes of a dense gate-input chunk at scoring time (7 rows at 2^18 dims)
+_DENSE_CHUNK_BYTES = 16 << 20
+
+
+def _gate_rows(indptr, indices, data, dims: int, stack: np.ndarray):
+    """Gate input as CSR: each row's hashed features, then its M*K base
+    probabilities in columns ``dims`` onward, in base order.  ``indptr``
+    starts at 0, as rows_for and stack_features give it."""
+    m, n, k = stack.shape
+    row_ends = np.repeat(indptr[1:], m * k)  # np.insert keeps equal positions in order
+    return (indptr + m * k * np.arange(n + 1),
+            np.insert(indices, row_ends, np.tile(dims + np.arange(m * k), n)),
+            np.insert(data, row_ends, np.transpose(stack, (1, 0, 2)).ravel()))
+
+
+def _densify(indptr, indices, data, width: int) -> np.ndarray:
+    """Dense (N, width) rows of a CSR; ``indptr`` may be a window
+    ``indptr[a:b + 1]`` over the full ``indices`` and ``data``."""
+    n, lo, hi = len(indptr) - 1, indptr[0], indptr[-1]
+    dense = np.zeros((n, width))
+    dense[np.repeat(np.arange(n), np.diff(indptr)), indices[lo:hi]] = data[lo:hi]
+    return dense
 
 
 def dgs_fit(base_preds_val: list[PredictionSet], val_ids, labels: np.ndarray,
             features: FeatureMatrix, cfg: DgsConfig = DgsConfig(),
             gate_learner_cfg: LearnerConfig | None = None,
-            meta_cfg: MetaConfig = MetaConfig(), seed: int = 0,
-            dataset: Dataset | None = None) -> GateModel:
+            meta_cfg: MetaConfig = MetaConfig(), seed: int = 0) -> GateModel:
     if len(base_preds_val) < 2:
         raise CoverageMismatch("gated stacking needs at least two base models")
     val_ids = tuple(val_ids)
     labels = np.asarray(labels, dtype=np.int64)
     stacked = np.stack([p.reindexed(val_ids) for p in base_preds_val])  # (M, N, K)
+    m, _, k = stacked.shape
     targets = gate_targets(stacked, labels)
+    rows = _gate_rows(*features.rows_for(val_ids), features.dims, stacked)
+    width = features.dims + m * k
     if cfg.gate_kind == "lr":
-        aug = _augmented_features(features, val_ids, stacked)
         lcfg = gate_learner_cfg or LearnerConfig(seed=seed)
-        gate = fit_builtin(dataset or _label_only_dataset(val_ids, labels),
-                           val_ids, SampleWeights.uniform(val_ids), lcfg, aug,
-                           soft_targets=targets)
+        gate = fit_builtin(None, val_ids, SampleWeights.uniform(val_ids), lcfg,
+                           FeatureMatrix(val_ids, *rows, width), soft_targets=targets)
     else:
         # dense kinds train on hard routing labels (argmax of the soft target)
-        dense = _dense_gate_input(features, val_ids, stacked)
-        gate = meta_fit(cfg.gate_kind, dense, targets.argmax(axis=1), meta_cfg,
-                        seed, output_width=len(base_preds_val))
+        gate = meta_fit(cfg.gate_kind, _densify(*rows, width), targets.argmax(axis=1),
+                        meta_cfg, seed, output_width=m)
     return GateModel(tuple(p.model_id for p in base_preds_val), gate, cfg.routing,
-                     features.dims, stacked.shape[2])
+                     features.dims, k)
 
 
-def _label_only_dataset(ids, labels) -> Dataset:
-    from .ingest import Sample
-    k = int(labels.max()) + 1 if len(labels) else 2
-    return Dataset(tuple(Sample(i, "", int(l)) for i, l in zip(ids, labels)),
-                   max(k, 2), "gate-train")
+def gate_scores_many(g: GateModel, indptr, indices, data, stack: np.ndarray,
+                     forced_uniform: bool = False) -> np.ndarray:
+    """(N, M) gate scores of N samples: their hashed features as CSR and
+    their (M, N, K) expert stack.
 
-
-def _dense_gate_input(features: FeatureMatrix, ids, stacked: np.ndarray) -> np.ndarray:
-    m, n, k = stacked.shape
-    dense = np.zeros((n, features.dims + m * k))
-    for i, sid in enumerate(ids):
-        fv = features.vector_for(sid)
-        dense[i, fv.indices] = fv.counts
-    dense[:, features.dims:] = np.transpose(stacked, (1, 0, 2)).reshape(n, m * k)
-    return dense
+    The lr gate scores through predict_builtin_many, the forward pass it
+    was trained through; dense gates score fixed-size chunks of rows.
+    """
+    m, n, k = stack.shape
+    if m != g.member_count or k != g.class_count:
+        raise LayoutMismatch(f"expert stack shape {stack.shape} does not match gate")
+    if forced_uniform:
+        return _kernels.softmax(np.zeros((n, m)))
+    indptr, indices, data = _gate_rows(indptr, indices, data, g.dims, stack)
+    if not isinstance(g.gate, MetaModel):
+        return predict_builtin_many(g.gate, indptr, indices, data)
+    width = g.dims + m * k
+    step = max(1, _DENSE_CHUNK_BYTES // (8 * width))
+    out = np.empty((n, m))
+    for lo in range(0, n, step):
+        out[lo:lo + step] = meta_predict_many(
+            g.gate, _densify(indptr[lo:lo + step + 1], indices, data, width))
+    return out
 
 
 def gate_scores(g: GateModel, fv: FeatureVector, base_rows: np.ndarray,
                 forced_uniform: bool = False) -> np.ndarray:
-    m, k = base_rows.shape
-    if m != g.member_count or k != g.class_count:
-        raise LayoutMismatch(f"base rows shape {base_rows.shape} does not match gate")
-    if forced_uniform:
-        return _kernels.softmax(np.zeros((1, m)))[0]
-    flat = base_rows.reshape(m * k)
-    if isinstance(g.gate, MetaModel):
-        dense = np.zeros(g.dims + m * k)
-        dense[fv.indices] = fv.counts
-        dense[g.dims:] = flat
-        return meta_predict_many(g.gate, dense[None, :])[0]
-    # the lr gate trains on unit-normalized augmented rows; mirror that here
-    norm = math.sqrt(fv.norm * fv.norm + float(flat @ flat))
-    scale = 1.0 / norm if norm > 0 else 1.0
-    z = (g.gate.W[:, fv.indices] @ fv.counts
-         + g.gate.W[:, g.dims:] @ flat) * scale + g.gate.b
-    return _kernels.softmax(z)[0]
+    """One sample's (M,) gate scores: a batch of one for gate_scores_many."""
+    return gate_scores_many(g, *stack_features([fv]), base_rows[:, None, :],
+                            forced_uniform)[0]
 
 
 def _route(stack: np.ndarray, scores: np.ndarray, mode: str) -> np.ndarray:
@@ -547,8 +546,5 @@ def dgs_predict_set(g: GateModel, base_preds: list[PredictionSet], ids,
         raise LayoutMismatch("base prediction sets out of order for this gate")
     ids = tuple(ids)
     stack = np.stack([p.reindexed(ids) for p in base_preds])  # (M, N, K)
-    scores = np.vstack([
-        gate_scores(g, features.vector_for(sid), stack[:, i, :], forced_uniform)
-        for i, sid in enumerate(ids)
-    ])  # (N, M)
+    scores = gate_scores_many(g, *features.rows_for(ids), stack, forced_uniform)
     return PredictionSet(model_id, split, ids, _route(stack, scores, g.routing))

@@ -121,20 +121,14 @@ class FeatureMatrix:
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.ids)})
 
     def rows_for(self, ids):
-        """Sub-CSR in the order of ``ids``."""
-        rows = [self._index[s] for s in ids]
-        lens = self.indptr[1:] - self.indptr[:-1]
+        """Sub-CSR in the order of ``ids``, gathered by row offsets."""
+        rows = np.fromiter(map(self._index.__getitem__, ids), dtype=np.int64)
+        starts = self.indptr[rows]
+        lens = self.indptr[rows + 1] - starts
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(lens[rows])
-        if len(rows):
-            chunks_i = [self.indices[self.indptr[r]:self.indptr[r + 1]] for r in rows]
-            chunks_d = [self.data[self.indptr[r]:self.indptr[r + 1]] for r in rows]
-            indices = np.concatenate(chunks_i) if chunks_i else np.empty(0, np.int64)
-            data = np.concatenate(chunks_d) if chunks_d else np.empty(0)
-        else:
-            indices = np.empty(0, np.int64)
-            data = np.empty(0)
-        return indptr, indices, data
+        np.cumsum(lens, out=indptr[1:])
+        gather = np.repeat(starts - indptr[:-1], lens) + np.arange(indptr[-1])
+        return indptr, self.indices[gather], self.data[gather]
 
     def vector_for(self, sample_id: str) -> FeatureVector:
         r = self._index[sample_id]
@@ -173,12 +167,13 @@ def _epoch_orders(n: int, epochs: int, seed: int) -> np.ndarray:
     return np.vstack([rng.permutation(n) for _ in range(epochs)]).astype(np.int64)
 
 
-def fit_builtin(d: Dataset, ids, w: SampleWeights, cfg: LearnerConfig,
+def fit_builtin(d: Dataset | None, ids, w: SampleWeights, cfg: LearnerConfig,
                 features: FeatureMatrix, soft_targets: np.ndarray | None = None) -> LinearModel:
     """Train the built-in learner on ``ids`` under weight distribution ``w``.
 
-    ``soft_targets`` (N x K, rows summing to 1) overrides the one-hot labels;
-    the gate trainer uses this for soft-target cross-entropy.
+    ``soft_targets`` (N x K, rows summing to 1) overrides the one-hot labels
+    of ``d``, which is then not read; the gate trainer uses this for
+    soft-target cross-entropy.
     """
     ids = tuple(ids)
     if not ids:
@@ -192,15 +187,14 @@ def fit_builtin(d: Dataset, ids, w: SampleWeights, cfg: LearnerConfig,
     wmap = w.as_dict()
     weights = np.array([wmap[s] for s in ids])
     n = len(ids)
-    k = d.class_count
     indptr, indices, data = features.rows_for(ids)
     data = unit_rows(indptr, data)
     if soft_targets is None:
-        targets = np.zeros((n, k))
+        targets = np.zeros((n, d.class_count))
         targets[np.arange(n), d.labels_for(ids)] = 1.0
     else:
         targets = np.asarray(soft_targets, dtype=np.float64)
-        k = targets.shape[1]
+    k = targets.shape[1]
     W = np.zeros((k, features.dims))
     b = np.zeros(k)
     coefs = weights * n  # uniform weights give the usual per-sample mean scale

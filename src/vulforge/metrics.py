@@ -9,6 +9,7 @@ tables, divergent-sample analysis, and correct-set overlap regions.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,6 +18,7 @@ import numpy as np
 
 from .core import PredictionSet
 from .errors import CoverageMismatch, LengthMismatch, TooManySets
+from .ingest import _atomic_write
 
 ZERO_CONVENTION = "precision/recall/F1 are 0 when their denominator is 0"
 
@@ -263,49 +265,47 @@ def overlap_regions(correct_sets: list) -> dict[int, int]:
 # file emission
 # ---------------------------------------------------------------------------
 
+def _write_csv(path, header: list, rows) -> None:
+    """Write a header and rows as one CSV through the atomic writer, which
+    creates the parent directory."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    _atomic_write(Path(path), buf.getvalue().encode("utf-8"))
+
+
 def write_report_json(path, report: MetricsReport, extra: dict | None = None) -> None:
     payload = dict(extra or {})
     payload.update(report.to_dict())
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    _atomic_write(Path(path), (json.dumps(payload, indent=1, sort_keys=True)
+                               + "\n").encode("utf-8"))
 
 
 def write_report_csv(path, rows: list[dict]) -> None:
     keys = sorted({k for r in rows for k in r})
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.DictWriter(fh, fieldnames=keys)
-        w.writeheader()
-        w.writerows(rows)
+    _write_csv(path, keys, ([r.get(k, "") for k in keys] for r in rows))
 
 
 def write_ranks_csv(path, table: RankTable) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", *table.metrics])
-        for i, m in enumerate(table.methods):
-            w.writerow([m, *[f"{v:.6f}" for v in table.averages[i]]])
+    _write_csv(path, ["method", *table.metrics],
+               ([m, *[f"{v:.6f}" for v in table.averages[i]]]
+                for i, m in enumerate(table.methods)))
 
 
 def write_overlap_csv(path, regions: dict[int, int], set_count: int) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bitmask", "count"])
-        for mask in sorted(regions):
-            w.writerow([format(mask, f"0{set_count}b"), regions[mask]])
+    _write_csv(path, ["bitmask", "count"],
+               ([format(mask, f"0{set_count}b"), regions[mask]]
+                for mask in sorted(regions)))
 
 
 def write_divergence_csv(path, report: DivergenceReport) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["model_id", "correct_proportion", "divergent_count", "total"])
-        for mid, prop in sorted(report.correct_proportion.items()):
-            w.writerow([mid, f"{prop:.6f}", len(report.divergent_ids), report.total])
+    _write_csv(path, ["model_id", "correct_proportion", "divergent_count", "total"],
+               ([mid, f"{prop:.6f}", len(report.divergent_ids), report.total]
+                for mid, prop in sorted(report.correct_proportion.items())))
 
 
 def write_boost_weights_csv(path, t: int, ids, weights, labels) -> None:
     """Per-round sample-weight dump backing the weight-evolution plots."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "weight", "label"])
-        for sid, wt, lb in zip(ids, weights, labels):
-            w.writerow([sid, f"{wt:.12g}", int(lb)])
+    _write_csv(path, ["id", "weight", "label"],
+               ([sid, f"{wt:.12g}", int(lb)] for sid, wt, lb in zip(ids, weights, labels)))

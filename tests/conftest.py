@@ -9,7 +9,7 @@ from vulforge import synth
 from vulforge.codefeat import FeaturizerConfig
 from vulforge.core import PredictionSet
 from vulforge.ingest import Dataset, Sample, stratified_split
-from vulforge.learners import featurize_dataset
+from vulforge.learners import FeatureMatrix, featurize_dataset
 
 #: Small hash space keeps featurization fast in tests; collisions are rare
 #: at these corpus sizes.
@@ -36,6 +36,22 @@ def tiny_dataset(n: int = 40, k: int = 2) -> Dataset:
         for i in range(n)
     )
     return Dataset(samples, k, "tiny")
+
+
+def random_feature_matrix(rng, n_rows: int, dims: int = 64) -> FeatureMatrix:
+    """Random hashed features for ``n_rows`` samples; about a quarter of the
+    rows are empty, the others hold sorted distinct dimensions."""
+    vectors = []
+    for _ in range(n_rows):
+        nnz = 0 if rng.random() < 0.25 else int(rng.integers(1, 8))
+        idx = np.sort(rng.choice(dims, size=nnz, replace=False)).astype(np.int64)
+        vectors.append((idx, rng.integers(1, 5, size=nnz).astype(np.float64)))
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(i) for i, _ in vectors])
+    indices = np.concatenate([i for i, _ in vectors]) if vectors else np.empty(0, np.int64)
+    data = np.concatenate([c for _, c in vectors]) if vectors else np.empty(0)
+    return FeatureMatrix(tuple(f"r{i}" for i in range(n_rows)), indptr, indices,
+                         data, dims)
 
 
 def make_predset(model_id: str, split: str, ids, probs) -> PredictionSet:

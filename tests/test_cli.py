@@ -1,6 +1,7 @@
 """End-to-end CLI pipeline, artifact integrity, and exit-code mapping."""
 
 import json
+import warnings
 
 import pytest
 
@@ -184,14 +185,28 @@ class TestExitCodes:
          "scores.csv has no column(s) method"),
         ("method,instance,metric,score\na,i,f1,60\nb,i\n",
          "scores row 2 has fewer fields than the header"),
-    ], ids=["missing-column", "short-row"])
+        ("method,instance,metric,score\n", "scores.csv has no data rows"),
+    ], ids=["missing-column", "short-row", "header-only"])
     def test_rank_malformed_csv_is_2(self, text, needle, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text(text)
-        assert cli.main(["rank", "--scores", str(scores),
-                         "--out", str(tmp_path / "out")]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["rank", "--scores", str(scores),
+                             "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert needle in err and "Traceback" not in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_rank_into_new_directory(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("method,instance,metric,score\n"
+                          "a,i1,acc,60\nb,i1,acc,62\n")
+        out = tmp_path / "new" / "dir"
+        assert cli.main(["rank", "--scores", str(scores), "--out", str(out)]) == 0
+        assert "b,1.000000" in (out / "ranks.csv").read_text()
+        assert json.loads((out / "ranks.json").read_text())["methods"] == ["a", "b"]
 
     def test_dataset_not_utf8_is_5(self, tmp_path, capsys):
         data = tmp_path / "d2.jsonl"

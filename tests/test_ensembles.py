@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_predset
-from vulforge import synth
+from conftest import make_predset, random_feature_matrix
+from vulforge import _kernels, synth
+from vulforge.codefeat import FeaturizerConfig
 from vulforge.core import make_prediction_set
 from vulforge.ensembles import (
     BaggingEnsemble,
     BaseLearnerSpec,
     BoostConfig,
+    _DENSE_CHUNK_BYTES,
     _boost_step,
+    _densify,
+    _gate_rows,
     _route,
     adaboost_fit,
     adaboost_fit_external,
@@ -27,8 +31,11 @@ from vulforge.ensembles import (
     boost_combine,
     derive_seed,
     dgs_fit,
+    dgs_predict,
     dgs_predict_set,
     DgsConfig,
+    gate_scores,
+    gate_scores_many,
     gate_targets,
     oof_prediction_set,
     soft_combine,
@@ -42,8 +49,13 @@ from vulforge.errors import (
     NoRoundsRetained,
 )
 from vulforge.ingest import stratified_split
-from vulforge.learners import LearnerConfig, SampleWeights, write_predictions
-from vulforge.metamodels import META_KINDS
+from vulforge.learners import (
+    LearnerConfig,
+    SampleWeights,
+    featurize_dataset,
+    write_predictions,
+)
+from vulforge.metamodels import META_KINDS, MetaConfig, MetaModel, meta_predict_many
 
 
 class TestCombiners:
@@ -387,6 +399,146 @@ class TestGate:
         out = dgs_predict_set(g, bases, ids, feats, "val")
         assert out.probs.shape == (30, 2)
         assert np.allclose(out.probs.sum(1), 1.0)
+
+
+# Test-local copies of the per-row gate-input builders and the per-sample
+# gate scorer that _gate_rows and gate_scores_many replaced.
+
+def _ref_augmented_features(features, ids, stacked):
+    m, n, k = stacked.shape
+    if n == 0:  # the row loop had nothing to concatenate
+        return np.zeros(1, np.int64), np.empty(0, np.int64), np.empty(0)
+    flat = np.transpose(stacked, (1, 0, 2)).reshape(n, m * k)
+    indptr, indices, data = features.rows_for(ids)
+    n_extra = m * k
+    new_indptr = np.zeros(n + 1, dtype=np.int64)
+    chunks_i, chunks_d = [], []
+    extra_cols = features.dims + np.arange(n_extra, dtype=np.int64)
+    for i in range(n):
+        lo, hi = indptr[i], indptr[i + 1]
+        chunks_i += [indices[lo:hi], extra_cols]
+        chunks_d += [data[lo:hi], flat[i]]
+        new_indptr[i + 1] = new_indptr[i] + (hi - lo) + n_extra
+    return new_indptr, np.concatenate(chunks_i), np.concatenate(chunks_d)
+
+
+def _ref_dense_gate_input(features, ids, stacked):
+    m, n, k = stacked.shape
+    dense = np.zeros((n, features.dims + m * k))
+    for i, sid in enumerate(ids):
+        fv = features.vector_for(sid)
+        dense[i, fv.indices] = fv.counts
+    dense[:, features.dims:] = np.transpose(stacked, (1, 0, 2)).reshape(n, m * k)
+    return dense
+
+
+def _ref_gate_scores(g, fv, base_rows):
+    m, k = base_rows.shape
+    flat = base_rows.reshape(m * k)
+    if isinstance(g.gate, MetaModel):
+        dense = np.zeros(g.dims + m * k)
+        dense[fv.indices] = fv.counts
+        dense[g.dims:] = flat
+        return meta_predict_many(g.gate, dense[None, :])[0]
+    norm = math.sqrt(fv.norm * fv.norm + float(flat @ flat))
+    scale = 1.0 / norm if norm > 0 else 1.0
+    z = (g.gate.W[:, fv.indices] @ fv.counts
+         + g.gate.W[:, g.dims:] @ flat) * scale + g.gate.b
+    return _kernels.softmax(z)[0]
+
+
+def _ref_scores(g, feats, ids, stack):
+    return np.vstack([_ref_gate_scores(g, feats.vector_for(sid), stack[:, i, :])
+                      for i, sid in enumerate(ids)])
+
+
+def _random_bases(rng, ids, m, k, split):
+    probs = rng.random((m, len(ids), k)) + 1e-3
+    probs /= probs.sum(axis=2, keepdims=True)
+    return [make_predset(f"e{j}", split, ids, probs[j]) for j in range(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 25), st.integers(0, 2**32 - 1), st.integers(2, 6),
+       st.sampled_from([2, 3, 9]), st.data())
+def test_gate_rows_bit_identical_to_row_loops(n_rows, seed, m, k, data):
+    rng = np.random.default_rng(seed)
+    fm = random_feature_matrix(rng, n_rows)
+    n = data.draw(st.integers(0, min(20, n_rows)))
+    ids = tuple(fm.ids[i] for i in rng.permutation(n_rows)[:n])
+    stack = rng.random((m, n, k))
+    rows = _gate_rows(*fm.rows_for(ids), fm.dims, stack)
+    for got, ref in zip(rows, _ref_augmented_features(fm, ids, stack)):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+    assert np.array_equal(_densify(*rows, fm.dims + m * k),
+                          _ref_dense_gate_input(fm, ids, stack))
+
+
+def _fit_gate(d, feats, kind, routing="hard", n_val=30, n_test=40, m=3, k=2,
+              meta_cfg=MetaConfig(trees=10)):
+    rng = np.random.default_rng(7)
+    val, test = d.ids[:n_val], d.ids[n_val:n_val + n_test]
+    bases = _random_bases(rng, val, m, k, "val")
+    g = dgs_fit(bases, val, d.labels_for(val), feats, DgsConfig(routing, kind),
+                gate_learner_cfg=LearnerConfig(epochs=5), meta_cfg=meta_cfg)
+    return g, test, _random_bases(rng, test, m, k, "test")
+
+
+class TestGateScoresMany:
+    @pytest.mark.parametrize("kind", ["rf", "knn"])
+    def test_exact_for_rf_and_knn(self, kind, separable):
+        d, feats = separable
+        g, test, bases = _fit_gate(d, feats, kind)
+        stack = np.stack([p.probs for p in bases])
+        got = gate_scores_many(g, *feats.rows_for(test), stack)
+        assert np.array_equal(got, _ref_scores(g, feats, test, stack))
+
+    @pytest.mark.parametrize("kind", ["lr", "svm"])
+    def test_close_for_lr_and_svm(self, kind, separable):
+        # the batched forward pass may round the last bits differently
+        d, feats = separable
+        g, test, bases = _fit_gate(d, feats, kind)
+        stack = np.stack([p.probs for p in bases])
+        got = gate_scores_many(g, *feats.rows_for(test), stack)
+        ref = _ref_scores(g, feats, test, stack)
+        assert np.array_equal(got.argmax(axis=1), ref.argmax(axis=1))
+        assert np.allclose(got, ref, rtol=0.0, atol=16 * np.finfo(np.float64).eps)
+
+    def test_default_dims_spans_several_chunks(self):
+        d = synth.separable_corpus(40, seed=3)
+        feats = featurize_dataset(d, FeaturizerConfig())
+        g, test, bases = _fit_gate(d, feats, "rf", n_val=16, n_test=20,
+                                   meta_cfg=MetaConfig(trees=5))
+        width = feats.dims + 3 * 2
+        assert feats.dims == 1 << 18
+        assert len(test) > _DENSE_CHUNK_BYTES // (8 * width)
+        stack = np.stack([p.probs for p in bases])
+        got = gate_scores_many(g, *feats.rows_for(test), stack)
+        assert np.array_equal(got, _ref_scores(g, feats, test, stack))
+
+    @pytest.mark.parametrize("kind", ["lr", "rf", "knn"])
+    @pytest.mark.parametrize("routing", ["hard", "soft"])
+    def test_single_sample_is_a_batch_of_one(self, kind, routing, separable):
+        d, feats = separable
+        g, test, bases = _fit_gate(d, feats, kind, routing, n_test=12)
+        out = dgs_predict_set(g, bases, test, feats, "test")
+        stack = np.stack([p.probs for p in bases])
+        for i, sid in enumerate(test):
+            fv = feats.vector_for(sid)
+            assert np.array_equal(dgs_predict(g, fv, stack[:, i, :]), out.probs[i])
+            assert np.array_equal(
+                gate_scores(g, fv, stack[:, i, :]),
+                gate_scores_many(g, *feats.rows_for([sid]), stack[:, i:i + 1, :])[0])
+
+    def test_layout_checked(self, separable):
+        d, feats = separable
+        g, test, bases = _fit_gate(d, feats, "lr")
+        stack = np.stack([p.probs for p in bases])
+        with pytest.raises(LayoutMismatch):
+            gate_scores_many(g, *feats.rows_for(test), stack[:2])
+        uniform = gate_scores_many(g, *feats.rows_for(test), stack, forced_uniform=True)
+        assert np.array_equal(uniform, np.full((len(test), 3), 1.0 / 3))
 
 
 class TestDeriveSeed:

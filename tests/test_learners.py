@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import TEST_FEATURIZER
+from conftest import TEST_FEATURIZER, random_feature_matrix
 from vulforge import synth
 from vulforge.core import (
     INGEST_SUM_TOL,
@@ -126,6 +126,33 @@ class TestFitBuiltin:
         other = featurize_dataset(synth.separable_corpus(10, seed=0))
         with pytest.raises(DimensionMismatch):
             predict_builtin(m, other.vector_for(other.ids[0]))
+
+
+def _ref_rows_for(fm, ids):
+    """The per-row gather FeatureMatrix.rows_for replaced."""
+    rows = [fm._index[s] for s in ids]
+    lens = fm.indptr[1:] - fm.indptr[:-1]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(lens[rows])
+    if len(rows):
+        indices = np.concatenate([fm.indices[fm.indptr[r]:fm.indptr[r + 1]] for r in rows])
+        data = np.concatenate([fm.data[fm.indptr[r]:fm.indptr[r + 1]] for r in rows])
+    else:
+        indices = np.empty(0, np.int64)
+        data = np.empty(0)
+    return indptr, indices, data
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 25), st.integers(0, 2**32 - 1), st.data())
+def test_rows_for_bit_identical_to_per_row_gather(n_rows, seed, data):
+    fm = random_feature_matrix(np.random.default_rng(seed), n_rows)
+    # empty id lists, repeated ids and empty feature rows all occur
+    picks = data.draw(st.lists(st.integers(0, n_rows - 1), max_size=30))
+    ids = [fm.ids[i] for i in picks]
+    for got, ref in zip(fm.rows_for(ids), _ref_rows_for(fm, ids)):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
 
 
 class TestFileProtocol:
