@@ -1,0 +1,92 @@
+"""Time and measure the dense DGS gates: fit, then score.
+
+For each dense gate kind and corpus size, builds ``synth.imbalanced_corpus(n,
+pos_fraction=0.3)`` with its stratified 8:1:1 split, hashes the validation
+and test rows at the default 2^18 dims, and gives each of 5 seeded experts
+a random probability row per sample.  It then runs ``dgs_fit`` on the
+validation rows and ``gate_scores_many`` on the test rows, and prints:
+
+- ``fit_s`` and ``score_s``: wall time of the two calls, untraced;
+- ``peak_mb``: the ``tracemalloc`` peak over both calls, from a second,
+  traced run.
+
+knn runs at n <= 4000 only and scores its first 8 test rows: it keeps its
+N_val full-width training rows (840 MB at n = 4000), and each scored row
+builds an N_val x width difference array of the same size.
+
+Usage:
+    PYTHONPATH=src python benchmarks/bench_gate.py [--sizes 4000,16000]
+        [--kinds svm,rf,knn] [--seed S]
+"""
+
+from __future__ import annotations
+
+import argparse
+import time
+import tracemalloc
+
+import numpy as np
+
+from vulforge import synth
+from vulforge.codefeat import featurize_code, stack_features
+from vulforge.core import PredictionSet
+from vulforge.ensembles import DgsConfig, dgs_fit, gate_scores_many
+from vulforge.ingest import stratified_split
+from vulforge.learners import FeatureMatrix
+
+EXPERTS = 5
+KNN_MAX_N = 4000
+KNN_SCORE_ROWS = 8
+
+
+def _workload(n: int, seed: int):
+    d = synth.imbalanced_corpus(n, seed=seed, pos_fraction=0.3)
+    split = stratified_split(d, seed)
+    ids = split.val + split.test
+    code = {s.id: s.code for s in d.samples}
+    csr = stack_features([featurize_code(code[i]) for i in ids])
+    features = FeatureMatrix(ids, *csr, 1 << 18)
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(d.class_count), size=(EXPERTS, len(ids)))
+    bases = [PredictionSet(f"e{j}", "val", ids, probs[j]) for j in range(EXPERTS)]
+    return d, split, features, bases
+
+
+def _run(kind, d, split, features, bases, test):
+    val = split.val
+    t0 = time.perf_counter()
+    g = dgs_fit(bases, val, d.labels_for(val), features, DgsConfig("hard", kind))
+    t1 = time.perf_counter()
+    stack = np.stack([p.reindexed(test) for p in bases])
+    gate_scores_many(g, *features.rows_for(test), stack)
+    return t1 - t0, time.perf_counter() - t1
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--sizes", default="4000,16000")
+    ap.add_argument("--kinds", default="svm,rf,knn")
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+    print(f"{'kind':4} {'n':>6} {'val':>5} {'scored':>6} {'active':>6} "
+          f"{'fit_s':>8} {'score_s':>8} {'peak_mb':>8}")
+    for n in map(int, args.sizes.split(",")):
+        d, split, features, bases = _workload(n, args.seed)
+        active = len(np.unique(features.rows_for(split.val)[1])) + EXPERTS * d.class_count
+        for kind in args.kinds.split(","):
+            if kind == "knn" and n > KNN_MAX_N:
+                continue
+            test = split.test[:KNN_SCORE_ROWS] if kind == "knn" else split.test
+            fit_s, score_s = _run(kind, d, split, features, bases, test)
+            tracemalloc.start()
+            try:
+                _run(kind, d, split, features, bases, test)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            print(f"{kind:4} {n:6d} {len(split.val):5d} {len(test):6d} {active:6d} "
+                  f"{fit_s:8.3f} {score_s:8.3f} {peak / 2**20:8.1f}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -153,12 +153,16 @@ def hinge_ovr_fit(X, S, W, b, epochs, lr, l2):
 # ---------------------------------------------------------------------------
 
 def sq_dists(Q, X):
-    # subtract-square per chunk: exact for small-integer fixtures, bounded memory
+    # subtract-square over blocks of about 4e6 differences: exact for
+    # small-integer fixtures, bounded memory.  Each distance is the sum of
+    # one contiguous row, so the blocking never changes its value.
     out = np.empty((Q.shape[0], X.shape[0]))
-    chunk = max(1, int(4e6 // max(1, X.size)))
+    rows = max(1, int(4e6 // max(1, X.shape[1])))  # X rows per block
+    chunk = max(1, rows // max(1, X.shape[0]))      # Q rows per block
     for s in range(0, Q.shape[0], chunk):
-        d = Q[s:s + chunk, None, :] - X[None, :, :]
-        out[s:s + chunk] = (d * d).sum(axis=2)
+        for t in range(0, X.shape[0], rows):
+            d = Q[s:s + chunk, None, :] - X[None, t:t + rows, :]
+            out[s:s + chunk, t:t + rows] = (d * d).sum(axis=2)
     return out
 
 
@@ -173,7 +177,7 @@ def split_scan(vals, ys, K):
     ``[0..pos]`` from ``[pos+1..]``; position -1 means no valid split.
     """
     n = len(vals)
-    if n < 2:
+    if n < 2 or vals[0] == vals[-1]:  # a constant column has no split
         return np.inf, -1
     onehot = np.zeros((n, K))
     onehot[np.arange(n), ys] = 1.0

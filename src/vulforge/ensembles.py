@@ -485,9 +485,13 @@ def dgs_fit(base_preds_val: list[PredictionSet], val_ids, labels: np.ndarray,
         gate = fit_builtin(None, val_ids, SampleWeights.uniform(val_ids), lcfg,
                            FeatureMatrix(val_ids, *rows, width), soft_targets=targets)
     else:
-        # dense kinds train on hard routing labels (argmax of the soft target)
-        gate = meta_fit(cfg.gate_kind, _densify(*rows, width), targets.argmax(axis=1),
-                        meta_cfg, seed, output_width=m)
+        # dense kinds train on hard routing labels (argmax of the soft target),
+        # densifying only the columns the validation rows touch
+        indptr, indices, data = rows
+        columns = np.unique(indices)
+        X = _densify(indptr, np.searchsorted(columns, indices), data, len(columns))
+        gate = meta_fit(cfg.gate_kind, X, targets.argmax(axis=1), meta_cfg, seed,
+                        output_width=m, columns=columns, width=width)
     return GateModel(tuple(p.model_id for p in base_preds_val), gate, cfg.routing,
                      features.dims, k)
 

@@ -6,6 +6,19 @@ Hyperparameter defaults are fixed (k=5, trees=100, depth 16, L2=1e-4,
 epochs=200) and echoed into every report.  All four kinds are deterministic
 given (X, y, cfg, seed); forest fitting may parallelize across trees with
 per-tree seed streams, so results are identical for any worker count.
+
+A fit may see only some columns of a wider input: ``meta_fit(..., columns,
+width)`` takes X as the columns ``columns`` of a ``width``-wide matrix that
+is zero everywhere else, and returns the model of the full-width fit.  The
+dense DGS gates use this to train on the few hashed columns the validation
+rows touch.  Gradient descent from zero never moves a weight whose column
+is zero in every row, and the forest draws its features from the full
+width and skips the all-zero ones (they never split), so the svm and rf
+fits match the full-width fit bit for bit and knn stores the full-width
+rows.  An lr fit makes the same updates, but its forward pass sums in
+another order, so its weights agree only up to rounding, which many epochs
+of a large step can amplify; no caller passes ``columns`` for lr.  Without
+``columns`` the input is all of X.
 """
 
 from __future__ import annotations
@@ -57,22 +70,47 @@ def _check_xy(X, y):
     return X, y
 
 
+def _check_columns(X, columns, width):
+    """Resolve the columns of ``width`` that X holds: all of them if None."""
+    width = X.shape[1] if width is None else int(width)
+    if columns is None:
+        columns = np.arange(width)
+    columns = np.asarray(columns, dtype=np.int64)
+    if columns.shape != (X.shape[1],):
+        raise WidthMismatch(f"columns of shape {columns.shape} for {X.shape[1]} "
+                            "input columns")
+    if len(columns) and (columns[0] < 0 or columns[-1] >= width
+                         or (np.diff(columns) <= 0).any()):
+        raise WidthMismatch(f"columns must be strictly increasing in [0, {width})")
+    return columns, width
+
+
 def meta_fit(kind: str, X, y, cfg: MetaConfig = MetaConfig(), seed: int = 0,
-             output_width: int | None = None, workers: int = 1) -> MetaModel:
+             output_width: int | None = None, workers: int = 1,
+             columns=None, width: int | None = None) -> MetaModel:
     X, y = _check_xy(X, y)
+    columns, width = _check_columns(X, columns, width)
     k_out = output_width or int(y.max()) + 1
     if kind == "lr":
-        params = _fit_lr(X, y, k_out, cfg, seed)
+        params = _lift(_fit_lr(X, y, k_out, cfg, seed), columns, width)
     elif kind == "svm":
-        params = _fit_svm(X, y, k_out, cfg)
+        params = _lift(_fit_svm(X, y, k_out, cfg), columns, width)
     elif kind == "rf":
-        params = _fit_rf(X, y, k_out, cfg, seed, workers)
+        params = _fit_rf(X, y, k_out, cfg, seed, workers, columns, width)
     elif kind == "knn":
-        params = {"rows": X.tolist(), "labels": y.tolist(),
-                  "k": min(cfg.knn_k, X.shape[0])}
+        rows = np.zeros((X.shape[0], width))
+        rows[:, columns] = X
+        params = {"rows": rows, "labels": y, "k": min(cfg.knn_k, X.shape[0])}
     else:
         raise ValueError(f"unknown meta kind {kind!r}")
-    return MetaModel(kind, params, X.shape[1], k_out, cfg)
+    return MetaModel(kind, params, width, k_out, cfg)
+
+
+def _lift(params, columns, width):
+    """Scatter a linear model's weight columns into full-width zeros."""
+    W = np.zeros((params["W"].shape[0], width))
+    W[:, columns] = params["W"]
+    return {"W": W, "b": params["b"]}
 
 
 def meta_predict(m: MetaModel, x) -> np.ndarray:
@@ -84,12 +122,9 @@ def meta_predict_many(m: MetaModel, X) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != m.input_width:
         raise WidthMismatch(f"row width {X.shape[1:]} != model input {m.input_width}")
     if m.kind == "lr":
-        W = np.asarray(m.params["W"])
-        b = np.asarray(m.params["b"])
-        return _kernels.softmax(X @ W.T + b)
+        return _kernels.softmax(X @ m.params["W"].T + m.params["b"])
     if m.kind == "svm":
-        W = np.asarray(m.params["W"])
-        b = np.asarray(m.params["b"])
+        W, b = m.params["W"], m.params["b"]
         squashed = 1.0 / (1.0 + np.exp(-(X @ W.T + b)))  # unit-scale logistic
         return squashed / squashed.sum(axis=1, keepdims=True)
     if m.kind == "rf":
@@ -117,7 +152,7 @@ def _fit_lr(X, y, k_out, cfg, seed):
     decay = 1.0 - cfg.learning_rate * cfg.l2
     _kernels.dense_softmax_fit(X, targets, np.ones(n), W, b, order, n,
                                cfg.learning_rate, decay)
-    return {"W": W.tolist(), "b": b.tolist()}
+    return {"W": W, "b": b}
 
 
 # ---------------------------------------------------------------------------
@@ -131,18 +166,19 @@ def _fit_svm(X, y, k_out, cfg):
     W = np.zeros((k_out, X.shape[1]))
     b = np.zeros(k_out)
     _kernels.hinge_ovr_fit(X, S, W, b, cfg.epochs, cfg.svm_learning_rate, cfg.l2)
-    return {"W": W.tolist(), "b": b.tolist()}
+    return {"W": W, "b": b}
 
 
 # ---------------------------------------------------------------------------
 # random forest (Gini trees, bootstrap rows, sqrt-width feature subsampling)
 # ---------------------------------------------------------------------------
 
-def _fit_rf(X, y, k_out, cfg, seed, workers):
+def _fit_rf(X, y, k_out, cfg, seed, workers, columns, width):
     def build(t):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x43E57, t]))
         rows = rng.integers(0, X.shape[0], size=X.shape[0])
-        return _build_tree(X[rows], y[rows], 0, rng, k_out, cfg.max_depth)
+        return _build_tree(X[rows], y[rows], 0, rng, k_out, cfg.max_depth,
+                           columns, width)
 
     if workers <= 1:
         trees = [build(t) for t in range(cfg.trees)]
@@ -157,29 +193,35 @@ def _leaf(y, k_out):
     return ["leaf", (counts / counts.sum()).tolist()]
 
 
-def _build_tree(X, y, depth, rng, k_out, max_depth):
-    n, d = X.shape
+def _build_tree(X, y, depth, rng, k_out, max_depth, columns, width):
+    """Grow a tree over X, the columns ``columns`` of a ``width``-wide input.
+
+    Features are drawn from the full width; a draw outside ``columns`` is
+    an all-zero column, which never splits, so it is skipped."""
+    n = X.shape[0]
     if n < 2 or depth >= max_depth or (y == y[0]).all():
         return _leaf(y, k_out)
-    m = max(1, int(np.sqrt(d)))
-    feats = rng.choice(d, size=m, replace=False)
-    best_g, best_f, best_thr = np.inf, -1, 0.0
-    for f in feats:
-        order = np.argsort(X[:, f], kind="stable")
-        vals = X[order, f]
+    m = max(1, int(np.sqrt(width)))
+    feats = rng.choice(width, size=m, replace=False)
+    best_g, best_c, best_thr = np.inf, -1, 0.0
+    for c in np.searchsorted(columns, feats[np.isin(feats, columns)]):
+        order = np.argsort(X[:, c], kind="stable")
+        vals = X[order, c]
         ys = y[order]
         g, pos = _kernels.split_scan(vals, ys, k_out)
         if pos >= 0 and g < best_g:
-            best_g, best_f = g, int(f)
+            best_g, best_c = g, int(c)
             best_thr = (vals[pos] + vals[pos + 1]) / 2.0
-    if best_f < 0:
+    if best_c < 0:
         return _leaf(y, k_out)
-    left = X[:, best_f] <= best_thr
+    left = X[:, best_c] <= best_thr
     if not left.any() or left.all():
         return _leaf(y, k_out)
-    return ["split", best_f, best_thr,
-            _build_tree(X[left], y[left], depth + 1, rng, k_out, max_depth),
-            _build_tree(X[~left], y[~left], depth + 1, rng, k_out, max_depth)]
+    return ["split", int(columns[best_c]), best_thr,
+            _build_tree(X[left], y[left], depth + 1, rng, k_out, max_depth,
+                        columns, width),
+            _build_tree(X[~left], y[~left], depth + 1, rng, k_out, max_depth,
+                        columns, width)]
 
 
 def _tree_predict(tree, X):
@@ -204,10 +246,8 @@ def _tree_first_leaf(tree):
 # ---------------------------------------------------------------------------
 
 def _knn_predict(m: MetaModel, X):
-    rows = np.asarray(m.params["rows"], dtype=np.float64)
-    labels = np.asarray(m.params["labels"], dtype=np.int64)
-    k = m.params["k"]
-    dists = _kernels.sq_dists(X, rows)
+    labels, k = m.params["labels"], m.params["k"]
+    dists = _kernels.sq_dists(X, m.params["rows"])
     out = np.zeros((X.shape[0], m.output_width))
     for i in range(X.shape[0]):
         d = dists[i]

@@ -114,14 +114,13 @@ def _enc_meta(m: MetaModel, store: _ArrayStore, prefix: str) -> dict:
         "config": m.config.echo(),
     }
     if m.kind in ("lr", "svm"):
-        rec["W"] = store.put(f"{prefix}_W", np.asarray(m.params["W"]))
-        rec["b"] = store.put(f"{prefix}_b", np.asarray(m.params["b"]))
+        rec["W"] = store.put(f"{prefix}_W", m.params["W"])
+        rec["b"] = store.put(f"{prefix}_b", m.params["b"])
     elif m.kind == "rf":
         rec["trees"] = m.params["trees"]
     elif m.kind == "knn":
-        rec["rows"] = store.put(f"{prefix}_rows", np.asarray(m.params["rows"]))
-        rec["labels"] = store.put(f"{prefix}_labels",
-                                  np.asarray(m.params["labels"]))
+        rec["rows"] = store.put(f"{prefix}_rows", m.params["rows"])
+        rec["labels"] = store.put(f"{prefix}_labels", m.params["labels"])
         rec["k"] = m.params["k"]
     else:
         raise IoError(f"cannot serialize meta kind {m.kind!r}")
@@ -132,12 +131,12 @@ def _dec_meta(rec: dict, arrays: dict) -> MetaModel:
     cfg = MetaConfig(**rec["config"])
     kind = rec["kind"]
     if kind in ("lr", "svm"):
-        params = {"W": arrays[rec["W"]].tolist(), "b": arrays[rec["b"]].tolist()}
+        params = {"W": arrays[rec["W"]], "b": arrays[rec["b"]]}
     elif kind == "rf":
         params = {"trees": rec["trees"]}
     else:
-        params = {"rows": arrays[rec["rows"]].tolist(),
-                  "labels": arrays[rec["labels"]].tolist(), "k": rec["k"]}
+        params = {"rows": arrays[rec["rows"]], "labels": arrays[rec["labels"]],
+                  "k": rec["k"]}
     return MetaModel(kind, params, rec["input_width"], rec["output_width"], cfg)
 
 

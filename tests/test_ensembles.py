@@ -1,6 +1,8 @@
 """Ensemble strategies: vote rules, boosting updates, stacking, gating."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,7 +57,13 @@ from vulforge.learners import (
     featurize_dataset,
     write_predictions,
 )
-from vulforge.metamodels import META_KINDS, MetaConfig, MetaModel, meta_predict_many
+from vulforge.metamodels import (
+    META_KINDS,
+    MetaConfig,
+    MetaModel,
+    meta_fit,
+    meta_predict_many,
+)
 
 
 class TestCombiners:
@@ -539,6 +547,64 @@ class TestGateScoresMany:
             gate_scores_many(g, *feats.rows_for(test), stack[:2])
         uniform = gate_scores_many(g, *feats.rows_for(test), stack, forced_uniform=True)
         assert np.array_equal(uniform, np.full((len(test), 3), 1.0 / 3))
+
+
+
+def _full_width_gate(kind, bases, val, labels, feats, meta_cfg, seed=0):
+    """The dense gate fit on every column of the densified gate input."""
+    stack = np.stack([p.reindexed(val) for p in bases])
+    m, _, k = stack.shape
+    rows = _gate_rows(*feats.rows_for(val), feats.dims, stack)
+    return meta_fit(kind, _densify(*rows, feats.dims + m * k),
+                    gate_targets(stack, labels).argmax(axis=1), meta_cfg, seed,
+                    output_width=m)
+
+
+class TestDenseGateActiveColumns:
+    """Dense gates fit on the columns the validation rows touch and equal the
+    fit on the full 2^dims + M*K wide input."""
+
+    @pytest.mark.parametrize("kind", ["svm", "rf", "knn"])
+    def test_matches_full_width_reference(self, kind):
+        rng = np.random.default_rng(11)
+        feats = random_feature_matrix(rng, 90, dims=1024)
+        labels = rng.integers(0, 2, 90)
+        val, test = feats.ids[:50], feats.ids[50:]
+        bases = _random_bases(rng, val, 3, 2, "val")
+        cfg = MetaConfig(trees=20, epochs=50)
+        g = dgs_fit(bases, val, labels[:50], feats, DgsConfig("soft", kind),
+                    meta_cfg=cfg, seed=4)
+        ref = _full_width_gate(kind, bases, val, labels[:50], feats, cfg, seed=4)
+        assert g.gate.input_width == ref.input_width == 1024 + 3 * 2
+        assert g.gate.params.keys() == ref.params.keys()
+        for name, value in ref.params.items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(g.gate.params[name], value)
+            else:
+                assert g.gate.params[name] == value
+        if kind == "rf":
+            assert any(t[0] == "split" for t in g.gate.params["trees"])
+        test_bases = _random_bases(rng, test, 3, 2, "test")
+        got = dgs_predict_set(g, test_bases, test, feats, "test")
+        want = dgs_predict_set(replace(g, gate=ref), test_bases, test, feats, "test")
+        assert np.array_equal(got.probs, want.probs)
+
+    @pytest.mark.parametrize("kind", ["svm", "rf"])
+    def test_memory_is_a_fraction_of_the_dense_input(self, kind):
+        rng = np.random.default_rng(12)
+        feats = random_feature_matrix(rng, 40, dims=1 << 18)
+        val = feats.ids
+        bases = _random_bases(rng, val, 2, 2, "val")
+        dense_bytes = len(val) * (feats.dims + 2 * 2) * 8
+        assert dense_bytes >= 30 << 20
+        tracemalloc.start()
+        try:
+            dgs_fit(bases, val, rng.integers(0, 2, len(val)), feats,
+                    DgsConfig("hard", kind), meta_cfg=MetaConfig(trees=10, epochs=20))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 10
 
 
 class TestDeriveSeed:

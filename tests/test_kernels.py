@@ -2,6 +2,7 @@
 kernels with their original formulation."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import vulforge._kernels as kernels
@@ -43,6 +44,44 @@ def test_split_scan_constant_column():
     ys = np.arange(10) % 2
     g, pos = kernels.split_scan(vals, ys, 2)
     assert pos == -1 and g == np.inf
+
+
+@pytest.mark.parametrize("n,d", [(7, 5), (20, (1 << 18) + 6)],
+                         ids=["one-block", "blocked-rows"])
+def test_sq_dists_equals_per_pair_sums(n, d):
+    # the wide case holds more than one block of X rows
+    rng = np.random.default_rng(3)
+    X = np.where(rng.random((n, d)) < 0.01, rng.normal(size=(n, d)), 0.0)
+    Q = np.vstack([X[2], rng.normal(size=d), np.zeros(d)])
+    got = kernels.sq_dists(Q, X)
+    ref = np.array([[np.sum((q - x) * (q - x)) for x in X] for q in Q])
+    assert np.array_equal(got, ref)
+    assert got[0, 2] == 0.0
+
+def _ref_split(vals, ys, K):
+    """Brute-force best split: the first position of least weighted Gini."""
+    n, best = len(vals), (np.inf, -1)
+    for pos in range(n - 1):
+        if vals[pos] == vals[pos + 1]:
+            continue
+        sides = [np.bincount(ys[:pos + 1], minlength=K), np.bincount(ys[pos + 1:], minlength=K)]
+        g = sum(c.sum() * (1.0 - ((c / c.sum()) ** 2).sum()) for c in sides) / n
+        if g < best[0] - 1e-12:
+            best = (g, pos)
+    return best
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_split_scan_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    # few distinct values: leading, trailing and all-equal runs are common
+    vals = np.sort(rng.integers(0, int(rng.integers(1, 4)), n).astype(np.float64))
+    ys = rng.integers(0, 3, n)
+    g, pos = kernels.split_scan(vals, ys, 3)
+    ref_g, ref_pos = _ref_split(vals, ys, 3)
+    assert pos == ref_pos
+    assert g == pytest.approx(ref_g, abs=1e-12) if pos >= 0 else g == np.inf
 
 
 # ---------------------------------------------------------------------------

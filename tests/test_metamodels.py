@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vulforge import _kernels
 from vulforge.errors import EmptyTrainingSet, WidthMismatch
 from vulforge.metamodels import (
     META_KINDS,
@@ -100,3 +101,96 @@ class TestForest:
         X, y = _blobs(30)
         m = meta_fit("rf", X, y, MetaConfig(trees=5), output_width=4)
         assert meta_predict_many(m, X).shape == (30, 4)
+
+
+def _ref_build_tree(X, y, depth, rng, k_out, max_depth):
+    n, d = X.shape
+    if n < 2 or depth >= max_depth or (y == y[0]).all():
+        counts = np.bincount(y, minlength=k_out).astype(np.float64)
+        return ["leaf", (counts / counts.sum()).tolist()]
+    best_g, best_f, best_thr = np.inf, -1, 0.0
+    for f in rng.choice(d, size=max(1, int(np.sqrt(d))), replace=False):
+        order = np.argsort(X[:, f], kind="stable")
+        g, pos = _kernels.split_scan(X[order, f], y[order], k_out)
+        if pos >= 0 and g < best_g:
+            best_g, best_f = g, int(f)
+            best_thr = (X[order[pos], f] + X[order[pos + 1], f]) / 2.0
+    left = X[:, best_f] <= best_thr
+    if best_f < 0 or not left.any() or left.all():
+        counts = np.bincount(y, minlength=k_out).astype(np.float64)
+        return ["leaf", (counts / counts.sum()).tolist()]
+    return ["split", best_f, best_thr,
+            _ref_build_tree(X[left], y[left], depth + 1, rng, k_out, max_depth),
+            _ref_build_tree(X[~left], y[~left], depth + 1, rng, k_out, max_depth)]
+
+
+def _wide(width=16, columns=(2, 5, 9, 13)):
+    """Blobs placed in ``columns`` of an otherwise all-zero ``width``-wide
+    input, with the compact (N, len(columns)) view of the same rows."""
+    X, y = _blobs(60, seed=5)
+    X[:, 3] = X[:, 0]  # equal Gini on two columns: the first drawn must win
+    full = np.zeros((X.shape[0], width))
+    full[:, list(columns)] = X
+    return X, full, y, np.array(columns)
+
+
+class TestColumns:
+    """meta_fit on the nonzero columns of a wider input equals the fit on the
+    full-width input."""
+
+    @pytest.mark.parametrize("kind,workers", [("svm", 1), ("rf", 1), ("rf", 2),
+                                              ("knn", 1)])
+    def test_matches_full_width_fit(self, kind, workers):
+        X, full, y, columns = _wide()
+        cfg = MetaConfig(trees=20, epochs=50)
+        got = meta_fit(kind, X, y, cfg, seed=3, workers=workers,
+                       columns=columns, width=full.shape[1])
+        ref = meta_fit(kind, full, y, cfg, seed=3, workers=workers)
+        assert got.input_width == ref.input_width == full.shape[1]
+        assert got.params.keys() == ref.params.keys()
+        for name, value in ref.params.items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(got.params[name], value)
+            else:
+                assert got.params[name] == value
+        if kind == "rf":  # some trees split, so the feature draws were exercised
+            assert any(t[0] == "split" for t in got.params["trees"])
+        assert np.array_equal(meta_predict_many(got, full), meta_predict_many(ref, full))
+
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_forest_matches_whole_matrix_builder(self, compact):
+        # the tree builder that scanned every drawn column of the full matrix
+        X, full, y, columns = _wide()
+        cfg = MetaConfig(trees=20)
+        m = (meta_fit("rf", X, y, cfg, seed=6, columns=columns, width=16) if compact
+             else meta_fit("rf", full, y, cfg, seed=6))
+        ref = []
+        for t in range(cfg.trees):
+            rng = np.random.default_rng(np.random.SeedSequence([6, 0x43E57, t]))
+            rows = rng.integers(0, full.shape[0], size=full.shape[0])
+            ref.append(_ref_build_tree(full[rows], y[rows], 0, rng, 2, cfg.max_depth))
+        assert m.params["trees"] == ref
+
+    def test_lr_matches_up_to_rounding(self):
+        X, full, y, columns = _wide()
+        cfg = MetaConfig(epochs=50)
+        got = meta_fit("lr", X, y, cfg, columns=columns, width=full.shape[1])
+        ref = meta_fit("lr", full, y, cfg)
+        assert np.allclose(got.params["W"], ref.params["W"], rtol=1e-12, atol=1e-12)
+        assert not got.params["W"][:, np.setdiff1d(np.arange(16), columns)].any()
+
+    @pytest.mark.parametrize("columns", [[5, 2, 9, 13], [2, 5, 5, 13], [-1, 2, 5, 9],
+                                         [2, 5, 9, 16], [2, 5, 9]],
+                             ids=["unsorted", "repeated", "negative", "past-width",
+                                  "too-few"])
+    def test_bad_columns_rejected(self, columns):
+        X, _, y, _ = _wide()
+        with pytest.raises(WidthMismatch):
+            meta_fit("svm", X, y, MetaConfig(epochs=1), columns=columns, width=16)
+
+    @pytest.mark.parametrize("kind", ["lr", "svm", "knn"])
+    def test_params_are_arrays(self, kind):
+        X, y = _blobs(20)
+        m = meta_fit(kind, X, y, MetaConfig(epochs=5))
+        arrays = ("W", "b") if kind != "knn" else ("rows", "labels")
+        assert all(isinstance(m.params[a], np.ndarray) for a in arrays)

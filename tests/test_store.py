@@ -87,6 +87,10 @@ class TestRoundtrips:
         sm = stacking_fit(bases, ids, labels, kind)
         save_ensemble(tmp_path, sm, {"meta": kind})
         sm2 = load_ensemble(tmp_path)
+        for name in ("W", "b", "rows", "labels"):
+            if name in sm.meta.params:  # array params stay arrays both ways
+                assert isinstance(sm.meta.params[name], np.ndarray)
+                assert np.array_equal(sm2.meta.params[name], sm.meta.params[name])
         a = stacking_predict_set(sm, bases, ids, "val").probs
         b = stacking_predict_set(sm2, bases, ids, "val").probs
         assert np.array_equal(a, b)
