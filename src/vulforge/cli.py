@@ -123,6 +123,13 @@ def _stamp_csv(path: Path, cfg: dict) -> None:
     _record_artifact(Path(cfg["out"]), path, cfg)
 
 
+def _save_ensemble(cfg: dict, name: str, e) -> None:
+    """Save ``e`` under out/ensembles/<name> and track its ensemble.json."""
+    out = Path(cfg["out"])
+    _record_artifact(out, store.save_ensemble(out / "ensembles" / name, e,
+                                              _echo(cfg)), cfg)
+
+
 def _record_artifact(out: Path, path: Path, cfg: dict) -> None:
     """Track every artifact in out/manifest.json for `verify`."""
     manifest_path = out / "manifest.json"
@@ -278,7 +285,7 @@ def cmd_bag(args) -> int:
         e = ensembles.bagging_fit(spec, plan, d, args.mode, fm,
                                   workers=cfg["workers"])
         pred = ensembles.bagging_predict_set(e, s.test, fm, "test", name)
-    store.save_ensemble(Path(cfg["out"]) / "ensembles" / name, e, _echo(cfg))
+    _save_ensemble(cfg, name, e)
     path = write_predictions(Path(cfg["out"]), pred)
     _record_artifact(Path(cfg["out"]), path, cfg)
     _emit_report(name, _evaluate(pred, d, s.test), cfg)
@@ -322,7 +329,7 @@ def cmd_boost(args) -> int:
         csv_path = out / f"boost_weights_round_{t}.csv"
         metrics.write_boost_weights_csv(csv_path, t, s.train, w, labels)
         _stamp_csv(csv_path, cfg)
-    store.save_ensemble(out / "ensembles" / "boosting", e, _echo(cfg))
+    _save_ensemble(cfg, "boosting", e)
     path = write_predictions(out, pred)
     _record_artifact(out, path, cfg)
     _emit_report("boosting", _evaluate(pred, d, s.test), cfg)
@@ -359,7 +366,7 @@ def cmd_stack(args) -> int:
                                    MetaConfig(), cfg["seed"])
     base_test = _base_predsets(cfg, base_ids, "test", s.test)
     pred = ensembles.stacking_predict_set(model, base_test, s.test, "test", name)
-    store.save_ensemble(Path(cfg["out"]) / "ensembles" / name, model, _echo(cfg))
+    _save_ensemble(cfg, name, model)
     path = write_predictions(Path(cfg["out"]), pred)
     _record_artifact(Path(cfg["out"]), path, cfg)
     _emit_report(name, _evaluate(pred, d, s.test), cfg)
@@ -382,7 +389,7 @@ def cmd_dgs(args) -> int:
         gate_learner_cfg=_learner_cfg(cfg), seed=cfg["seed"])
     base_test = _base_predsets(cfg, base_ids, "test", s.test)
     pred = ensembles.dgs_predict_set(gate, base_test, s.test, fm, "test", name)
-    store.save_ensemble(Path(cfg["out"]) / "ensembles" / name, gate, _echo(cfg))
+    _save_ensemble(cfg, name, gate)
     path = write_predictions(Path(cfg["out"]), pred)
     _record_artifact(Path(cfg["out"]), path, cfg)
     _emit_report(name, _evaluate(pred, d, s.test), cfg)

@@ -251,7 +251,7 @@ def top_cwes(d: Dataset, n: int = 10) -> list[str]:
 def save_splits(path, s: SplitIndices) -> None:
     payload = {"seed": s.seed, "train": list(s.train), "val": list(s.val),
                "test": list(s.test)}
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    _atomic_write(Path(path), (json.dumps(payload, indent=1) + "\n").encode("utf-8"))
 
 
 def load_splits(path) -> SplitIndices:

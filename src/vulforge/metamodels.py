@@ -7,6 +7,14 @@ epochs=200) and echoed into every report.  All four kinds are deterministic
 given (X, y, cfg, seed); forest fitting may parallelize across trees with
 per-tree seed streams, so results are identical for any worker count.
 
+Every param is an ndarray except knn's ``k``, and every predict is a batch
+operation.  A forest is flat node arrays: ``feature``, ``threshold``,
+``left``, ``right`` and ``value`` (nodes, K) hold the trees' nodes, each
+tree in preorder and the trees joined in tree order, and ``roots`` (T,)
+holds each tree's root.  A leaf is its own left and right child, so
+prediction moves all rows through all trees one depth level per step until
+none moves, then sums the leaf values in tree order.
+
 A fit may see only some columns of a wider input: ``meta_fit(..., columns,
 width)`` takes X as the columns ``columns`` of a ``width``-wide matrix that
 is zero everywhere else, and returns the model of the full-width fit.  The
@@ -128,10 +136,7 @@ def meta_predict_many(m: MetaModel, X) -> np.ndarray:
         squashed = 1.0 / (1.0 + np.exp(-(X @ W.T + b)))  # unit-scale logistic
         return squashed / squashed.sum(axis=1, keepdims=True)
     if m.kind == "rf":
-        out = np.zeros((X.shape[0], m.output_width))
-        for tree in m.params["trees"]:
-            out += _tree_predict(tree, X)
-        return out / len(m.params["trees"])
+        return _forest_predict(m.params, X)
     if m.kind == "knn":
         return _knn_predict(m, X)
     raise ValueError(f"unknown meta kind {m.kind!r}")
@@ -177,30 +182,35 @@ def _fit_rf(X, y, k_out, cfg, seed, workers, columns, width):
     def build(t):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x43E57, t]))
         rows = rng.integers(0, X.shape[0], size=X.shape[0])
-        return _build_tree(X[rows], y[rows], 0, rng, k_out, cfg.max_depth,
-                           columns, width)
+        nodes = []
+        _build_tree(X[rows], y[rows], 0, rng, k_out, cfg.max_depth, columns,
+                    width, nodes)
+        return nodes
 
     if workers <= 1:
         trees = [build(t) for t in range(cfg.trees)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             trees = list(pool.map(build, range(cfg.trees)))
-    return {"trees": trees}
+    offsets = np.cumsum([0] + [len(nodes) for nodes in trees])
+    rows = ((f, thr, lo + off, hi + off, v)  # node indices shifted to forest-wide
+            for nodes, off in zip(trees, offsets) for f, thr, lo, hi, v in nodes)
+    forest = dict(zip(("feature", "threshold", "left", "right", "value"),
+                      map(np.array, zip(*rows))))
+    return {**forest, "roots": offsets[:-1]}
 
 
-def _leaf(y, k_out):
-    counts = np.bincount(y, minlength=k_out).astype(np.float64)
-    return ["leaf", (counts / counts.sum()).tolist()]
-
-
-def _build_tree(X, y, depth, rng, k_out, max_depth, columns, width):
-    """Grow a tree over X, the columns ``columns`` of a ``width``-wide input.
+def _build_tree(X, y, depth, rng, k_out, max_depth, columns, width, nodes):
+    """Grow a tree over X, the columns ``columns`` of a ``width``-wide input;
+    append its nodes to ``nodes`` in preorder and return its root's index.
 
     Features are drawn from the full width; a draw outside ``columns`` is
     an all-zero column, which never splits, so it is skipped."""
-    n = X.shape[0]
-    if n < 2 or depth >= max_depth or (y == y[0]).all():
-        return _leaf(y, k_out)
+    node = len(nodes)
+    counts = np.bincount(y, minlength=k_out).astype(np.float64)
+    nodes.append([0, 0.0, node, node, counts / counts.sum()])  # a leaf until split
+    if X.shape[0] < 2 or depth >= max_depth or (y == y[0]).all():
+        return node
     m = max(1, int(np.sqrt(width)))
     feats = rng.choice(width, size=m, replace=False)
     best_g, best_c, best_thr = np.inf, -1, 0.0
@@ -213,32 +223,33 @@ def _build_tree(X, y, depth, rng, k_out, max_depth, columns, width):
             best_g, best_c = g, int(c)
             best_thr = (vals[pos] + vals[pos + 1]) / 2.0
     if best_c < 0:
-        return _leaf(y, k_out)
+        return node
     left = X[:, best_c] <= best_thr
     if not left.any() or left.all():
-        return _leaf(y, k_out)
-    return ["split", int(columns[best_c]), best_thr,
-            _build_tree(X[left], y[left], depth + 1, rng, k_out, max_depth,
-                        columns, width),
-            _build_tree(X[~left], y[~left], depth + 1, rng, k_out, max_depth,
-                        columns, width)]
+        return node
+    nodes[node] = [int(columns[best_c]), best_thr, None, None, np.zeros(k_out)]
+    nodes[node][2] = _build_tree(X[left], y[left], depth + 1, rng, k_out,
+                                 max_depth, columns, width, nodes)
+    nodes[node][3] = _build_tree(X[~left], y[~left], depth + 1, rng, k_out,
+                                 max_depth, columns, width, nodes)
+    return node
 
 
-def _tree_predict(tree, X):
-    out = np.empty((X.shape[0], len(_tree_first_leaf(tree))))
-    for i in range(X.shape[0]):
-        node = tree
-        while node[0] == "split":
-            node = node[3] if X[i, node[1]] <= node[2] else node[4]
-        out[i] = node[1]
-    return out
-
-
-def _tree_first_leaf(tree):
-    node = tree
-    while node[0] == "split":
-        node = node[3]
-    return node[1]
+def _forest_predict(params, X):
+    """Send every row through every tree, one depth level per step, and
+    average the leaf values in tree order."""
+    p, rows = params, np.arange(X.shape[0])[:, None]
+    node = np.tile(p["roots"], (X.shape[0], 1))  # (N, T) current node per tree
+    while True:
+        step = np.where(X[rows, p["feature"][node]] <= p["threshold"][node],
+                        p["left"][node], p["right"][node])
+        if np.array_equal(step, node):  # every row sits in a leaf
+            break
+        node = step
+    out = np.zeros((X.shape[0], p["value"].shape[1]))
+    for t in range(len(p["roots"])):
+        out += p["value"][node[:, t]]
+    return out / len(p["roots"])
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +259,7 @@ def _tree_first_leaf(tree):
 def _knn_predict(m: MetaModel, X):
     labels, k = m.params["labels"], m.params["k"]
     dists = _kernels.sq_dists(X, m.params["rows"])
-    out = np.zeros((X.shape[0], m.output_width))
-    for i in range(X.shape[0]):
-        d = dists[i]
-        kth = np.partition(d, k - 1)[k - 1]
-        neighbors = np.flatnonzero(d <= kth)  # includes ties beyond k
-        votes = np.bincount(labels[neighbors], minlength=m.output_width)
-        out[i] = votes / votes.sum()
-    return out
+    kth = np.partition(dists, k - 1, axis=1)[:, k - 1:k]
+    # neighbors include every tie with the k-th distance
+    votes = (dists <= kth) @ np.eye(m.output_width)[labels]
+    return votes / votes.sum(axis=1, keepdims=True)

@@ -31,10 +31,13 @@ class MetricsReport:
     f1: float
     confusion: np.ndarray  # (K, K): rows true class, columns predicted
     class_count: int
-    w_precision: float | None = None
-    w_recall: float | None = None
-    w_f1: float | None = None
-    class_weights: tuple[int, ...] | None = None
+    class_weights: tuple[int, ...] | None = None  # set for weighted metrics
+
+    # a weighted report holds its support-weighted averages in precision,
+    # recall and f1; the w_ names read them back (None when unweighted)
+    w_precision = property(lambda r: None if r.class_weights is None else r.precision)
+    w_recall = property(lambda r: None if r.class_weights is None else r.recall)
+    w_f1 = property(lambda r: None if r.class_weights is None else r.f1)
 
     @property
     def tp(self) -> int:
@@ -62,14 +65,14 @@ class MetricsReport:
             "f1": self.f1,
             "confusion": self.confusion.astype(int).tolist(),
         }
-        if self.w_precision is not None:
+        if self.class_weights is not None:
             d.update(w_precision=self.w_precision, w_recall=self.w_recall,
                      w_f1=self.w_f1, class_weights=list(self.class_weights))
         return d
 
     def human(self) -> str:
         cells = [f"Accuracy {100 * self.accuracy:.2f}"]
-        if self.w_precision is not None:
+        if self.class_weights is not None:
             cells += [f"W-Precision {100 * self.w_precision:.2f}",
                       f"W-Recall {100 * self.w_recall:.2f}",
                       f"W-F1 {100 * self.w_f1:.2f}"]
@@ -90,24 +93,24 @@ def f1_score(precision: float, recall: float) -> float:
 
 
 def _confusion(preds, truth, k) -> np.ndarray:
-    c = np.zeros((k, k), dtype=np.int64)
-    for p, t in zip(preds, truth):
-        c[t, p] += 1
-    return c
-
-
-def binary_metrics(preds, truth) -> MetricsReport:
-    """Binary confusion metrics; positive class is 1 (vulnerable)."""
+    """(K, K) counts, rows true class; labels must lie in [0, k)."""
     preds = np.asarray(preds, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if len(preds) != len(truth) or len(preds) == 0:
         raise LengthMismatch(f"{len(preds)} predictions vs {len(truth)} labels")
+    if min(preds.min(), truth.min()) < 0 or max(preds.max(), truth.max()) >= k:
+        raise LengthMismatch(f"labels outside [0, {k})")
+    return np.bincount(truth * k + preds, minlength=k * k).reshape(k, k)
+
+
+def binary_metrics(preds, truth) -> MetricsReport:
+    """Binary confusion metrics; positive class is 1 (vulnerable)."""
     c = _confusion(preds, truth, 2)
     tp, tn, fp, fn = c[1, 1], c[0, 0], c[0, 1], c[1, 0]
     precision = _safe_div(tp, tp + fp)
     recall = _safe_div(tp, tp + fn)
     return MetricsReport(
-        accuracy=(tp + tn) / len(preds),
+        accuracy=(tp + tn) / c.sum(),
         precision=precision,
         recall=recall,
         f1=f1_score(precision, recall),
@@ -118,19 +121,13 @@ def binary_metrics(preds, truth) -> MetricsReport:
 
 def weighted_metrics(preds, truth, k: int) -> MetricsReport:
     """Per-class one-vs-rest metrics averaged with class-support weights."""
-    preds = np.asarray(preds, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if len(preds) != len(truth) or len(preds) == 0:
-        raise LengthMismatch(f"{len(preds)} predictions vs {len(truth)} labels")
-    if preds.max() >= k or truth.max() >= k:
-        raise LengthMismatch(f"labels exceed class count {k}")
     c = _confusion(preds, truth, k)
     support = c.sum(axis=1).astype(np.float64)  # w_i = class frequency in truth
     per_p = np.array([_safe_div(c[i, i], c[:, i].sum()) for i in range(k)])
     per_r = np.array([_safe_div(c[i, i], c[i, :].sum()) for i in range(k)])
     per_f = np.array([f1_score(per_p[i], per_r[i]) for i in range(k)])
     total = support.sum()
-    accuracy = float(np.trace(c)) / len(preds)
+    accuracy = float(np.trace(c) / c.sum())
     return MetricsReport(
         accuracy=accuracy,
         precision=float((support * per_p).sum() / total),
@@ -138,9 +135,6 @@ def weighted_metrics(preds, truth, k: int) -> MetricsReport:
         f1=float((support * per_f).sum() / total),
         confusion=c,
         class_count=k,
-        w_precision=float((support * per_p).sum() / total),
-        w_recall=float((support * per_r).sum() / total),
-        w_f1=float((support * per_f).sum() / total),
         class_weights=tuple(int(s) for s in support),
     )
 

@@ -1,5 +1,10 @@
 """Ensemble persistence: a versioned ``ensemble.json`` manifest plus
-deterministic ``.npy`` sidecars for large parameter arrays.
+deterministic ``.npy`` sidecars for the parameter arrays.
+
+Every meta-model param that is an ndarray (lr/svm ``W``/``b``, the rf
+forest arrays, knn ``rows``/``labels``) is a digested sidecar named
+``{prefix}_{name}.npy``, as are linear-model weights and prediction-set
+probabilities; scalars such as knn ``k`` stay in the JSON.
 
 The manifest records the variant tag, per-member/round records (epsilon,
 alpha, Z), base-model order, the config echo and its hash, and sha256
@@ -11,6 +16,7 @@ same inputs.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -29,7 +35,7 @@ from .ingest import _atomic_write
 from .learners import LearnerConfig, LinearModel
 from .metamodels import MetaConfig, MetaModel
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def config_hash(echo: dict) -> str:
@@ -39,8 +45,6 @@ def config_hash(echo: dict) -> str:
 
 
 def _npy_bytes(arr: np.ndarray) -> bytes:
-    import io
-
     buf = io.BytesIO()
     np.save(buf, np.ascontiguousarray(arr))
     return buf.getvalue()
@@ -105,6 +109,9 @@ def _dec_predset(rec: dict, arrays: dict) -> PredictionSet:
                          arrays[rec["probs"]].copy())
 
 
+_META_HEADER = ("type", "kind", "input_width", "output_width", "config")
+
+
 def _enc_meta(m: MetaModel, store: _ArrayStore, prefix: str) -> dict:
     rec = {
         "type": "meta",
@@ -113,31 +120,17 @@ def _enc_meta(m: MetaModel, store: _ArrayStore, prefix: str) -> dict:
         "output_width": m.output_width,
         "config": m.config.echo(),
     }
-    if m.kind in ("lr", "svm"):
-        rec["W"] = store.put(f"{prefix}_W", m.params["W"])
-        rec["b"] = store.put(f"{prefix}_b", m.params["b"])
-    elif m.kind == "rf":
-        rec["trees"] = m.params["trees"]
-    elif m.kind == "knn":
-        rec["rows"] = store.put(f"{prefix}_rows", m.params["rows"])
-        rec["labels"] = store.put(f"{prefix}_labels", m.params["labels"])
-        rec["k"] = m.params["k"]
-    else:
-        raise IoError(f"cannot serialize meta kind {m.kind!r}")
+    for name, value in m.params.items():  # arrays become sidecars, scalars stay
+        rec[name] = (store.put(f"{prefix}_{name}", value)
+                     if isinstance(value, np.ndarray) else value)
     return rec
 
 
 def _dec_meta(rec: dict, arrays: dict) -> MetaModel:
-    cfg = MetaConfig(**rec["config"])
-    kind = rec["kind"]
-    if kind in ("lr", "svm"):
-        params = {"W": arrays[rec["W"]], "b": arrays[rec["b"]]}
-    elif kind == "rf":
-        params = {"trees": rec["trees"]}
-    else:
-        params = {"rows": arrays[rec["rows"]], "labels": arrays[rec["labels"]],
-                  "k": rec["k"]}
-    return MetaModel(kind, params, rec["input_width"], rec["output_width"], cfg)
+    params = {name: arrays[value] if isinstance(value, str) else value
+              for name, value in rec.items() if name not in _META_HEADER}
+    return MetaModel(rec["kind"], params, rec["input_width"], rec["output_width"],
+                     MetaConfig(**rec["config"]))
 
 
 def _enc_component(obj, store: _ArrayStore, prefix: str) -> dict:
@@ -255,8 +248,6 @@ def load_ensemble(out_dir):
         blob = (out_dir / rec["file"]).read_bytes()
         if hashlib.sha256(blob).hexdigest() != rec["sha256"]:
             raise IoError(f"sidecar digest mismatch for {rec['file']}")
-        import io
-
         arrays[name] = np.load(io.BytesIO(blob))
     return _decode(payload, arrays)
 

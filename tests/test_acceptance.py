@@ -459,8 +459,10 @@ def test_09_meta_numerics_and_workers(separable, separable_split):
     yr = rng.integers(0, 2, size=60)
     forests = [meta_fit("rf", Xr, yr, MetaConfig(trees=20), seed=4, workers=w)
                for w in (1, 2, 8)]
-    assert forests[0].params["trees"] == forests[1].params["trees"]
-    assert forests[0].params["trees"] == forests[2].params["trees"]
+    for other in forests[1:]:
+        assert other.params.keys() == forests[0].params.keys()
+        for name, value in forests[0].params.items():
+            assert np.array_equal(other.params[name], value), name
 
     d, feats = separable
     s = separable_split

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from vulforge import cli, synth
+from vulforge import cli, store, synth
 from vulforge.errors import ProtocolOrderError
 
 LEARN = ["--epochs", "1", "--learning-rate", "2.0", "--batch-size", "160"]
@@ -61,7 +61,8 @@ class TestPipeline:
     def test_reports_carry_config_hash(self, workspace):
         out = workspace / "out"
         payload = json.loads((out / "report_boosting.json").read_text())
-        assert "config_hash" in payload and payload["schema_version"] == 1
+        assert "config_hash" in payload
+        assert payload["schema_version"] == store.SCHEMA_VERSION
         first = (out / "report_boosting.csv").read_text().splitlines()[0]
         assert first.startswith("# config_hash=")
 
@@ -255,3 +256,20 @@ class TestExitCodes:
         (out / "splits.json").write_text(
             (out / "splits.json").read_text() + " ")
         assert cli.main(["verify", *base]) == 2
+
+    def test_verify_detects_ensemble_tamper_is_2(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        _write_dataset(data, synth.separable_corpus(100, seed=0))
+        out = tmp_path / "out"
+        base = ["--dataset", str(data), "--out", str(out)]
+        assert cli.main(["split", *base]) == 0
+        assert cli.main(["featurize", *base, "--dims", "1024"]) == 0
+        assert cli.main(["boost", *base, *LEARN, "--rounds", "2"]) == 0
+        assert cli.main(["verify", *base]) == 0
+        path = out / "ensembles" / "boosting" / "ensemble.json"
+        payload = json.loads(path.read_text())
+        payload["rounds"][0]["alpha"] = 99.0
+        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        capsys.readouterr()
+        assert cli.main(["verify", *base]) == 2
+        assert "ensembles/boosting/ensemble.json" in capsys.readouterr().out

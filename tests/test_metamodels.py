@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vulforge import _kernels
 from vulforge.errors import EmptyTrainingSet, WidthMismatch
@@ -88,6 +89,33 @@ class TestKnn:
         p = meta_predict(m, np.array([0.0, 0.0]))
         assert p[1] == 1.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 30), st.integers(1, 4),
+           st.integers(1, 12), st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_vote_matches_per_row_reference(self, n_train, n_query, d, k,
+                                            k_out, seed):
+        # small integer values make many distance ties at the k-th neighbor
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 3, size=(n_train, d)).astype(np.float64)
+        y = rng.integers(0, k_out, size=n_train)
+        Q = rng.integers(0, 3, size=(n_query, d)).astype(np.float64)
+        m = meta_fit("knn", X, y, MetaConfig(knn_k=k), output_width=k_out)
+        assert np.array_equal(meta_predict_many(m, Q), _ref_knn_predict(m, Q))
+
+
+def _ref_knn_predict(m, X):
+    """The per-row kNN vote: every row's k-th distance and its ties."""
+    labels, k = m.params["labels"], m.params["k"]
+    dists = _kernels.sq_dists(X, m.params["rows"])
+    out = np.zeros((X.shape[0], m.output_width))
+    for i in range(X.shape[0]):
+        d = dists[i]
+        kth = np.partition(d, k - 1)[k - 1]
+        neighbors = np.flatnonzero(d <= kth)  # includes ties beyond k
+        votes = np.bincount(labels[neighbors], minlength=m.output_width)
+        out[i] = votes / votes.sum()
+    return out
+
 
 class TestForest:
     def test_workers_bit_identical(self):
@@ -95,7 +123,8 @@ class TestForest:
         cfg = MetaConfig(trees=15)
         m1 = meta_fit("rf", X, y, cfg, seed=2, workers=1)
         m4 = meta_fit("rf", X, y, cfg, seed=2, workers=4)
-        assert m1.params["trees"] == m4.params["trees"]
+        assert m1.params.keys() == m4.params.keys()
+        assert all(np.array_equal(m1.params[k], m4.params[k]) for k in m1.params)
 
     def test_output_width_override(self):
         X, y = _blobs(30)
@@ -122,6 +151,52 @@ def _ref_build_tree(X, y, depth, rng, k_out, max_depth):
     return ["split", best_f, best_thr,
             _ref_build_tree(X[left], y[left], depth + 1, rng, k_out, max_depth),
             _ref_build_tree(X[~left], y[~left], depth + 1, rng, k_out, max_depth)]
+
+
+def _ref_flatten(trees, k_out):
+    """Nested ``["split", f, thr, left, right]``/``["leaf", probs]`` trees as
+    one flat forest: preorder nodes, trees joined in order, a leaf its own
+    children with feature 0, threshold 0; a split node has zero value."""
+    feature, threshold, left, right, value, roots = [], [], [], [], [], []
+
+    def walk(tree):
+        node = len(feature)
+        feature.append(0)
+        threshold.append(0.0)
+        left.append(node)
+        right.append(node)
+        value.append(np.zeros(k_out))
+        if tree[0] == "leaf":
+            value[node] = np.array(tree[1])
+        else:
+            feature[node], threshold[node] = tree[1], tree[2]
+            left[node] = walk(tree[3])
+            right[node] = walk(tree[4])
+        return node
+
+    for tree in trees:
+        roots.append(walk(tree))
+    return {"feature": np.array(feature, dtype=np.int64),
+            "threshold": np.array(threshold, dtype=np.float64),
+            "left": np.array(left, dtype=np.int64),
+            "right": np.array(right, dtype=np.int64),
+            "value": np.array(value), "roots": np.array(roots, dtype=np.int64)}
+
+
+def _ref_tree_predict(tree, X, k_out):
+    """One nested tree, walked one row at a time."""
+    out = np.empty((X.shape[0], k_out))
+    for i in range(X.shape[0]):
+        node = tree
+        while node[0] == "split":
+            node = node[3] if X[i, node[1]] <= node[2] else node[4]
+        out[i] = node[1]
+    return out
+
+
+def _has_split(params):
+    """Some node of the forest has a child other than itself."""
+    return (params["left"] != np.arange(len(params["left"]))).any()
 
 
 def _wide(width=16, columns=(2, 5, 9, 13)):
@@ -154,7 +229,7 @@ class TestColumns:
             else:
                 assert got.params[name] == value
         if kind == "rf":  # some trees split, so the feature draws were exercised
-            assert any(t[0] == "split" for t in got.params["trees"])
+            assert _has_split(got.params)
         assert np.array_equal(meta_predict_many(got, full), meta_predict_many(ref, full))
 
     @pytest.mark.parametrize("compact", [False, True])
@@ -169,7 +244,16 @@ class TestColumns:
             rng = np.random.default_rng(np.random.SeedSequence([6, 0x43E57, t]))
             rows = rng.integers(0, full.shape[0], size=full.shape[0])
             ref.append(_ref_build_tree(full[rows], y[rows], 0, rng, 2, cfg.max_depth))
-        assert m.params["trees"] == ref
+        flat = _ref_flatten(ref, 2)
+        assert m.params.keys() == flat.keys()
+        for name, value in flat.items():
+            assert m.params[name].dtype == value.dtype, name
+            assert np.array_equal(m.params[name], value), name
+        assert _has_split(m.params)
+        want = np.zeros((full.shape[0], 2))
+        for tree in ref:
+            want += _ref_tree_predict(tree, full, 2)
+        assert np.array_equal(meta_predict_many(m, full), want / len(ref))
 
     def test_lr_matches_up_to_rounding(self):
         X, full, y, columns = _wide()

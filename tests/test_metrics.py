@@ -70,6 +70,22 @@ class TestWeightedMetrics:
         with pytest.raises(LengthMismatch):
             weighted_metrics([3], [0], 3)
 
+    @pytest.mark.parametrize("preds,truth", [([0, 1, -1], [0, 1, 1]),
+                                             ([0, 1, 2], [0, 1, 1]),
+                                             ([0, 1, 1], [0, -1, 1])],
+                             ids=["negative-pred", "pred-past-k", "negative-truth"])
+    def test_labels_outside_range_rejected(self, preds, truth):
+        # -1 must not wrap around to class K-1, and K must not escape as IndexError
+        with pytest.raises(LengthMismatch, match="outside"):
+            binary_metrics(preds, truth)
+        with pytest.raises(LengthMismatch, match="outside"):
+            weighted_metrics(preds, truth, 2)
+
+    def test_weighted_names_read_the_averages(self):
+        r = weighted_metrics([0, 1, 2, 2], [0, 1, 1, 2], 3)
+        assert (r.w_precision, r.w_recall, r.w_f1) == (r.precision, r.recall, r.f1)
+        assert binary_metrics([0, 1], [0, 1]).w_f1 is None
+
     def test_to_dict_includes_weighted_fields(self):
         r = weighted_metrics([0, 1], [0, 1], 2)
         d = r.to_dict()

@@ -87,10 +87,16 @@ class TestRoundtrips:
         sm = stacking_fit(bases, ids, labels, kind)
         save_ensemble(tmp_path, sm, {"meta": kind})
         sm2 = load_ensemble(tmp_path)
-        for name in ("W", "b", "rows", "labels"):
-            if name in sm.meta.params:  # array params stay arrays both ways
-                assert isinstance(sm.meta.params[name], np.ndarray)
-                assert np.array_equal(sm2.meta.params[name], sm.meta.params[name])
+        assert sm2.meta.params.keys() == sm.meta.params.keys()
+        payload = json.loads((tmp_path / "ensemble.json").read_text())
+        for name, value in sm.meta.params.items():
+            if isinstance(value, np.ndarray):  # every array param is a sidecar
+                assert payload["params"][f"meta_{name}"]["file"] == \
+                    f"params/meta_{name}.npy"
+                assert sm2.meta.params[name].dtype == value.dtype
+                assert np.array_equal(sm2.meta.params[name], value)
+            else:
+                assert sm2.meta.params[name] == value
         a = stacking_predict_set(sm, bases, ids, "val").probs
         b = stacking_predict_set(sm2, bases, ids, "val").probs
         assert np.array_equal(a, b)
@@ -124,6 +130,30 @@ class TestVerification:
         victim.write_bytes(victim.read_bytes()[:-1] + b"\x00")
         assert not verify_ensemble(out)
         with pytest.raises(IoError):
+            load_ensemble(out)
+
+    @pytest.mark.parametrize("name", ("feature", "threshold", "left", "right",
+                                      "value", "roots"))
+    def test_detects_forest_sidecar_corruption(self, name, tmp_path):
+        ids = [f"s{i}" for i in range(16)]
+        labels = np.array([i % 2 for i in range(16)])
+        save_ensemble(tmp_path, stacking_fit(_bases(ids, labels), ids, labels, "rf"),
+                      {})
+        assert verify_ensemble(tmp_path)
+        victim = tmp_path / "params" / f"meta_{name}.npy"
+        blob = bytearray(victim.read_bytes())
+        blob[-1] ^= 0x01
+        victim.write_bytes(bytes(blob))
+        assert not verify_ensemble(tmp_path)
+        with pytest.raises(IoError):
+            load_ensemble(tmp_path)
+
+    def test_old_schema_rejected(self, tmp_path):
+        out = self._saved(tmp_path)
+        payload = json.loads((out / "ensemble.json").read_text())
+        payload["schema_version"] = 1
+        (out / "ensemble.json").write_text(json.dumps(payload))
+        with pytest.raises(IoError, match="unsupported schema version 1"):
             load_ensemble(out)
 
     def test_detects_config_tamper(self, tmp_path):
