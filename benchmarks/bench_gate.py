@@ -10,9 +10,7 @@ validation rows and ``gate_scores_many`` on the test rows, and prints:
 - ``peak_mb``: the ``tracemalloc`` peak over both calls, from a second,
   traced run.
 
-knn runs at n <= 4000 only and scores its first 8 test rows: it keeps its
-N_val full-width training rows (840 MB at n = 4000), and each scored row
-builds an N_val x width difference array of the same size.
+Every gate kind runs at every size and scores every test row.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_gate.py [--sizes 4000,16000]
@@ -35,8 +33,6 @@ from vulforge.ingest import stratified_split
 from vulforge.learners import FeatureMatrix
 
 EXPERTS = 5
-KNN_MAX_N = 4000
-KNN_SCORE_ROWS = 8
 
 
 def _workload(n: int, seed: int):
@@ -52,8 +48,8 @@ def _workload(n: int, seed: int):
     return d, split, features, bases
 
 
-def _run(kind, d, split, features, bases, test):
-    val = split.val
+def _run(kind, d, split, features, bases):
+    val, test = split.val, split.test
     t0 = time.perf_counter()
     g = dgs_fit(bases, val, d.labels_for(val), features, DgsConfig("hard", kind))
     t1 = time.perf_counter()
@@ -74,17 +70,14 @@ def main() -> None:
         d, split, features, bases = _workload(n, args.seed)
         active = len(np.unique(features.rows_for(split.val)[1])) + EXPERTS * d.class_count
         for kind in args.kinds.split(","):
-            if kind == "knn" and n > KNN_MAX_N:
-                continue
-            test = split.test[:KNN_SCORE_ROWS] if kind == "knn" else split.test
-            fit_s, score_s = _run(kind, d, split, features, bases, test)
+            fit_s, score_s = _run(kind, d, split, features, bases)
             tracemalloc.start()
             try:
-                _run(kind, d, split, features, bases, test)
+                _run(kind, d, split, features, bases)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            print(f"{kind:4} {n:6d} {len(split.val):5d} {len(test):6d} {active:6d} "
+            print(f"{kind:4} {n:6d} {len(split.val):5d} {len(split.test):6d} {active:6d} "
                   f"{fit_s:8.3f} {score_s:8.3f} {peak / 2**20:8.1f}", flush=True)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import fcntl
 import hashlib
 import json
 import logging
@@ -131,17 +132,23 @@ def _save_ensemble(cfg: dict, name: str, e) -> None:
 
 
 def _record_artifact(out: Path, path: Path, cfg: dict) -> None:
-    """Track every artifact in out/manifest.json for `verify`."""
+    """Track every artifact in out/manifest.json for `verify`.
+
+    The read-modify-write holds an exclusive lock on out/manifest.lock, so
+    concurrent commands on one --out each add their entries."""
     manifest_path = out / "manifest.json"
-    manifest = {}
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     rel = str(path.relative_to(out)) if path.is_relative_to(out) else str(path)
-    manifest[rel] = {"sha256": digest,
-                     "config_hash": store.config_hash(_echo(cfg))}
-    _atomic_write(manifest_path, (json.dumps(manifest, indent=1, sort_keys=True)
-                                  + "\n").encode("utf-8"))
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "manifest.lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+        manifest = {}
+        if manifest_path.exists():
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest[rel] = {"sha256": digest,
+                         "config_hash": store.config_hash(_echo(cfg))}
+        _atomic_write(manifest_path, (json.dumps(manifest, indent=1, sort_keys=True)
+                                      + "\n").encode("utf-8"))
 
 
 def _load_dataset(cfg: dict) -> ingest.Dataset:
@@ -229,10 +236,9 @@ def cmd_featurize(args) -> int:
     fconfig = FeaturizerConfig(cfg["dims"], tuple(cfg["ngram_orders"]))
     fm = featurize_dataset(d, fconfig)
     fdir = _features_dir(cfg)
-    fdir.mkdir(parents=True, exist_ok=True)
     for name, arr in (("indptr", fm.indptr), ("indices", fm.indices),
                       ("data", fm.data)):
-        np.save(fdir / f"{name}.npy", arr)
+        _atomic_write(fdir / f"{name}.npy", store._npy_bytes(arr))
         _record_artifact(Path(cfg["out"]), fdir / f"{name}.npy", cfg)
     _write_json(fdir / "meta.json",
                 {"ids": list(fm.ids), "dims": fm.dims,

@@ -8,6 +8,10 @@ probability vector member m gives sample i.  They return (N, K).  An
 single-sample predictors (``bagging_predict``, ``adaboost_predict``,
 ``dgs_predict``) are batches of one over the same code.  Gate scores are
 an (N, M) batch too, from the one gate-input builder ``dgs_fit`` trains on.
+A dense gate (svm, rf, knn) has one width from fit to score: the sorted
+columns of the gate input that some validation row touches, kept on the
+``GateModel`` as ``columns``.  Fit and scoring densify the gate-input CSR
+onto those columns with one helper, which drops every entry outside them.
 
 Vote conventions, fixed across the package:
   * hard bagging: majority over member argmax labels; vote ties resolve by
@@ -26,6 +30,7 @@ stop training early, retaining previously accepted rounds.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -141,13 +146,10 @@ def bagging_fit(spec: BaseLearnerSpec, plan: BootstrapPlan, d: Dataset, mode: st
                 features: FeatureMatrix, workers: int = 1) -> BaggingEnsemble:
     """Train M homogeneous built-in members on the plan's bootstrap draws."""
     def fit_member(i: int) -> LinearModel:
-        draw = plan.draws[i]
         # with-replacement draws repeat ids; weight mass folds repetitions in
-        uniq: dict[str, int] = {}
-        for sid in draw:
-            uniq[sid] = uniq.get(sid, 0) + 1
+        uniq = Counter(plan.draws[i])  # first-seen order
         ids = tuple(uniq)
-        w = SampleWeights.normalized(ids, np.array([uniq[s] for s in ids], dtype=np.float64))
+        w = SampleWeights.normalized(ids, np.array(list(uniq.values()), dtype=np.float64))
         cfg = replace(spec.config, seed=derive_seed(spec.config.seed, 0xBA6, i))
         return fit_builtin(d, ids, w, cfg, features)
 
@@ -229,33 +231,28 @@ def _boost_step(w: np.ndarray, miss: np.ndarray, k: int):
 
 def adaboost_fit(spec: BaseLearnerSpec, d: Dataset, ids, cfg: BoostConfig,
                  features: FeatureMatrix,
-                 learner_cfg: LearnerConfig | None = None,
                  weight_log: list | None = None) -> BoostEnsemble:
     if cfg.rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {cfg.rounds}")
     ids = tuple(ids)
-    base_cfg = learner_cfg or spec.config
     k = d.class_count
     truth = d.labels_for(ids)
     indptr, indices, data = None, None, None
     w = np.full(len(ids), 1.0 / len(ids))  # uniform start
     rounds: list[BoostRound] = []
-    rng_master = base_cfg.seed
+    rng_master = spec.config.seed
     for t in range(1, cfg.rounds + 1):
-        round_cfg = replace(base_cfg, seed=derive_seed(rng_master, 0xB057, t))
+        round_cfg = replace(spec.config, seed=derive_seed(rng_master, 0xB057, t))
         sw = SampleWeights(ids, w.copy())
         if weight_log is not None:
             weight_log.append((t, w.copy()))
         if cfg.weight_mode == "resample":
             rng = np.random.default_rng(np.random.SeedSequence([rng_master, 0x4E5, t]))
             picks = rng.choice(len(ids), size=len(ids), p=w)
-            uniq: dict[str, int] = {}
-            for p in picks:
-                sid = ids[p]
-                uniq[sid] = uniq.get(sid, 0) + 1
+            uniq = Counter(ids[p] for p in picks)  # first-seen order
             fit_ids = tuple(uniq)
             fit_w = SampleWeights.normalized(
-                fit_ids, np.array([uniq[s] for s in fit_ids], dtype=np.float64))
+                fit_ids, np.array(list(uniq.values()), dtype=np.float64))
             model = fit_builtin(d, fit_ids, fit_w, round_cfg, features)
         else:
             model = fit_builtin(d, ids, sw, round_cfg, features)
@@ -417,6 +414,7 @@ class GateModel:
     routing: str  # hard | soft
     dims: int
     class_count: int
+    columns: np.ndarray | None = None  # a dense gate's input columns, sorted
 
     @property
     def member_count(self) -> int:
@@ -443,10 +441,6 @@ def gate_targets(stacked: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return targets / targets.sum(axis=1, keepdims=True)
 
 
-#: bytes of a dense gate-input chunk at scoring time (7 rows at 2^18 dims)
-_DENSE_CHUNK_BYTES = 16 << 20
-
-
 def _gate_rows(indptr, indices, data, dims: int, stack: np.ndarray):
     """Gate input as CSR: each row's hashed features, then its M*K base
     probabilities in columns ``dims`` onward, in base order.  ``indptr``
@@ -458,12 +452,14 @@ def _gate_rows(indptr, indices, data, dims: int, stack: np.ndarray):
             np.insert(data, row_ends, np.transpose(stack, (1, 0, 2)).ravel()))
 
 
-def _densify(indptr, indices, data, width: int) -> np.ndarray:
-    """Dense (N, width) rows of a CSR; ``indptr`` may be a window
-    ``indptr[a:b + 1]`` over the full ``indices`` and ``data``."""
-    n, lo, hi = len(indptr) - 1, indptr[0], indptr[-1]
-    dense = np.zeros((n, width))
-    dense[np.repeat(np.arange(n), np.diff(indptr)), indices[lo:hi]] = data[lo:hi]
+def _densify(indptr, indices, data, columns: np.ndarray) -> np.ndarray:
+    """Dense (N, len(columns)) rows of a CSR on the sorted column set
+    ``columns``; entries in any other column are dropped."""
+    n = len(indptr) - 1
+    pos = np.minimum(np.searchsorted(columns, indices), len(columns) - 1)
+    keep = columns[pos] == indices
+    dense = np.zeros((n, len(columns)))
+    dense[np.repeat(np.arange(n), np.diff(indptr))[keep], pos[keep]] = data[keep]
     return dense
 
 
@@ -480,20 +476,20 @@ def dgs_fit(base_preds_val: list[PredictionSet], val_ids, labels: np.ndarray,
     targets = gate_targets(stacked, labels)
     rows = _gate_rows(*features.rows_for(val_ids), features.dims, stacked)
     width = features.dims + m * k
+    columns = None
     if cfg.gate_kind == "lr":
         lcfg = gate_learner_cfg or LearnerConfig(seed=seed)
         gate = fit_builtin(None, val_ids, SampleWeights.uniform(val_ids), lcfg,
                            FeatureMatrix(val_ids, *rows, width), soft_targets=targets)
     else:
         # dense kinds train on hard routing labels (argmax of the soft target),
-        # densifying only the columns the validation rows touch
-        indptr, indices, data = rows
-        columns = np.unique(indices)
-        X = _densify(indptr, np.searchsorted(columns, indices), data, len(columns))
-        gate = meta_fit(cfg.gate_kind, X, targets.argmax(axis=1), meta_cfg, seed,
-                        output_width=m, columns=columns, width=width)
+        # over only the columns the validation rows touch
+        columns = np.unique(rows[1])
+        gate = meta_fit(cfg.gate_kind, _densify(*rows, columns),
+                        targets.argmax(axis=1), meta_cfg, seed, output_width=m,
+                        columns=columns, width=width)
     return GateModel(tuple(p.model_id for p in base_preds_val), gate, cfg.routing,
-                     features.dims, k)
+                     features.dims, k, columns)
 
 
 def gate_scores_many(g: GateModel, indptr, indices, data, stack: np.ndarray,
@@ -502,7 +498,8 @@ def gate_scores_many(g: GateModel, indptr, indices, data, stack: np.ndarray,
     their (M, N, K) expert stack.
 
     The lr gate scores through predict_builtin_many, the forward pass it
-    was trained through; dense gates score fixed-size chunks of rows.
+    was trained through; a dense gate scores the rows densified onto its
+    ``columns``.
     """
     m, n, k = stack.shape
     if m != g.member_count or k != g.class_count:
@@ -512,13 +509,7 @@ def gate_scores_many(g: GateModel, indptr, indices, data, stack: np.ndarray,
     indptr, indices, data = _gate_rows(indptr, indices, data, g.dims, stack)
     if not isinstance(g.gate, MetaModel):
         return predict_builtin_many(g.gate, indptr, indices, data)
-    width = g.dims + m * k
-    step = max(1, _DENSE_CHUNK_BYTES // (8 * width))
-    out = np.empty((n, m))
-    for lo in range(0, n, step):
-        out[lo:lo + step] = meta_predict_many(
-            g.gate, _densify(indptr[lo:lo + step + 1], indices, data, width))
-    return out
+    return meta_predict_many(g.gate, _densify(indptr, indices, data, g.columns))
 
 
 def gate_scores(g: GateModel, fv: FeatureVector, base_rows: np.ndarray,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -91,7 +92,8 @@ def _atomic_write(path: Path, blob: bytes) -> None:
     """Write ``blob`` to ``path`` through a temp file and a rename, creating
     the parent directory; readers never see a partial file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    # a temp name per process: concurrent writers never share one temp file
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     tmp.write_bytes(blob)
     tmp.replace(path)
 
@@ -246,12 +248,6 @@ def top_cwes(d: Dataset, n: int = 10) -> list[str]:
         if s.label >= 1 and s.cwe:
             counts[s.cwe] = counts.get(s.cwe, 0) + 1
     return sorted(counts, key=lambda c: (-counts[c], c))[:n]
-
-
-def save_splits(path, s: SplitIndices) -> None:
-    payload = {"seed": s.seed, "train": list(s.train), "val": list(s.val),
-               "test": list(s.test)}
-    _atomic_write(Path(path), (json.dumps(payload, indent=1) + "\n").encode("utf-8"))
 
 
 def load_splits(path) -> SplitIndices:

@@ -17,16 +17,14 @@ none moves, then sums the leaf values in tree order.
 
 A fit may see only some columns of a wider input: ``meta_fit(..., columns,
 width)`` takes X as the columns ``columns`` of a ``width``-wide matrix that
-is zero everywhere else, and returns the model of the full-width fit.  The
-dense DGS gates use this to train on the few hashed columns the validation
-rows touch.  Gradient descent from zero never moves a weight whose column
-is zero in every row, and the forest draws its features from the full
-width and skips the all-zero ones (they never split), so the svm and rf
-fits match the full-width fit bit for bit and knn stores the full-width
-rows.  An lr fit makes the same updates, but its forward pass sums in
-another order, so its weights agree only up to rounding, which many epochs
-of a large step can amplify; no caller passes ``columns`` for lr.  Without
-``columns`` the input is all of X.
+is zero everywhere else.  The model's input is those columns only, so a
+caller scores a row by its entries in ``columns``.  The dense DGS gates use
+this to train and score on the few hashed columns the validation rows
+touch.  lr, svm and knn fit X as it is.  The forest draws its features
+from the full width with the same RNG calls as a full-width fit and skips
+the all-zero ones (they never split), so it is the full-width forest with
+each split feature renumbered onto ``columns``.  Without ``columns`` the
+input is all of X.
 """
 
 from __future__ import annotations
@@ -100,25 +98,16 @@ def meta_fit(kind: str, X, y, cfg: MetaConfig = MetaConfig(), seed: int = 0,
     columns, width = _check_columns(X, columns, width)
     k_out = output_width or int(y.max()) + 1
     if kind == "lr":
-        params = _lift(_fit_lr(X, y, k_out, cfg, seed), columns, width)
+        params = _fit_lr(X, y, k_out, cfg, seed)
     elif kind == "svm":
-        params = _lift(_fit_svm(X, y, k_out, cfg), columns, width)
+        params = _fit_svm(X, y, k_out, cfg)
     elif kind == "rf":
         params = _fit_rf(X, y, k_out, cfg, seed, workers, columns, width)
     elif kind == "knn":
-        rows = np.zeros((X.shape[0], width))
-        rows[:, columns] = X
-        params = {"rows": rows, "labels": y, "k": min(cfg.knn_k, X.shape[0])}
+        params = {"rows": X.copy(), "labels": y, "k": min(cfg.knn_k, X.shape[0])}
     else:
         raise ValueError(f"unknown meta kind {kind!r}")
-    return MetaModel(kind, params, width, k_out, cfg)
-
-
-def _lift(params, columns, width):
-    """Scatter a linear model's weight columns into full-width zeros."""
-    W = np.zeros((params["W"].shape[0], width))
-    W[:, columns] = params["W"]
-    return {"W": W, "b": params["b"]}
+    return MetaModel(kind, params, X.shape[1], k_out, cfg)
 
 
 def meta_predict(m: MetaModel, x) -> np.ndarray:
@@ -205,7 +194,8 @@ def _build_tree(X, y, depth, rng, k_out, max_depth, columns, width, nodes):
     append its nodes to ``nodes`` in preorder and return its root's index.
 
     Features are drawn from the full width; a draw outside ``columns`` is
-    an all-zero column, which never splits, so it is skipped."""
+    an all-zero column, which never splits, so it is skipped.  A split
+    stores its feature as a column of X."""
     node = len(nodes)
     counts = np.bincount(y, minlength=k_out).astype(np.float64)
     nodes.append([0, 0.0, node, node, counts / counts.sum()])  # a leaf until split
@@ -227,7 +217,7 @@ def _build_tree(X, y, depth, rng, k_out, max_depth, columns, width, nodes):
     left = X[:, best_c] <= best_thr
     if not left.any() or left.all():
         return node
-    nodes[node] = [int(columns[best_c]), best_thr, None, None, np.zeros(k_out)]
+    nodes[node] = [best_c, best_thr, None, None, np.zeros(k_out)]
     nodes[node][2] = _build_tree(X[left], y[left], depth + 1, rng, k_out,
                                  max_depth, columns, width, nodes)
     nodes[node][3] = _build_tree(X[~left], y[~left], depth + 1, rng, k_out,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -267,13 +266,6 @@ def _write_csv(path, header: list, rows) -> None:
     w.writerow(header)
     w.writerows(rows)
     _atomic_write(Path(path), buf.getvalue().encode("utf-8"))
-
-
-def write_report_json(path, report: MetricsReport, extra: dict | None = None) -> None:
-    payload = dict(extra or {})
-    payload.update(report.to_dict())
-    _atomic_write(Path(path), (json.dumps(payload, indent=1, sort_keys=True)
-                               + "\n").encode("utf-8"))
 
 
 def write_report_csv(path, rows: list[dict]) -> None:

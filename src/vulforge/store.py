@@ -4,7 +4,9 @@ deterministic ``.npy`` sidecars for the parameter arrays.
 Every meta-model param that is an ndarray (lr/svm ``W``/``b``, the rf
 forest arrays, knn ``rows``/``labels``) is a digested sidecar named
 ``{prefix}_{name}.npy``, as are linear-model weights and prediction-set
-probabilities; scalars such as knn ``k`` stay in the JSON.
+probabilities; scalars such as knn ``k`` stay in the JSON.  A dense DGS
+gate's input columns are the ``gate_columns`` sidecar, and its meta-model's
+``input_width`` is their count (schema 3; a schema-2 gate was full width).
 
 The manifest records the variant tag, per-member/round records (epsilon,
 alpha, Z), base-model order, the config echo and its hash, and sha256
@@ -35,7 +37,7 @@ from .ingest import _atomic_write
 from .learners import LearnerConfig, LinearModel
 from .metamodels import MetaConfig, MetaModel
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def config_hash(echo: dict) -> str:
@@ -181,7 +183,7 @@ def _encode(e, store: _ArrayStore) -> dict:
             "meta": _enc_component(e.meta, store, "meta"),
         }
     if isinstance(e, GateModel):
-        return {
+        rec = {
             "variant": "dgs",
             "class_count": e.class_count,
             "base_ids": list(e.base_ids),
@@ -189,6 +191,9 @@ def _encode(e, store: _ArrayStore) -> dict:
             "dims": e.dims,
             "gate": _enc_component(e.gate, store, "gate"),
         }
+        if e.columns is not None:  # dense gates only; an lr gate has none
+            rec["columns"] = store.put("gate_columns", e.columns)
+        return rec
     raise IoError(f"cannot serialize ensemble of type {type(e).__name__}")
 
 
@@ -211,10 +216,12 @@ def _decode(payload: dict, arrays: dict):
                              _dec_component(payload["meta"], arrays),
                              payload["class_count"])
     if variant == "dgs":
+        columns = payload.get("columns")
         return GateModel(tuple(payload["base_ids"]),
                          _dec_component(payload["gate"], arrays),
                          payload["routing"], payload["dims"],
-                         payload["class_count"])
+                         payload["class_count"],
+                         arrays[columns] if columns else None)
     raise IoError(f"unknown ensemble variant {variant!r}")
 
 

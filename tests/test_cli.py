@@ -1,7 +1,11 @@
 """End-to-end CLI pipeline, artifact integrity, and exit-code mapping."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +116,46 @@ class TestPipeline:
                          "--schema", "multiclass", "--out", out,
                          "--top", "2"]) == 0
         assert (tmp_path / "out" / "subsets" / "CWE-119.jsonl").exists()
+
+    def test_dense_gate_columns_tracked(self, workspace):
+        out = workspace / "out"
+        base = ["--dataset", str(workspace / "dataset.jsonl"), "--out", str(out),
+                "--seed", "3"]
+        assert cli.main(["dgs", *base, "--routing", "soft", "--gate", "knn",
+                         "--base", "m1,m2"]) == 0
+        edir = out / "ensembles" / "dgs_soft"
+        assert (edir / "params" / "gate_columns.npy").exists()
+        assert store.load_ensemble(edir).columns is not None
+        assert cli.main(["verify", *base]) == 0
+
+
+# Records 40 artifacts of its own on one --out: argv is the out dir and a tag.
+_RECORDER = """
+import sys
+from pathlib import Path
+from vulforge import cli
+out, tag = Path(sys.argv[1]), sys.argv[2]
+for i in range(40):
+    path = out / tag / f"{i}.txt"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(f"{tag} {i}")
+    cli._record_artifact(out, path, cli._DEFAULTS)
+"""
+
+
+def test_concurrent_commands_keep_every_manifest_entry(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    procs = [subprocess.Popen([sys.executable, "-c", _RECORDER, str(tmp_path), f"p{j}"],
+                              env={**os.environ, "PYTHONPATH": src},
+                              stderr=subprocess.PIPE)
+             for j in range(4)]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err.decode()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert sorted(manifest) == sorted(f"p{j}/{i}.txt" for j in range(4)
+                                      for i in range(40))
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 0
 
 
 class TestExitCodes:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_predset, random_feature_matrix
+from conftest import assert_compact_of, make_predset, random_feature_matrix
 from vulforge import _kernels, synth
 from vulforge.codefeat import FeaturizerConfig
 from vulforge.core import make_prediction_set
@@ -16,7 +16,6 @@ from vulforge.ensembles import (
     BaggingEnsemble,
     BaseLearnerSpec,
     BoostConfig,
-    _DENSE_CHUNK_BYTES,
     _boost_step,
     _densify,
     _gate_rows,
@@ -447,7 +446,7 @@ def _ref_gate_scores(g, fv, base_rows):
         dense = np.zeros(g.dims + m * k)
         dense[fv.indices] = fv.counts
         dense[g.dims:] = flat
-        return meta_predict_many(g.gate, dense[None, :])[0]
+        return meta_predict_many(g.gate, dense[g.columns][None, :])[0]
     norm = math.sqrt(fv.norm * fv.norm + float(flat @ flat))
     scale = 1.0 / norm if norm > 0 else 1.0
     z = (g.gate.W[:, fv.indices] @ fv.counts
@@ -479,7 +478,7 @@ def test_gate_rows_bit_identical_to_row_loops(n_rows, seed, m, k, data):
     for got, ref in zip(rows, _ref_augmented_features(fm, ids, stack)):
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)
-    assert np.array_equal(_densify(*rows, fm.dims + m * k),
+    assert np.array_equal(_densify(*rows, np.arange(fm.dims + m * k)),
                           _ref_dense_gate_input(fm, ids, stack))
 
 
@@ -518,9 +517,7 @@ class TestGateScoresMany:
         feats = featurize_dataset(d, FeaturizerConfig())
         g, test, bases = _fit_gate(d, feats, "rf", n_val=16, n_test=20,
                                    meta_cfg=MetaConfig(trees=5))
-        width = feats.dims + 3 * 2
         assert feats.dims == 1 << 18
-        assert len(test) > _DENSE_CHUNK_BYTES // (8 * width)
         stack = np.stack([p.probs for p in bases])
         got = gate_scores_many(g, *feats.rows_for(test), stack)
         assert np.array_equal(got, _ref_scores(g, feats, test, stack))
@@ -555,14 +552,15 @@ def _full_width_gate(kind, bases, val, labels, feats, meta_cfg, seed=0):
     stack = np.stack([p.reindexed(val) for p in bases])
     m, _, k = stack.shape
     rows = _gate_rows(*feats.rows_for(val), feats.dims, stack)
-    return meta_fit(kind, _densify(*rows, feats.dims + m * k),
+    return meta_fit(kind, _densify(*rows, np.arange(feats.dims + m * k)),
                     gate_targets(stack, labels).argmax(axis=1), meta_cfg, seed,
                     output_width=m)
 
 
 class TestDenseGateActiveColumns:
-    """Dense gates fit on the columns the validation rows touch and equal the
-    fit on the full 2^dims + M*K wide input."""
+    """Dense gates fit and score on the columns the validation rows touch;
+    the model is the fit on the full 2^dims + M*K wide input, restricted to
+    those columns."""
 
     @pytest.mark.parametrize("kind", ["svm", "rf", "knn"])
     def test_matches_full_width_reference(self, kind):
@@ -575,33 +573,40 @@ class TestDenseGateActiveColumns:
         g = dgs_fit(bases, val, labels[:50], feats, DgsConfig("soft", kind),
                     meta_cfg=cfg, seed=4)
         ref = _full_width_gate(kind, bases, val, labels[:50], feats, cfg, seed=4)
-        assert g.gate.input_width == ref.input_width == 1024 + 3 * 2
-        assert g.gate.params.keys() == ref.params.keys()
-        for name, value in ref.params.items():
-            if isinstance(value, np.ndarray):
-                assert np.array_equal(g.gate.params[name], value)
-            else:
-                assert g.gate.params[name] == value
-        if kind == "rf":
-            left = g.gate.params["left"]  # some node has a child other than itself
-            assert (left != np.arange(len(left))).any()
+        assert ref.input_width == 1024 + 3 * 2
+        assert np.array_equal(g.columns, np.union1d(feats.rows_for(val)[1],
+                                                    1024 + np.arange(3 * 2)))
+        assert_compact_of(g.gate, ref, g.columns)
+        # the full-width gate scores every column of the test rows
+        full = replace(g, gate=ref, columns=np.arange(ref.input_width))
         test_bases = _random_bases(rng, test, 3, 2, "test")
-        got = dgs_predict_set(g, test_bases, test, feats, "test")
-        want = dgs_predict_set(replace(g, gate=ref), test_bases, test, feats, "test")
-        assert np.array_equal(got.probs, want.probs)
+        stack = np.stack([p.probs for p in test_bases])
+        got = gate_scores_many(g, *feats.rows_for(test), stack)
+        want = gate_scores_many(full, *feats.rows_for(test), stack)
+        if kind == "rf":
+            assert np.array_equal(got, want)
+        else:  # svm sums over fewer columns; knn drops a per-row constant
+            assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+            assert np.allclose(got, want, rtol=0.0, atol=16 * np.finfo(np.float64).eps)
+        hard = [dgs_predict_set(replace(h, routing="hard"), test_bases, test, feats,
+                                "test").probs for h in (g, full)]
+        assert np.array_equal(*hard)
 
-    @pytest.mark.parametrize("kind", ["svm", "rf"])
+    @pytest.mark.parametrize("kind", ["svm", "rf", "knn"])
     def test_memory_is_a_fraction_of_the_dense_input(self, kind):
         rng = np.random.default_rng(12)
         feats = random_feature_matrix(rng, 40, dims=1 << 18)
         val = feats.ids
         bases = _random_bases(rng, val, 2, 2, "val")
+        stack = np.stack([p.probs for p in bases])
         dense_bytes = len(val) * (feats.dims + 2 * 2) * 8
         assert dense_bytes >= 30 << 20
         tracemalloc.start()
         try:
-            dgs_fit(bases, val, rng.integers(0, 2, len(val)), feats,
-                    DgsConfig("hard", kind), meta_cfg=MetaConfig(trees=10, epochs=20))
+            g = dgs_fit(bases, val, rng.integers(0, 2, len(val)), feats,
+                        DgsConfig("hard", kind),
+                        meta_cfg=MetaConfig(trees=10, epochs=20))
+            gate_scores_many(g, *feats.rows_for(val), stack)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from vulforge import synth
+from vulforge import cli, synth
 from vulforge.errors import (
     ClassTooSmall,
     DuplicateId,
@@ -17,7 +17,6 @@ from vulforge.ingest import (
     cwe_subset,
     load_dataset,
     load_splits,
-    save_splits,
     stratified_split,
     top_cwes,
 )
@@ -134,10 +133,14 @@ class TestStratifiedSplit:
             stratified_split(d, 0)
 
     def test_save_load_roundtrip(self, tmp_path):
-        d = synth.separable_corpus(100, seed=0)
-        s = stratified_split(d, 3)
-        save_splits(tmp_path / "splits.json", s)
-        assert load_splits(tmp_path / "splits.json") == s
+        # `vulforge split` is the one writer of splits.json
+        p = tmp_path / "d.jsonl"
+        _write_jsonl(p, _records(100))
+        out = tmp_path / "out"
+        assert cli.main(["split", "--dataset", str(p), "--out", str(out),
+                         "--seed", "3"]) == 0
+        want = stratified_split(load_dataset(p, "binary"), 3)
+        assert load_splits(out / "splits.json") == want
 
 
 class TestBootstrap:

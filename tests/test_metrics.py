@@ -1,7 +1,6 @@
 """Confusion metrics, rank tables, divergence, overlap regions, writers."""
 
 import csv
-import json
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from vulforge.metrics import (
     write_overlap_csv,
     write_ranks_csv,
     write_report_csv,
-    write_report_json,
 )
 
 
@@ -158,12 +156,6 @@ class TestOverlap:
 
 
 class TestWriters:
-    def test_report_json(self, tmp_path):
-        r = binary_metrics([1, 0], [1, 0])
-        write_report_json(tmp_path / "r.json", r, extra={"model": "m"})
-        payload = json.loads((tmp_path / "r.json").read_text())
-        assert payload["model"] == "m" and payload["accuracy"] == 1.0
-
     def test_report_csv(self, tmp_path):
         write_report_csv(tmp_path / "r.csv", [{"a": 1, "b": 2}, {"a": 3}])
         rows = list(csv.DictReader((tmp_path / "r.csv").open()))

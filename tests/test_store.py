@@ -17,12 +17,14 @@ from vulforge.ensembles import (
     bagging_from_predictions,
     bagging_predict_set,
     dgs_fit,
+    dgs_predict_set,
     stacking_fit,
     stacking_predict_set,
 )
 from vulforge.errors import IoError
 from vulforge.ingest import bootstrap, stratified_split
 from vulforge.learners import LearnerConfig, featurize_dataset
+from vulforge.metamodels import MetaConfig
 from vulforge.store import config_hash, load_ensemble, save_ensemble, verify_ensemble
 
 
@@ -112,6 +114,31 @@ class TestRoundtrips:
         g2 = load_ensemble(tmp_path)
         assert g2.base_ids == g.base_ids and g2.routing == "hard"
         assert np.array_equal(g2.gate.W, g.gate.W)
+        assert g2.columns is None
+        assert "columns" not in json.loads((tmp_path / "ensemble.json").read_text())
+
+    @pytest.mark.parametrize("kind", ["svm", "rf", "knn"])
+    def test_dgs_dense_gate(self, kind, tmp_path, separable):
+        d, feats = separable
+        ids, test = d.ids[:20], d.ids[20:40]
+        bases = _bases(ids, None)
+        g = dgs_fit(bases, ids, d.labels_for(ids), feats, DgsConfig("soft", kind),
+                    meta_cfg=MetaConfig(trees=10, epochs=20))
+        save_ensemble(tmp_path, g, {})
+        payload = json.loads((tmp_path / "ensemble.json").read_text())
+        assert payload["columns"] == "gate_columns"
+        assert payload["params"]["gate_columns"]["file"] == "params/gate_columns.npy"
+        assert payload["gate"]["input_width"] == len(g.columns)
+        g2 = load_ensemble(tmp_path)
+        assert g2.columns.dtype == g.columns.dtype
+        assert np.array_equal(g2.columns, g.columns)
+        assert g2.gate.input_width == g.gate.input_width
+        for name, value in g.gate.params.items():
+            assert np.array_equal(g2.gate.params[name], value), name
+        test_bases = _bases(test, None)
+        a = dgs_predict_set(g, test_bases, test, feats, "test").probs
+        b = dgs_predict_set(g2, test_bases, test, feats, "test").probs
+        assert np.array_equal(a, b)
 
 
 class TestVerification:
@@ -155,6 +182,19 @@ class TestVerification:
         (out / "ensemble.json").write_text(json.dumps(payload))
         with pytest.raises(IoError, match="unsupported schema version 1"):
             load_ensemble(out)
+
+    def test_schema_2_gate_rejected(self, tmp_path, separable):
+        # a schema-2 dense gate was full width, with no gate_columns sidecar
+        d, feats = separable
+        ids = d.ids[:20]
+        g = dgs_fit(_bases(ids, None), ids, d.labels_for(ids), feats,
+                    DgsConfig("hard", "svm"), meta_cfg=MetaConfig(epochs=5))
+        save_ensemble(tmp_path, g, {})
+        payload = json.loads((tmp_path / "ensemble.json").read_text())
+        payload["schema_version"] = 2
+        (tmp_path / "ensemble.json").write_text(json.dumps(payload))
+        with pytest.raises(IoError, match="unsupported schema version 2"):
+            load_ensemble(tmp_path)
 
     def test_detects_config_tamper(self, tmp_path):
         out = self._saved(tmp_path)
