@@ -26,7 +26,7 @@ import tracemalloc
 import numpy as np
 
 from vulforge import synth
-from vulforge.codefeat import featurize_code, stack_features
+from vulforge.codefeat import featurize_many
 from vulforge.core import PredictionSet
 from vulforge.ensembles import DgsConfig, dgs_fit, gate_scores_many
 from vulforge.ingest import stratified_split
@@ -40,8 +40,7 @@ def _workload(n: int, seed: int):
     split = stratified_split(d, seed)
     ids = split.val + split.test
     code = {s.id: s.code for s in d.samples}
-    csr = stack_features([featurize_code(code[i]) for i in ids])
-    features = FeatureMatrix(ids, *csr, 1 << 18)
+    features = FeatureMatrix(ids, *featurize_many([code[i] for i in ids]), 1 << 18)
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.ones(d.class_count), size=(EXPERTS, len(ids)))
     bases = [PredictionSet(f"e{j}", "val", ids, probs[j]) for j in range(EXPERTS)]

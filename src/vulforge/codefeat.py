@@ -6,10 +6,19 @@ Number/string/char literals normalize to the sentinels ``<num>``, ``<str>``,
 are dropped.  Features are counts of token n-grams hashed with 64-bit
 FNV-1a into a power-of-two table, which makes the mapping bit-exact across
 platforms and runs.
+
+Features come from one batch path, ``featurize_many``: a compiled regex
+lexes each sample, lexemes become integer ids, n-grams are formed and
+counted in numpy, and each distinct lexeme n-gram is hashed once per
+process (the ids and hashes are memoized; code vocabularies are small).
+``featurize`` and ``featurize_code`` are batches of one, and ``tokenize``
+runs the same lexer.
 """
 
 from __future__ import annotations
 
+import re
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +49,27 @@ FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _U64 = (1 << 64) - 1
 
+# A number runs on over word characters and dots, and over a sign after an
+# exponent letter (1e+5, 0x1p-3).
+_NUM_TAIL = r"(?:[\w.]|(?<=[eEpP])[+-])*"
+
+# Skipped text (whitespace, // and /* */ comments, an unterminated /* runs to
+# the end), then one token.  Alternatives are tried in order and the first
+# that matches wins, the order of the lexer's rules: strings and chars (a
+# backslash escapes the next character; unterminated ones run to the end),
+# numbers, identifiers, operators longest first, then any other character.
+# The token is optional so that skipped text at the end still matches (as
+# an empty token, which _lex drops) instead of being re-scanned as tokens.
+_LEXEME = re.compile(
+    r"(?:\s+|//[^\n]*|/\*[\s\S]*?(?:\*/|\Z))*("
+    r'"[^"\\]*(?:\\[\s\S]?[^"\\]*)*"?'
+    r"|'[^'\\]*(?:\\[\s\S]?[^'\\]*)*'?"
+    r"|(?:\d|\.\d)" + _NUM_TAIL +
+    r"|[^\W\d]\w*|" + "|".join(map(re.escape, C_OPERATORS)) +
+    r"|[\s\S])?")
+_NUMBER_REST = re.compile(_NUM_TAIL)
+_OPERATOR_SET = frozenset(C_OPERATORS)
+
 
 @dataclass(frozen=True)
 class Token:
@@ -66,78 +96,66 @@ class FeatureVector:
         return v
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
+def _misfiled(c: str) -> bool:
+    """True for a character that ``re`` classes differently from the lexer.
+
+    The lexer's classes are ``str`` methods: a number starts at ``isdigit``,
+    an identifier at ``isalpha`` or ``_``.  In ``re``, ``\\d`` is only
+    ``isdecimal`` and ``[^\\W\\d]`` also holds the other digits and numerics
+    (``'²'``, ``'½'``).  ``\\s`` and ``\\w`` match ``isspace`` and
+    ``isalnum`` or ``_`` exactly, so these are the only characters where
+    the regex and the rules part.
+    """
+    return c.isalnum() and not c.isalpha() and not c.isdecimal()
 
 
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
+def _lex_misfiled(code: str) -> list[str]:
+    """Lexemes of ``code`` one regex match at a time, classifying each
+    token's first character with the ``str`` methods."""
+    out, pos = [], 0
+    while True:
+        m = _LEXEME.match(code, pos)
+        start = m.start(1)
+        if start < 0:
+            return out
+        c = code[start]
+        if c.isdigit() or (c == "." and code[start + 1:start + 2].isdigit()):
+            end = _NUMBER_REST.match(code, start + 1).end()
+        elif _misfiled(c):  # a numeric that is no digit: a punct of its own
+            end = start + 1
+        else:
+            end = m.end(1)
+        out.append(code[start:end])
+        pos = end
+
+
+def _lex(code: str) -> list[str]:
+    """The raw text of each token of ``code``, in order."""
+    if not code.isascii() and any(map(_misfiled, set(code))):
+        return _lex_misfiled(code)
+    toks = _LEXEME.findall(code)
+    while toks and not toks[-1]:  # trailing skipped text matches no token
+        toks.pop()
+    return toks
+
+
+def _classify(raw: str) -> tuple[str, str]:
+    """(kind, normalized text) of one raw token."""
+    c = raw[0]
+    if c == '"':
+        return "string", STR_SENTINEL
+    if c == "'":
+        return "char", CHR_SENTINEL
+    if c.isdigit() or (c == "." and raw[1:2].isdigit()):
+        return "number", NUM_SENTINEL
+    if c.isalpha() or c == "_":
+        return ("keyword" if raw in C_KEYWORDS else "identifier"), raw
+    return ("operator" if raw in _OPERATOR_SET else "punct"), raw
 
 
 def tokenize(code: str) -> list[Token]:
     """Lex ``code`` into tokens; never fails on arbitrary text."""
-    tokens: list[Token] = []
-    i, n = 0, len(code)
-    while i < n:
-        c = code[i]
-        if c.isspace():
-            i += 1
-            continue
-        # comments are consumed and dropped
-        if code.startswith("//", i):
-            j = code.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if code.startswith("/*", i):
-            j = code.find("*/", i + 2)
-            i = n if j < 0 else j + 2
-            continue
-        if c == '"' or c == "'":
-            quote = c
-            j = i + 1
-            while j < n:
-                if code[j] == "\\":
-                    j += 2
-                    continue
-                if code[j] == quote:
-                    j += 1
-                    break
-                j += 1
-            else:
-                j = n
-            if quote == '"':
-                tokens.append(Token("string", STR_SENTINEL))
-            else:
-                tokens.append(Token("char", CHR_SENTINEL))
-            i = max(j, i + 1)
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and code[i + 1].isdigit()):
-            j = i + 1
-            while j < n and (code[j].isalnum() or code[j] in "._" or
-                             (code[j] in "+-" and code[j - 1] in "eEpP")):
-                j += 1
-            tokens.append(Token("number", NUM_SENTINEL))
-            i = j
-            continue
-        if _is_ident_start(c):
-            j = i + 1
-            while j < n and _is_ident_char(code[j]):
-                j += 1
-            text = code[i:j]
-            kind = "keyword" if text in C_KEYWORDS else "identifier"
-            tokens.append(Token(kind, text))
-            i = j
-            continue
-        for op in C_OPERATORS:
-            if code.startswith(op, i):
-                tokens.append(Token("operator", op))
-                i += len(op)
-                break
-        else:
-            # unknown bytes and plain punctuation both land here
-            tokens.append(Token("punct", c))
-            i += 1
-    return tokens
+    return [Token(*_classify(raw)) for raw in _lex(code)]
 
 
 def fnv1a64(data: bytes) -> int:
@@ -146,6 +164,10 @@ def fnv1a64(data: bytes) -> int:
     for b in data:
         h = ((h ^ b) * FNV_PRIME) & _U64
     return h
+
+
+def _gram_hash(lexemes) -> int:
+    return fnv1a64("\x1f".join(lexemes).encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -162,7 +184,129 @@ class FeaturizerConfig:
 
 def ngram_dimension(lexemes: tuple[str, ...], dims: int) -> int:
     """Hash a lexeme n-gram into a table dimension ( '\\x1f' joins grams)."""
-    return fnv1a64("\x1f".join(lexemes).encode("utf-8")) & (dims - 1)
+    return _gram_hash(lexemes) & (dims - 1)
+
+
+class _Vocab:
+    """Lexeme ids and n-gram hashes seen by this process.
+
+    Ids number the normalized lexemes in first-seen order; ``raw`` maps the
+    lexer's raw token text (a literal's own text included) to the id of its
+    normalized lexeme, and ``hashes`` an n-gram of ids to its unmasked
+    FNV-1a hash, so one memo serves every ``FeaturizerConfig``.  Both grow
+    with the vocabulary of the code featurized, not with its length.
+    """
+
+    def __init__(self):
+        self.ids: dict[str, int] = {}
+        self.texts: list[str] = []
+        self.raw: dict[str, int] = {}
+        self.hashes: dict[tuple[int, ...], int] = {}
+        self._lock = threading.Lock()
+
+    def intern(self, text: str) -> int:
+        with self._lock:  # two threads must not hand out one id twice
+            i = self.ids.get(text)
+            if i is None:
+                i = self.ids[text] = len(self.texts)
+                self.texts.append(text)
+            return i
+
+    def text_ids(self, texts: list[str]) -> np.ndarray:
+        """Ids of normalized lexemes."""
+        for t in set(texts).difference(self.ids):
+            self.intern(t)
+        return np.fromiter(map(self.ids.__getitem__, texts), np.int64, len(texts))
+
+    def raw_ids(self, raws: list[str]) -> np.ndarray:
+        """Ids of the normalized lexemes of raw tokens."""
+        raw = self.raw
+        for t in set(raws).difference(raw):
+            raw[t] = self.intern(_classify(t)[1])
+        return np.fromiter(map(raw.__getitem__, raws), np.int64, len(raws))
+
+    def gram_hashes(self, grams) -> np.ndarray:
+        """Unmasked hash of each id n-gram (a tuple of ids)."""
+        hashes, texts = self.hashes, self.texts
+        out = np.empty(len(grams), np.uint64)
+        for j, g in enumerate(grams):
+            h = hashes.get(g)
+            if h is None:
+                h = hashes[g] = _gram_hash([texts[i] for i in g])
+            out[j] = h
+        return out
+
+
+_VOCAB = _Vocab()
+
+
+def clear_memo() -> None:
+    """Forget the lexeme ids and n-gram hashes; later calls rebuild them
+    and give the same features."""
+    global _VOCAB
+    _VOCAB = _Vocab()
+
+
+# Samples per counting chunk: bounds the n-gram arrays held at once.
+_CHUNK_ROWS = 512
+
+
+def _count(vocab: _Vocab, ids: np.ndarray, lens: np.ndarray, config: FeaturizerConfig):
+    """Hashed n-gram counts of rows given as concatenated lexeme ids.
+
+    Returns (nonzeros per row, indices, data): each row's dimensions sorted,
+    counts additive under hash collision, as float64.
+    """
+    n = len(lens)
+    shift = config.dims.bit_length() - 1
+    row_of = np.repeat(np.arange(n, dtype=np.int64), lens)
+    left = np.repeat(np.cumsum(lens), lens) - np.arange(len(ids))  # tokens to row end
+    width = len(vocab.texts)
+    keys = []
+    for order in config.ngram_orders:
+        starts = np.flatnonzero(left >= order)
+        code, bound = ids[starts], width
+        for j in range(1, order):
+            if bound * width >= 1 << 63:  # re-number the grams so far
+                _, code = np.unique(code, return_inverse=True)
+                bound = int(code.max()) + 1
+            code = code * width + ids[starts + j]
+            bound *= width
+        _, first, inv = np.unique(code, return_index=True, return_inverse=True)
+        at = starts[first]
+        grams = list(zip(*(ids[at + j].tolist() for j in range(order))))
+        dim = (vocab.gram_hashes(grams) & np.uint64(config.dims - 1)).astype(np.int64)
+        keys.append((row_of[starts] << shift) | dim[inv])
+    keys, counts = np.unique(np.concatenate(keys), return_counts=True)
+    return (np.bincount(keys >> shift, minlength=n), keys & (config.dims - 1),
+            counts.astype(np.float64))
+
+
+def featurize_many(codes, config: FeaturizerConfig = FeaturizerConfig()):
+    """CSR arrays (indptr, indices, data) of the hashed n-gram counts of
+    each code string, one row per string, indices sorted within a row."""
+    codes = list(codes)
+    vocab = _VOCAB
+    # row << shift | dimension must fit in int64
+    step = min(_CHUNK_ROWS, 1 << max(0, 63 - (config.dims.bit_length() - 1)))
+    row_nnz, indices, data = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    for lo in range(0, len(codes), step):
+        raws, lens = [], []
+        for code in codes[lo:lo + step]:
+            toks = _lex(code)
+            raws += toks
+            lens.append(len(toks))
+        nnz, idx, cnt = _count(vocab, vocab.raw_ids(raws), np.array(lens, np.int64), config)
+        row_nnz.append(nnz)
+        indices.append(idx)
+        data.append(cnt)
+    indptr = np.zeros(len(codes) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(row_nnz), out=indptr[1:])
+    return indptr, np.concatenate(indices), np.concatenate(data)
+
+
+def _vector(dims: int, indices: np.ndarray, counts: np.ndarray) -> FeatureVector:
+    return FeatureVector(dims, indices, counts, float(np.sqrt(np.dot(counts, counts))))
 
 
 def featurize(tokens: list[Token], config: FeaturizerConfig = FeaturizerConfig()) -> FeatureVector:
@@ -171,21 +315,15 @@ def featurize(tokens: list[Token], config: FeaturizerConfig = FeaturizerConfig()
     Counts are additive under hash collision.  Deterministic across runs
     and platforms (fixed hash, fixed sentinel normalization).
     """
-    lexemes = [t.text for t in tokens]
-    counts: dict[int, float] = {}
-    for order in config.ngram_orders:
-        for i in range(len(lexemes) - order + 1):
-            d = ngram_dimension(tuple(lexemes[i:i + order]), config.dims)
-            counts[d] = counts.get(d, 0.0) + 1.0
-    if not counts:
-        return FeatureVector(config.dims, np.empty(0, np.int64), np.empty(0), 0.0)
-    idx = np.array(sorted(counts), dtype=np.int64)
-    cnt = np.array([counts[d] for d in idx])
-    return FeatureVector(config.dims, idx, cnt, float(np.sqrt(np.dot(cnt, cnt))))
+    vocab = _VOCAB
+    ids = vocab.text_ids([t.text for t in tokens])
+    _, indices, counts = _count(vocab, ids, np.array([len(ids)]), config)
+    return _vector(config.dims, indices, counts)
 
 
 def featurize_code(code: str, config: FeaturizerConfig = FeaturizerConfig()) -> FeatureVector:
-    return featurize(tokenize(code), config)
+    _, indices, counts = featurize_many([code], config)
+    return _vector(config.dims, indices, counts)
 
 
 def stack_features(vectors: list[FeatureVector]):

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .codefeat import FeaturizerConfig, FeatureVector, featurize_code, stack_features
+from .codefeat import FeaturizerConfig, FeatureVector, featurize_many, stack_features
 from .core import PredictionSet, make_prediction_set, validate_prob_matrix
 from .errors import (
     DimensionMismatch,
@@ -139,9 +139,8 @@ class FeatureMatrix:
 
 
 def featurize_dataset(d: Dataset, config: FeaturizerConfig = FeaturizerConfig()) -> FeatureMatrix:
-    vectors = [featurize_code(s.code, config) for s in d.samples]
-    indptr, indices, data = stack_features(vectors)
-    return FeatureMatrix(tuple(d.ids), indptr, indices, data, config.dims)
+    return FeatureMatrix(tuple(d.ids), *featurize_many([s.code for s in d.samples], config),
+                         config.dims)
 
 
 def unit_rows(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:

@@ -47,9 +47,12 @@ def config_hash(echo: dict) -> str:
 
 
 def _npy_bytes(arr: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, np.ascontiguousarray(arr))
-    return buf.getvalue()
+    """The bytes ``np.save`` writes for ``arr`` in C order, built with one
+    copy of the data (saving into a ``BytesIO`` holds two at once)."""
+    arr = np.ascontiguousarray(arr)
+    head = io.BytesIO()
+    np.lib.format.write_array_header_1_0(head, np.lib.format.header_data_from_array_1_0(arr))
+    return b"".join((head.getvalue(), arr.reshape(-1).view(np.uint8)))
 
 
 class _ArrayStore:
@@ -226,7 +229,11 @@ def _decode(payload: dict, arrays: dict):
 
 
 def save_ensemble(out_dir, e, config_echo: dict | None = None) -> Path:
-    """Persist an ensemble under ``out_dir`` as ensemble.json + params/."""
+    """Persist an ensemble under ``out_dir`` as ensemble.json + params/.
+
+    Sidecars in params/ that the new ensemble.json does not list are
+    deleted once it is written.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     store = _ArrayStore()
@@ -238,6 +245,11 @@ def save_ensemble(out_dir, e, config_echo: dict | None = None) -> Path:
     text = json.dumps(payload, indent=1, sort_keys=True, default=float) + "\n"
     path = out_dir / "ensemble.json"
     _atomic_write(path, text.encode("utf-8"))
+    # a model saved earlier under this name may have left other sidecars
+    listed = {Path(rec["file"]).name for rec in payload["params"].values()}
+    for stale in (out_dir / "params").glob("*.npy"):
+        if stale.name not in listed:
+            stale.unlink()
     return path
 
 

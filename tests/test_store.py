@@ -1,12 +1,13 @@
 """Persistence roundtrips, digest verification, config hashing."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
 from conftest import make_predset
-from vulforge import synth
+from vulforge import store, synth
 from vulforge.ensembles import (
     BaseLearnerSpec,
     BoostConfig,
@@ -36,6 +37,16 @@ def _bases(ids, labels):
         probs /= probs.sum(1, keepdims=True)
         out.append(make_predset(mid, "val", ids, probs))
     return out
+
+
+@pytest.mark.parametrize("arr", [
+    np.array(5.0), np.arange(12, dtype=np.int64).reshape(3, 4).T,
+    np.empty((0, 4)), np.array([True, False]), np.arange(6, dtype=">i4"),
+    np.linspace(0, 1, 7)[::2]], ids=lambda a: f"{a.dtype}{a.shape}")
+def test_npy_bytes_are_np_save_bytes(arr):
+    buf = io.BytesIO()
+    np.save(buf, np.ascontiguousarray(arr))
+    assert store._npy_bytes(arr) == buf.getvalue()
 
 
 class TestConfigHash:
@@ -139,6 +150,22 @@ class TestRoundtrips:
         a = dgs_predict_set(g, test_bases, test, feats, "test").probs
         b = dgs_predict_set(g2, test_bases, test, feats, "test").probs
         assert np.array_equal(a, b)
+
+    def test_resave_drops_stale_sidecars(self, tmp_path, separable):
+        d, feats = separable
+        ids = d.ids[:20]
+        bases = _bases(ids, None)
+        for kind in ("svm", "rf"):
+            g = dgs_fit(bases, ids, d.labels_for(ids), feats, DgsConfig("hard", kind),
+                        meta_cfg=MetaConfig(trees=10, epochs=20))
+            save_ensemble(tmp_path, g, {"gate": kind})
+        listed = json.loads((tmp_path / "ensemble.json").read_text())["params"]
+        assert "gate_columns" in listed and "gate_W" not in listed
+        assert sorted(p.name for p in (tmp_path / "params").iterdir()) == \
+            sorted(f"{name}.npy" for name in listed)
+        assert verify_ensemble(tmp_path)
+        assert np.array_equal(load_ensemble(tmp_path).gate.params["feature"],
+                              g.gate.params["feature"])
 
 
 class TestVerification:
