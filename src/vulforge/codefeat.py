@@ -9,16 +9,16 @@ platforms and runs.
 
 Features come from one batch path, ``featurize_many``: a compiled regex
 lexes each sample, lexemes become integer ids, n-grams are formed and
-counted in numpy, and each distinct lexeme n-gram is hashed once per
-process (the ids and hashes are memoized; code vocabularies are small).
+counted in numpy, and each distinct lexeme n-gram is hashed once per call
+(the ids and hashes are memoized; code vocabularies are small).
 ``featurize`` and ``featurize_code`` are batches of one, and ``tokenize``
 runs the same lexer.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,14 +60,13 @@ _NUM_TAIL = r"(?:[\w.]|(?<=[eEpP])[+-])*"
 # numbers, identifiers, operators longest first, then any other character.
 # The token is optional so that skipped text at the end still matches (as
 # an empty token, which _lex drops) instead of being re-scanned as tokens.
-_LEXEME = re.compile(
+_LEXEME = (
     r"(?:\s+|//[^\n]*|/\*[\s\S]*?(?:\*/|\Z))*("
     r'"[^"\\]*(?:\\[\s\S]?[^"\\]*)*"?'
     r"|'[^'\\]*(?:\\[\s\S]?[^'\\]*)*'?"
     r"|(?:\d|\.\d)" + _NUM_TAIL +
     r"|[^\W\d]\w*|" + "|".join(map(re.escape, C_OPERATORS)) +
     r"|[\s\S])?")
-_NUMBER_REST = re.compile(_NUM_TAIL)
 _OPERATOR_SET = frozenset(C_OPERATORS)
 
 
@@ -109,18 +108,26 @@ def _misfiled(c: str) -> bool:
     return c.isalnum() and not c.isalpha() and not c.isdecimal()
 
 
+@functools.cache
+def _patterns() -> tuple[re.Pattern, re.Pattern]:
+    """The lexeme and number-tail regexes, compiled on first use so that
+    importing the module (every CLI stage does) does not pay for them."""
+    return re.compile(_LEXEME), re.compile(_NUM_TAIL)
+
+
 def _lex_misfiled(code: str) -> list[str]:
     """Lexemes of ``code`` one regex match at a time, classifying each
     token's first character with the ``str`` methods."""
+    lexeme, number_rest = _patterns()
     out, pos = [], 0
     while True:
-        m = _LEXEME.match(code, pos)
+        m = lexeme.match(code, pos)
         start = m.start(1)
         if start < 0:
             return out
         c = code[start]
         if c.isdigit() or (c == "." and code[start + 1:start + 2].isdigit()):
-            end = _NUMBER_REST.match(code, start + 1).end()
+            end = number_rest.match(code, start + 1).end()
         elif _misfiled(c):  # a numeric that is no digit: a punct of its own
             end = start + 1
         else:
@@ -133,7 +140,7 @@ def _lex(code: str) -> list[str]:
     """The raw text of each token of ``code``, in order."""
     if not code.isascii() and any(map(_misfiled, set(code))):
         return _lex_misfiled(code)
-    toks = _LEXEME.findall(code)
+    toks = _patterns()[0].findall(code)
     while toks and not toks[-1]:  # trailing skipped text matches no token
         toks.pop()
     return toks
@@ -188,13 +195,13 @@ def ngram_dimension(lexemes: tuple[str, ...], dims: int) -> int:
 
 
 class _Vocab:
-    """Lexeme ids and n-gram hashes seen by this process.
+    """Lexeme ids and n-gram hashes of one featurizing call.
 
     Ids number the normalized lexemes in first-seen order; ``raw`` maps the
     lexer's raw token text (a literal's own text included) to the id of its
     normalized lexeme, and ``hashes`` an n-gram of ids to its unmasked
-    FNV-1a hash, so one memo serves every ``FeaturizerConfig``.  Both grow
-    with the vocabulary of the code featurized, not with its length.
+    FNV-1a hash.  Both grow with the vocabulary of the code featurized, not
+    with its length.
     """
 
     def __init__(self):
@@ -202,15 +209,13 @@ class _Vocab:
         self.texts: list[str] = []
         self.raw: dict[str, int] = {}
         self.hashes: dict[tuple[int, ...], int] = {}
-        self._lock = threading.Lock()
 
     def intern(self, text: str) -> int:
-        with self._lock:  # two threads must not hand out one id twice
-            i = self.ids.get(text)
-            if i is None:
-                i = self.ids[text] = len(self.texts)
-                self.texts.append(text)
-            return i
+        i = self.ids.get(text)
+        if i is None:
+            i = self.ids[text] = len(self.texts)
+            self.texts.append(text)
+        return i
 
     def text_ids(self, texts: list[str]) -> np.ndarray:
         """Ids of normalized lexemes."""
@@ -237,16 +242,6 @@ class _Vocab:
         return out
 
 
-_VOCAB = _Vocab()
-
-
-def clear_memo() -> None:
-    """Forget the lexeme ids and n-gram hashes; later calls rebuild them
-    and give the same features."""
-    global _VOCAB
-    _VOCAB = _Vocab()
-
-
 # Samples per counting chunk: bounds the n-gram arrays held at once.
 _CHUNK_ROWS = 512
 
@@ -262,9 +257,11 @@ def _count(vocab: _Vocab, ids: np.ndarray, lens: np.ndarray, config: FeaturizerC
     row_of = np.repeat(np.arange(n, dtype=np.int64), lens)
     left = np.repeat(np.cumsum(lens), lens) - np.arange(len(ids))  # tokens to row end
     width = len(vocab.texts)
-    keys = []
+    keys = [np.empty(0, np.int64)]
     for order in config.ngram_orders:
         starts = np.flatnonzero(left >= order)
+        if not starts.size:  # no row is this long
+            continue
         code, bound = ids[starts], width
         for j in range(1, order):
             if bound * width >= 1 << 63:  # re-number the grams so far
@@ -286,7 +283,7 @@ def featurize_many(codes, config: FeaturizerConfig = FeaturizerConfig()):
     """CSR arrays (indptr, indices, data) of the hashed n-gram counts of
     each code string, one row per string, indices sorted within a row."""
     codes = list(codes)
-    vocab = _VOCAB
+    vocab = _Vocab()
     # row << shift | dimension must fit in int64
     step = min(_CHUNK_ROWS, 1 << max(0, 63 - (config.dims.bit_length() - 1)))
     row_nnz, indices, data = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
@@ -315,7 +312,7 @@ def featurize(tokens: list[Token], config: FeaturizerConfig = FeaturizerConfig()
     Counts are additive under hash collision.  Deterministic across runs
     and platforms (fixed hash, fixed sentinel normalization).
     """
-    vocab = _VOCAB
+    vocab = _Vocab()
     ids = vocab.text_ids([t.text for t in tokens])
     _, indices, counts = _count(vocab, ids, np.array([len(ids)]), config)
     return _vector(config.dims, indices, counts)

@@ -1,8 +1,5 @@
 """Lexer totality, sentinel normalization, and hashed n-gram features."""
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -256,12 +253,11 @@ def test_featurize_dataset_byte_identical_to_per_sample_reference(config):
             assert store._npy_bytes(got) == store._npy_bytes(want)
 
 
-def test_memo_gives_the_same_dims_after_clear_and_across_configs():
+def test_repeat_calls_and_a_second_config_give_the_same_dims():
     d = next(_corpora())
     small, wide = FeaturizerConfig(1 << 6, (1, 2, 3)), FeaturizerConfig(1 << 18, (2,))
     first = featurize_dataset(d, small)
-    codefeat.clear_memo()
-    other = featurize_dataset(d, wide)  # the memo refills under another config
+    other = featurize_dataset(d, wide)
     again = featurize_dataset(d, small)
     for a, b in ((first, again), (other, featurize_dataset(d, wide))):
         for name in ("indptr", "indices", "data"):
@@ -290,34 +286,25 @@ def test_long_ngrams_match_reference():
     d = next(_corpora())
     ref = stack_features([reference_featurize(s.code, config) for s in d.samples])
     fm = featurize_dataset(d, config)
-    assert len(codefeat._VOCAB.texts) ** 12 >= 1 << 63
+    assert len({t.text for s in d.samples for t in tokenize(s.code)}) ** 12 >= 1 << 63
     for want, got in zip(ref, (fm.indptr, fm.indices, fm.data)):
         assert store._npy_bytes(got) == store._npy_bytes(want)
 
 
-def test_threads_sharing_the_memo_get_the_features_of_one_thread():
-    config = FeaturizerConfig(1 << 18, (1, 2))
-    # every sample brings lexemes no other thread sees, so threads intern at once
-    corpora = [[s.code + "".join(f" u{t}_{i}_{j}" for j in range(40)) for i, s in enumerate(
-        synth.imbalanced_corpus(60, seed=t).samples)] for t in range(6)]
-    want = [codefeat.featurize_many(codes, config) for codes in corpora]
-    codefeat.clear_memo()
-    got = [None] * len(corpora)
-
-    def work(t):
-        got[t] = codefeat.featurize_many(corpora[t], config)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(len(corpora))]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    for w, g in zip(want, got):
-        for a, b in zip(w, g):
-            assert store._npy_bytes(a) == store._npy_bytes(b)
+def test_a_chunk_of_short_rows_under_a_long_order_matches_reference():
+    # A vocabulary wide enough to renumber order-12 codes, then a final
+    # chunk whose rows are all shorter than 12 tokens: that order has no
+    # n-gram to count there.
+    config = FeaturizerConfig(1 << 18, (1, 12))
+    wide = " ".join(f"v{i}" for i in range(64))
+    short = ["x", "", "// c", "a + b;", "x"]
+    codes = [wide] * codefeat._CHUNK_ROWS + short
+    assert 65 ** 12 >= 1 << 63
+    indptr, indices, data = codefeat.featurize_many(codes, config)
+    ref = stack_features([reference_featurize(c, config) for c in codes])
+    for want, got in zip(ref, (indptr, indices, data)):
+        assert store._npy_bytes(got) == store._npy_bytes(want)
+    for code in ["x"] + short:
+        got, want = featurize_code(code, config), reference_featurize(code, config)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.counts, want.counts)
