@@ -149,13 +149,13 @@ def hinge_ovr_fit(X, S, W, b, epochs, lr, l2):
 
 
 # ---------------------------------------------------------------------------
-# kNN squared distances
+# kNN: squared distances and the vote on them
 # ---------------------------------------------------------------------------
 
 def sq_dists(Q, X):
-    # subtract-square over blocks of about 4e6 differences: exact for
-    # small-integer fixtures, bounded memory.  Each distance is the sum of
-    # one contiguous row, so the blocking never changes its value.
+    # subtract-square over blocks of about 4e6 differences, bounded memory.
+    # Each distance is the sum of one contiguous row, so the blocking never
+    # changes its value.  knn_votes votes on exactly these values.
     out = np.empty((Q.shape[0], X.shape[0]))
     rows = max(1, int(4e6 // max(1, X.shape[1])))  # X rows per block
     chunk = max(1, rows // max(1, X.shape[0]))      # Q rows per block
@@ -164,6 +164,83 @@ def sq_dists(Q, X):
             d = Q[s:s + chunk, None, :] - X[None, t:t + rows, :]
             out[s:s + chunk, t:t + rows] = (d * d).sum(axis=2)
     return out
+
+
+_KNN_BLOCK = 1 << 18   # Gram entries per block of query rows (2 MB)
+_KNN_SAFE = np.finfo(np.float64).max / 16  # below this no Gram term overflows
+
+
+def knn_votes(Q, X, labels, k, K):
+    """(N_Q, K) kNN vote counts, bit-identical to voting on ``sq_dists(Q, X)``:
+    for each query row, every fit row whose distance is at most the k-th
+    smallest votes for its label, ties included.  Q and X must be finite.
+    (On a Fortran-ordered Q ``sq_dists`` sums in another order; this kernel
+    always gives the votes of C-ordered rows, which every caller passes.)
+
+    Query rows go in blocks of about ``_KNN_BLOCK`` pairs.  A block takes
+    the Gram estimate G = |q|^2 + |x|^2 - 2 q.x from one matmul, the
+    approximate k-th value t' of each row and a bound E on |G - e|, where e
+    is the distance ``sq_dists`` computes.  Only pairs with G <= t' + 2E get
+    e, by the same contiguous ``(d * d).sum`` row sum, in chunks of about
+    ``_KNN_BLOCK`` values; every other pair reads +inf.  The vote then runs
+    on those values exactly as on ``sq_dists``.
+
+    The bound (Higham, Accuracy and Stability of Numerical Algorithms,
+    Sec. 3.1).  With u = eps/2 and g_n = nu / (1 - nu), a float sum of n
+    terms in any order, with or without FMA, is within g_(n-1) times the sum
+    of their magnitudes of the exact one, so nothing below depends on how
+    BLAS orders or threads its sums.  Let s = sum_d (q_d - x_d)^2 exactly
+    and M = |q|^2 + |x|^2, so s <= 2M and sum_d |q_d x_d| <= M/2.
+      - e rounds each difference and its square, then sums D nonnegative
+        terms: |e - s| <= g_(D+2) s <= 2 g_(D+2) M.
+      - G: both norms and q.x carry at most g_D M; the two additions each
+        round a value of magnitude at most 3M(1 + g_D):
+        |G - s| <= (2 g_D + 6u(1 + g_D)) M.
+    So |G - e| is at most about (4D + 10)u M.  E = 8(D+2)(eps S + tiny),
+    with S = |q|^2 + max_x |x|^2 from the computed norms, covers it more
+    than three times over, enough for the error in S, in E and in t' + 2E;
+    the ``tiny`` term covers products that underflow, each off by at most
+    2^-1075.  When S reaches ``_KNN_SAFE`` a term of G could overflow, so
+    E = inf and every pair of the row is recomputed.
+
+    Why the candidates hold the answer.  The k-th smallest value moves by
+    at most the largest change of any element, so the exact k-th distance T
+    is within E of t'.  A pair with e <= T then has G <= e + E <= t' + 2E:
+    every neighbour and every tie is a candidate.  So the k-th smallest
+    recomputed value of the row is T, and the pairs at or below it are the
+    pairs ``sq_dists`` votes with.
+    """
+    n, dim = X.shape
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+    xn = np.einsum("ij,ij->i", X, X)
+    onehot = np.eye(K)[labels]
+    votes = np.empty((Q.shape[0], K))
+    rows = max(1, _KNN_BLOCK // n)               # query rows per block
+    pairs = max(1, _KNN_BLOCK // max(1, dim))    # pairs per exact chunk
+    for s in range(0, Q.shape[0], rows):
+        q = Q[s:s + rows]
+        qn = np.einsum("ij,ij->i", q, q)
+        G = q @ X.T
+        G *= -2.0
+        G += qn[:, None]
+        G += xn
+        S = qn + xn.max()
+        E = np.where(S < _KNN_SAFE, 8.0 * (dim + 2) * (eps * S + tiny), np.inf)
+        # copied out, so that each partitioned block is freed at once
+        t = np.partition(G, k - 1, axis=1)[:, k - 1].copy()
+        # "not above" so that a row whose E is inf (G may hold NaN) takes all
+        cand = np.flatnonzero(~(G > (t + 2.0 * E)[:, None]))
+        G.fill(np.inf)
+        flat = G.reshape(-1)
+        for c in range(0, len(cand), pairs):
+            idx = cand[c:c + pairs]
+            d = q[idx // n]
+            d -= X[idx % n]
+            d *= d
+            flat[idx] = d.sum(axis=1)
+        kth = np.partition(G, k - 1, axis=1)[:, k - 1:k].copy()
+        votes[s:s + rows] = (G <= kth) @ onehot
+    return votes
 
 
 # ---------------------------------------------------------------------------

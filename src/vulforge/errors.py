@@ -109,6 +109,14 @@ class WidthMismatch(VulforgeError):
     pass
 
 
+class NonFiniteInput(VulforgeError):
+    """``row`` is the index of the first input row holding NaN or +-inf."""
+
+    def __init__(self, message: str = "", row: int | None = None):
+        self.row = row
+        super().__init__(message)
+
+
 # --- metrics --------------------------------------------------------------
 
 class LengthMismatch(VulforgeError):

@@ -8,10 +8,11 @@ given (X, y, cfg, seed); forest fitting may parallelize across trees with
 per-tree seed streams, so results are identical for any worker count.
 
 Every param is an ndarray except knn's ``k``, and every predict is a batch
-operation.  A forest is flat node arrays: ``feature``, ``threshold``,
-``left``, ``right`` and ``value`` (nodes, K) hold the trees' nodes, each
-tree in preorder and the trees joined in tree order, and ``roots`` (T,)
-holds each tree's root.  A leaf is its own left and right child, so
+operation.  Fit and predict both reject an input holding NaN or +-inf
+with ``NonFiniteInput``.  A forest is flat node arrays: ``feature``,
+``threshold``, ``left``, ``right`` and ``value`` (nodes, K) hold the trees'
+nodes, each tree in preorder and the trees joined in tree order, and
+``roots`` (T,) holds each tree's root.  A leaf is its own left and right child, so
 prediction moves all rows through all trees one depth level per step until
 none moves, then sums the leaf values in tree order.
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import EmptyTrainingSet, WidthMismatch
+from .errors import EmptyTrainingSet, NonFiniteInput, WidthMismatch
 
 META_KINDS = ("lr", "rf", "svm", "knn")
 
@@ -73,7 +74,16 @@ def _check_xy(X, y):
         raise EmptyTrainingSet("need at least one training row")
     if X.shape[0] != len(y):
         raise WidthMismatch(f"{X.shape[0]} rows vs {len(y)} labels")
+    _check_finite(X)
     return X, y
+
+
+def _check_finite(X):
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise NonFiniteInput(f"meta-learner input row {row} holds NaN or "
+                             "infinity", row=row)
 
 
 def _check_columns(X, columns, width):
@@ -118,6 +128,7 @@ def meta_predict_many(m: MetaModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != m.input_width:
         raise WidthMismatch(f"row width {X.shape[1:]} != model input {m.input_width}")
+    _check_finite(X)
     if m.kind == "lr":
         return _kernels.softmax(X @ m.params["W"].T + m.params["b"])
     if m.kind == "svm":
@@ -243,13 +254,11 @@ def _forest_predict(params, X):
 
 
 # ---------------------------------------------------------------------------
-# kNN (Euclidean; distance ties at the k-th neighbor include all equidistant)
+# kNN (Euclidean; distance ties at the k-th neighbor include all equidistant;
+# exactly the vote on ``_kernels.sq_dists``)
 # ---------------------------------------------------------------------------
 
 def _knn_predict(m: MetaModel, X):
-    labels, k = m.params["labels"], m.params["k"]
-    dists = _kernels.sq_dists(X, m.params["rows"])
-    kth = np.partition(dists, k - 1, axis=1)[:, k - 1:k]
-    # neighbors include every tie with the k-th distance
-    votes = (dists <= kth) @ np.eye(m.output_width)[labels]
+    votes = _kernels.knn_votes(X, m.params["rows"], m.params["labels"],
+                               m.params["k"], m.output_width)
     return votes / votes.sum(axis=1, keepdims=True)

@@ -7,10 +7,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vulforge import cli, store, synth
 from vulforge.errors import ProtocolOrderError
+from vulforge.metamodels import meta_fit
 
 LEARN = ["--epochs", "1", "--learning-rate", "2.0", "--batch-size", "160"]
 
@@ -176,6 +178,13 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "cmd_verify", boom)
         assert cli.main(["verify", "--out", str(tmp_path)]) == 4
+
+    def test_non_finite_meta_input_is_5(self, monkeypatch, tmp_path):
+        def fit_nan(args):
+            meta_fit("knn", np.array([[0.0, np.nan]]), np.array([0]))
+
+        monkeypatch.setattr(cli, "cmd_verify", fit_nan)
+        assert cli.main(["verify", "--out", str(tmp_path)]) == 5
 
     def test_other_vulforge_error_is_5(self, tmp_path):
         # eval with no pipeline artifacts under out: missing prediction file

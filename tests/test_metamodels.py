@@ -1,12 +1,15 @@
 """Meta-learner fit/predict contract across the four kinds."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_compact_of
 from vulforge import _kernels
-from vulforge.errors import EmptyTrainingSet, WidthMismatch
+from vulforge.errors import EmptyTrainingSet, NonFiniteInput, WidthMismatch
 from vulforge.metamodels import (
     META_KINDS,
     MetaConfig,
@@ -60,6 +63,24 @@ class TestAllKinds:
         with pytest.raises(WidthMismatch):
             meta_predict_many(m, np.zeros((2, 7)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fit_rejected(self, kind, bad):
+        X, y = _blobs(30)
+        X[7, 2] = bad
+        with pytest.raises(NonFiniteInput) as exc:
+            meta_fit(kind, X, y)
+        assert exc.value.row == 7
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_predict_rejected(self, kind, bad):
+        X, y = _blobs(30)
+        m = meta_fit(kind, X, y, MetaConfig(trees=5, epochs=5))
+        Q = X[:4].copy()
+        Q[2, 1] = bad
+        with pytest.raises(NonFiniteInput) as exc:
+            meta_predict_many(m, Q)
+        assert exc.value.row == 2
+
 
 class TestValidation:
     def test_empty_training(self):
@@ -102,6 +123,127 @@ class TestKnn:
         Q = rng.integers(0, 3, size=(n_query, d)).astype(np.float64)
         m = meta_fit("knn", X, y, MetaConfig(knn_k=k), output_width=k_out)
         assert np.array_equal(meta_predict_many(m, Q), _ref_knn_predict(m, Q))
+
+    # The hard cases of the Gram kernel: the candidate bound must keep every
+    # neighbour and tie however close the distances, large the values or
+    # ragged the blocks.
+
+    def _assert_matches_reference(self, X, y, Q, k, k_out=3):
+        m = meta_fit("knn", X, y, MetaConfig(knn_k=k), output_width=k_out)
+        assert np.array_equal(meta_predict_many(m, Q), _ref_knn_predict(m, Q))
+
+    @pytest.mark.parametrize("block", [_kernels._KNN_BLOCK, 40])
+    def test_one_ulp_near_ties(self, block):
+        # fit rows one ulp apart on either side of the query's k-th distance
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=12)
+        X = np.tile(base, (40, 1))
+        X[:, 0] = base[0] + np.arange(-20, 20) * np.spacing(base[0])
+        X[::3, 5] = np.nextafter(base[5], np.inf)
+        y = rng.integers(0, 3, size=40)
+        Q = np.vstack([base + 1.0, base - 1.0, base, X[17]])
+        Q[:, 0] += rng.normal(size=4) * 1e-13
+        with mock.patch.object(_kernels, "_KNN_BLOCK", block):
+            for k in (1, 5, 21):
+                self._assert_matches_reference(X, y, Q, k)
+
+    @pytest.mark.parametrize("block", [_kernels._KNN_BLOCK, 40])
+    def test_all_duplicate_fit_rows(self, block):
+        # every distance ties, so every pair is a candidate and every row votes
+        rng = np.random.default_rng(6)
+        X = np.tile(rng.normal(size=7), (30, 1))
+        y = rng.integers(0, 3, size=30)
+        Q = np.vstack([X[0], rng.normal(size=(9, 7))])
+        with mock.patch.object(_kernels, "_KNN_BLOCK", block):
+            self._assert_matches_reference(X, y, Q, 5)
+
+    def test_large_magnitude_rows(self):
+        # like a gate input: count columns in the 1e3..1e6 range, then
+        # expert probabilities.  Each query's fit rows are 0, 1 or 2 away
+        # along one column, so k = 3 falls inside six rows at distance 1
+        # (exactly, or within an ulp along a probability column), which
+        # the Gram rounding, about 1e-3 here, does not order.
+        rng = np.random.default_rng(7)
+        base = np.hstack([rng.integers(1_000, 1_000_000, size=(10, 20)),
+                          rng.random((10, 6))])
+        eye = np.eye(26)
+        steps = np.vstack([np.zeros(26), eye[:3], eye[20:23], -2 * eye[6:9],
+                           2 * eye[23:]])
+        X = (base[:, None, :] + steps[None, :, :]).reshape(-1, 26)
+        y = rng.integers(0, 3, size=len(X))
+        Q = np.vstack([base, base + eye[10]])
+        for k in (3, 5, 8):
+            self._assert_matches_reference(X, y, Q, k)
+
+    def test_k_equals_fit_rows(self):
+        X, y = _blobs(24, seed=8)
+        self._assert_matches_reference(X, y, _blobs(10, seed=9)[0], 24, k_out=2)
+
+    def test_one_dimension(self):
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(50, 1))
+        X[25:] = X[:25]
+        y = rng.integers(0, 3, size=50)
+        Q = np.vstack([X[:5], rng.normal(size=(20, 1))])
+        for k in (1, 3, 50):
+            self._assert_matches_reference(X, y, Q, k)
+
+    @pytest.mark.parametrize("block", [_kernels._KNN_BLOCK, 64])
+    def test_queries_span_ragged_blocks(self, block):
+        # 64 entries over 13 fit rows: blocks of 4 query rows, the last of 3;
+        # at the real block size, three full blocks and one of 5 rows
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(13, 6))
+        y = rng.integers(0, 3, size=13)
+        n_query = 4 * 7 + 3 if block == 64 else 3 * (_kernels._KNN_BLOCK // 13) + 5
+        Q = rng.normal(size=(n_query, 6))
+        Q[::4] = X[rng.integers(0, 13, size=len(Q[::4]))]
+        with mock.patch.object(_kernels, "_KNN_BLOCK", block):
+            self._assert_matches_reference(X, y, Q, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 20),
+           st.sampled_from([1, 2, 3, 6, 9, 17, 45, 130]),
+           st.integers(1, 8), st.sampled_from([1e-300, 1e-3, 1.0, 1e6, 1e150, 1e160]),
+           st.sampled_from([1e-9, 1e-7, 1e-3, 1.0]),
+           st.sampled_from([1, 7, 64, _kernels._KNN_BLOCK]),
+           st.integers(0, 2**32 - 1))
+    def test_real_rows_match_reference(self, n_train, n_query, d, k, scale,
+                                       spread, block, seed):
+        # real-valued rows about one center: at a small spread their
+        # distances are as small as the Gram rounding error.  Duplicates and
+        # queries a few ulps from a fit row add exact and near ties.
+        rng = np.random.default_rng(seed)
+        X = (rng.normal(size=d) + spread * rng.normal(size=(n_train, d))) * scale
+        X[rng.random(n_train) < 0.3] = X[0]
+        y = rng.integers(0, 3, size=n_train)
+        Q = X.mean(axis=0) + rng.normal(size=(n_query, d)) * (spread * scale)
+        near = rng.random(n_query) < 0.5
+        Q[near] = X[rng.integers(0, n_train, size=near.sum())]
+        Q[near] += rng.integers(-3, 4, size=(near.sum(), d)) * np.spacing(Q[near])
+        # at scale 1e160 the squares overflow to inf, in both kernels alike
+        with (mock.patch.object(_kernels, "_KNN_BLOCK", block),
+              np.errstate(over="ignore", invalid="ignore")):
+            self._assert_matches_reference(X, y, Q, k)
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_predict_memory_bounded(self, duplicates):
+        # one knn predict at 1,600 x 1,600, D = 45; all-duplicate fit and
+        # query rows make every pair a candidate
+        rng = np.random.default_rng(12)
+        X = rng.random((1600, 45))
+        Q = rng.random((1600, 45))
+        if duplicates:
+            X[:] = X[0]
+            Q[:] = X[0]
+        m = meta_fit("knn", X, rng.integers(0, 9, size=1600), output_width=9)
+        tracemalloc.start()
+        try:
+            meta_predict_many(m, Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def _ref_knn_predict(m, X):
