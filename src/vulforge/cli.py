@@ -22,12 +22,15 @@ import fcntl
 import hashlib
 import json
 import logging
+import math
 import sys
+from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from . import ensembles, ingest, metrics, store, synth
+from . import ensembles, ingest, metrics, store
 from .codefeat import FeaturizerConfig
 from .core import PredictionSet
 from .errors import ConfigError, IoError, ProtocolOrderError, VulforgeError
@@ -40,11 +43,11 @@ from .learners import (
     featurize_dataset,
     fit_builtin,
     ingest_predictions,
+    ingest_round_predictions,
+    predict_builtin_many,
     write_predictions,
 )
 from .metamodels import META_KINDS, MetaConfig
-
-log = logging.getLogger("vulforge")
 
 EXIT_CONFIG, EXIT_IO, EXIT_PROTOCOL, EXIT_OTHER = 2, 3, 4, 5
 
@@ -52,25 +55,48 @@ EXIT_CONFIG, EXIT_IO, EXIT_PROTOCOL, EXIT_OTHER = 2, 3, 4, 5
 # config resolution and artifact plumbing
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = (
-    "dataset", "schema", "seed", "members", "rounds", "meta", "routing",
-    "dims", "ngram_orders", "learning_rate", "epochs", "l2", "batch_size",
-    "external", "out", "workers",
-)
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
 
-_DEFAULTS = {
-    "schema": "binary", "seed": 0, "members": 5, "rounds": 10, "meta": "lr",
-    "routing": "hard", "dims": 1 << 18, "ngram_orders": [1, 2],
-    "learning_rate": 0.5, "epochs": 20, "l2": 1e-6, "batch_size": 32,
-    "external": None, "out": "out", "workers": 1,
+
+def _is_real(val) -> bool:
+    return (_is_int(val) or isinstance(val, float)) and math.isfinite(val)
+
+
+_COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
+_PATH = ("a path string", lambda v: isinstance(v, str))
+_PATH_OR_NULL = ("a path string or null", lambda v: v is None or isinstance(v, str))
+
+#: config key -> (default, rule, check).  A value from a flag or from the
+#: config file must pass ``check`` as given; nothing is coerced, so a valid
+#: config hashes to the same bytes it always has.
+_CONFIG = {
+    "dataset": (None, *_PATH_OR_NULL),
+    "schema": ("binary", "binary|multiclass", lambda v: v in ("binary", "multiclass")),
+    "seed": (0, "an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "members": (5, *_COUNT),
+    "rounds": (10, *_COUNT),
+    "meta": ("lr", "|".join(META_KINDS), lambda v: v in META_KINDS),
+    "routing": ("hard", "hard|soft", lambda v: v in ("hard", "soft")),
+    "dims": (1 << 18, "a power of two",
+             lambda v: _is_int(v) and v >= 1 and not v & (v - 1)),
+    "ngram_orders": ([1, 2], "a non-empty list of integers >= 1",
+                     lambda v: isinstance(v, list) and len(v) > 0
+                     and all(map(_COUNT[1], v))),
+    "learning_rate": (0.5, "a finite number > 0", lambda v: _is_real(v) and v > 0),
+    "epochs": (20, *_COUNT),
+    "l2": (1e-6, "a finite number >= 0", lambda v: _is_real(v) and v >= 0),
+    "batch_size": (32, *_COUNT),
+    "external": (None, *_PATH_OR_NULL),
+    "out": ("out", *_PATH),
+    "workers": (1, *_COUNT),
 }
-
-#: integer settings that must be >= 1 (validated once, in resolve_config)
-_POSITIVE_INT_KEYS = ("epochs", "members", "rounds", "batch_size")
+_DEFAULTS = {key: default for key, (default, _, _) in _CONFIG.items()}
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Config file values overridden by explicit CLI flags, over defaults."""
+    """Config file values overridden by explicit CLI flags, over defaults;
+    every value is checked against its rule in ``_CONFIG``."""
     cfg = dict(_DEFAULTS)
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -80,64 +106,34 @@ def resolve_config(args: argparse.Namespace) -> dict:
             loaded = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path}: {exc}") from exc
-        unknown = set(loaded) - set(_CONFIG_KEYS)
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
+        unknown = set(loaded) - set(_CONFIG)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(loaded)
-    for key in _CONFIG_KEYS:
+    for key in _CONFIG:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if cfg.get("schema") not in ("binary", "multiclass"):
-        raise ConfigError(f"schema must be binary|multiclass, got {cfg.get('schema')!r}")
-    for key in _POSITIVE_INT_KEYS:
-        if not _is_int(cfg[key]) or cfg[key] < 1:
-            raise ConfigError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
-    dims = cfg["dims"]
-    if not _is_int(dims) or dims < 1 or dims & (dims - 1):
-        raise ConfigError(f"dims must be a power of two, got {dims!r}")
+    for key, (_, rule, check) in _CONFIG.items():
+        if not check(cfg[key]):
+            raise ConfigError(f"{key} must be {rule}, got {cfg[key]!r}")
     return cfg
 
 
-def _is_int(val) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool)
-
-
 def _echo(cfg: dict) -> dict:
-    return {k: cfg.get(k) for k in _CONFIG_KEYS}
+    return {k: cfg.get(k) for k in _CONFIG}
 
 
-def _write_json(path: Path, payload: dict, cfg: dict) -> None:
-    payload = dict(payload)
-    payload.setdefault("schema_version", store.SCHEMA_VERSION)
-    payload["config_hash"] = store.config_hash(_echo(cfg))
-    _atomic_write(path, (json.dumps(payload, indent=1, sort_keys=True,
-                                    default=float) + "\n").encode("utf-8"))
-    _record_artifact(Path(cfg["out"]), path, cfg)
-
-
-def _stamp_csv(path: Path, cfg: dict) -> None:
-    """Prepend the config-hash comment line to a CSV just written."""
-    text = path.read_text(encoding="utf-8")
-    _atomic_write(path, (f"# config_hash={store.config_hash(_echo(cfg))}\n"
-                         + text).encode("utf-8"))
-    _record_artifact(Path(cfg["out"]), path, cfg)
-
-
-def _save_ensemble(cfg: dict, name: str, e) -> None:
-    """Save ``e`` under out/ensembles/<name> and track its ensemble.json."""
-    out = Path(cfg["out"])
-    _record_artifact(out, store.save_ensemble(out / "ensembles" / name, e,
-                                              _echo(cfg)), cfg)
-
-
-def _record_artifact(out: Path, path: Path, cfg: dict) -> None:
-    """Track every artifact in out/manifest.json for `verify`.
+def _record_artifact(out: Path, path: Path, cfg: dict, blob: bytes | None = None) -> None:
+    """Track an artifact in out/manifest.json for `verify`: the digest of
+    ``blob``, the bytes just written to ``path``, or else of the file.
 
     The read-modify-write holds an exclusive lock on out/manifest.lock, so
     concurrent commands on one --out each add their entries."""
     manifest_path = out / "manifest.json"
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256(path.read_bytes() if blob is None else blob).hexdigest()
     rel = str(path.relative_to(out)) if path.is_relative_to(out) else str(path)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "manifest.lock", "a") as lock:
@@ -151,67 +147,106 @@ def _record_artifact(out: Path, path: Path, cfg: dict) -> None:
                                       + "\n").encode("utf-8"))
 
 
-def _load_dataset(cfg: dict) -> ingest.Dataset:
-    if not cfg.get("dataset"):
-        raise ConfigError("no dataset given (--dataset or config file)")
-    path = Path(cfg["dataset"])
-    if not path.exists():
-        raise IoError(f"dataset file {path} does not exist")
-    return ingest.load_dataset(path, cfg["schema"])
+class _Run:
+    """One command's run: its config, resolved once; its inputs, loaded on
+    first use; and every artifact it writes, each recorded in
+    out/manifest.json under the config hash.
+
+    Inputs load in pipeline order (dataset, splits, features), so a missing
+    one is reported before any input built from it."""
+
+    def __init__(self, args: argparse.Namespace):
+        self.cfg = resolve_config(args)
+        self.out = Path(self.cfg["out"])
+        self.echo = _echo(self.cfg)
+        self.config_hash = store.config_hash(self.echo)
+
+    @cached_property
+    def dataset(self) -> ingest.Dataset:
+        if not self.cfg["dataset"]:
+            raise ConfigError("no dataset given (--dataset or config file)")
+        path = Path(self.cfg["dataset"])
+        if not path.exists():
+            raise IoError(f"dataset file {path} does not exist")
+        return ingest.load_dataset(path, self.cfg["schema"])
+
+    @cached_property
+    def splits(self) -> ingest.SplitIndices:
+        _ = self.dataset
+        path = self.out / "splits.json"
+        if not path.exists():
+            raise IoError(f"{path} missing; run `vulforge split` first")
+        return ingest.load_splits(path)
+
+    @cached_property
+    def features(self) -> FeatureMatrix:
+        _ = self.splits
+        fdir = self.out / "features"
+        meta_path = fdir / "meta.json"
+        if not meta_path.exists():
+            raise IoError(f"{meta_path} missing; run `vulforge featurize` first")
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        return FeatureMatrix(tuple(meta["ids"]), np.load(fdir / "indptr.npy"),
+                             np.load(fdir / "indices.npy"), np.load(fdir / "data.npy"),
+                             meta["dims"])
+
+    @cached_property
+    def learner(self) -> LearnerConfig:
+        c = self.cfg
+        return LearnerConfig(learning_rate=c["learning_rate"], epochs=c["epochs"],
+                             l2=c["l2"], batch_size=c["batch_size"], seed=c["seed"])
+
+    def predictions(self, model_ids, split: str) -> list[PredictionSet]:
+        """The prediction sets of ``model_ids`` on ``split``, read from
+        --external, or else from --out."""
+        root = Path(self.cfg["external"] or self.out)
+        ids = self.splits.for_split(split)
+        return [ingest_predictions(root, mid, split, ids) for mid in model_ids]
+
+    def emit(self, path: Path, blob: bytes) -> None:
+        """Write ``blob`` to ``path`` atomically and record its digest."""
+        _atomic_write(path, blob)
+        _record_artifact(self.out, path, self.cfg, blob)
+
+    def emit_json(self, path: Path, payload: dict) -> None:
+        """Emit ``payload`` as JSON with the schema version and config hash."""
+        payload ={"schema_version": store.SCHEMA_VERSION, **payload,
+                   "config_hash": self.config_hash}
+        self.emit(path, (json.dumps(payload, indent=1, sort_keys=True, default=float)
+                         + "\n").encode("utf-8"))
+
+    def emit_csv(self, path: Path, blob: bytes) -> None:
+        """Emit a CSV under a ``# config_hash=`` line.  Its line ends and
+        bare carriage returns become ``\\n``: the bytes these files have
+        always had, a universal-newline read of the csv module's output."""
+        self.emit(path, f"# config_hash={self.config_hash}\n".encode("utf-8")
+                  + blob.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
+
+    def report(self, name: str, pred: PredictionSet, ids) -> None:
+        """Score ``pred`` on ``ids`` and emit report_<name>.json and .csv."""
+        d = self.dataset
+        labels, truth = pred.reindexed(ids).argmax(axis=1), d.labels_for(ids)
+        report = (metrics.binary_metrics(labels, truth) if d.class_count == 2
+                  else metrics.weighted_metrics(labels, truth, d.class_count))
+        self.emit_json(self.out / f"report_{name}.json", report.to_dict())
+        row = {"method": name, **{k: v for k, v in report.to_dict().items()
+                                  if not isinstance(v, (list, dict))}}
+        metrics.write_report_csv(self.out / f"report_{name}.csv", [row],
+                                 write=self.emit_csv)
+        print(f"{name}: {report.human()}")
+
+    def finish_ensemble(self, name: str, e, pred: PredictionSet) -> None:
+        """An ensemble command's tail: save ``e`` as out/ensembles/<name>,
+        write its test-split predictions ``pred`` and report them."""
+        store.save_ensemble(self.out / "ensembles" / name, e, self.echo, write=self.emit)
+        write_predictions(self.out, pred, write=self.emit)
+        self.report(name, pred, self.splits.test)
 
 
-def _load_splits(cfg: dict) -> ingest.SplitIndices:
-    path = Path(cfg["out"]) / "splits.json"
-    if not path.exists():
-        raise IoError(f"{path} missing; run `vulforge split` first")
-    return ingest.load_splits(path)
-
-
-def _features_dir(cfg: dict) -> Path:
-    return Path(cfg["out"]) / "features"
-
-
-def _load_features(cfg: dict) -> FeatureMatrix:
-    fdir = _features_dir(cfg)
-    meta_path = fdir / "meta.json"
-    if not meta_path.exists():
-        raise IoError(f"{meta_path} missing; run `vulforge featurize` first")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    return FeatureMatrix(
-        tuple(meta["ids"]),
-        np.load(fdir / "indptr.npy"),
-        np.load(fdir / "indices.npy"),
-        np.load(fdir / "data.npy"),
-        meta["dims"],
-    )
-
-
-def _preds_root(cfg: dict) -> Path:
-    return Path(cfg["external"]) if cfg.get("external") else Path(cfg["out"])
-
-
-def _learner_cfg(cfg: dict) -> LearnerConfig:
-    return LearnerConfig(learning_rate=cfg["learning_rate"], epochs=cfg["epochs"],
-                         l2=cfg["l2"], batch_size=cfg["batch_size"],
-                         seed=cfg["seed"])
-
-
-def _evaluate(pred: PredictionSet, d: ingest.Dataset, ids) -> metrics.MetricsReport:
-    labels = pred.reindexed(ids).argmax(axis=1)
-    truth = d.labels_for(ids)
-    if d.class_count == 2:
-        return metrics.binary_metrics(labels, truth)
-    return metrics.weighted_metrics(labels, truth, d.class_count)
-
-
-def _emit_report(name: str, report: metrics.MetricsReport, cfg: dict) -> None:
-    out = Path(cfg["out"])
-    _write_json(out / f"report_{name}.json", report.to_dict(), cfg)
-    row = {"method": name, **{k: v for k, v in report.to_dict().items()
-                              if not isinstance(v, (list, dict))}}
-    metrics.write_report_csv(out / f"report_{name}.csv", [row])
-    _stamp_csv(out / f"report_{name}.csv", cfg)
-    print(f"{name}: {report.human()}")
+def _base_ids(args, needs: str) -> list[str]:
+    if not args.base:
+        raise ConfigError(f"{needs} needs --base model ids")
+    return args.base.split(",")
 
 
 # ---------------------------------------------------------------------------
@@ -219,201 +254,137 @@ def _emit_report(name: str, report: metrics.MetricsReport, cfg: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_split(args) -> int:
-    cfg = resolve_config(args)
-    d = _load_dataset(cfg)
-    s = ingest.stratified_split(d, cfg["seed"])
-    out = Path(cfg["out"])
-    payload = {"seed": s.seed, "train": list(s.train), "val": list(s.val),
-               "test": list(s.test)}
-    _write_json(out / "splits.json", payload, cfg)
+    run = _Run(args)
+    s = ingest.stratified_split(run.dataset, run.cfg["seed"])
+    run.emit_json(run.out / "splits.json", {"seed": s.seed, "train": list(s.train),
+                                            "val": list(s.val), "test": list(s.test)})
     print(f"split: train={len(s.train)} val={len(s.val)} test={len(s.test)}")
     return 0
 
 
 def cmd_featurize(args) -> int:
-    cfg = resolve_config(args)
-    d = _load_dataset(cfg)
-    fconfig = FeaturizerConfig(cfg["dims"], tuple(cfg["ngram_orders"]))
-    fm = featurize_dataset(d, fconfig)
-    fdir = _features_dir(cfg)
-    for name, arr in (("indptr", fm.indptr), ("indices", fm.indices),
-                      ("data", fm.data)):
-        _atomic_write(fdir / f"{name}.npy", store._npy_bytes(arr))
-        _record_artifact(Path(cfg["out"]), fdir / f"{name}.npy", cfg)
-    _write_json(fdir / "meta.json",
-                {"ids": list(fm.ids), "dims": fm.dims,
-                 "ngram_orders": list(fconfig.ngram_orders)}, cfg)
+    run = _Run(args)
+    fconfig = FeaturizerConfig(run.cfg["dims"], tuple(run.cfg["ngram_orders"]))
+    fm = featurize_dataset(run.dataset, fconfig)
+    fdir = run.out / "features"
+    for name in ("indptr", "indices", "data"):
+        run.emit(fdir / f"{name}.npy", store._npy_bytes(getattr(fm, name)))
+    run.emit_json(fdir / "meta.json", {"ids": list(fm.ids), "dims": fm.dims,
+                                       "ngram_orders": list(fconfig.ngram_orders)})
     print(f"featurize: {len(fm.ids)} samples, {len(fm.data)} nonzeros, D={fm.dims}")
     return 0
 
 
 def cmd_train_base(args) -> int:
-    cfg = resolve_config(args)
-    d = _load_dataset(cfg)
-    s = _load_splits(cfg)
-    fm = _load_features(cfg)
-    lcfg = _learner_cfg(cfg)
-    model = fit_builtin(d, s.train, SampleWeights.uniform(s.train), lcfg, fm)
-    from .learners import predict_builtin_many
-
+    run = _Run(args)
+    s = run.splits
+    model = fit_builtin(run.dataset, s.train, SampleWeights.uniform(s.train),
+                        run.learner, run.features)
     for split in ("train", "val", "test"):
         ids = s.for_split(split)
-        probs = predict_builtin_many(model, *fm.rows_for(ids))
-        path = write_predictions(Path(cfg["out"]), PredictionSet(
-            args.model_id, split, tuple(ids), probs))
-        _record_artifact(Path(cfg["out"]), path, cfg)
+        probs = predict_builtin_many(model, *run.features.rows_for(ids))
+        write_predictions(run.out, PredictionSet(args.model_id, split, tuple(ids), probs),
+                          write=run.emit)
     print(f"train-base: {args.model_id} trained on {len(s.train)} samples")
     return 0
 
 
-def _base_predsets(cfg: dict, base_ids: list[str], split: str,
-                   ids) -> list[PredictionSet]:
-    root = _preds_root(cfg)
-    return [ingest_predictions(root, mid, split, ids) for mid in base_ids]
-
-
 def cmd_bag(args) -> int:
-    cfg = resolve_config(args)
-    d = _load_dataset(cfg)
-    s = _load_splits(cfg)
+    run = _Run(args)
     name = f"bagging_{args.mode}"
-    if cfg.get("external"):
-        if not args.base:
-            raise ConfigError("external bagging needs --base model ids")
-        base_ids = args.base.split(",")
-        e = ensembles.bagging_from_predictions(
-            _base_predsets(cfg, base_ids, "test", s.test), args.mode)
-        pred = ensembles.bagging_predict_set(e, s.test, None, "test", name)
+    if run.cfg["external"]:
+        base_ids = _base_ids(args, "external bagging")
+        e = ensembles.bagging_from_predictions(run.predictions(base_ids, "test"),
+                                               args.mode)
+        pred = ensembles.bagging_predict_set(e, run.splits.test, None, "test", name)
     else:
-        fm = _load_features(cfg)
-        plan = ingest.bootstrap(d, s, cfg["members"], cfg["seed"])
-        spec = BaseLearnerSpec("builtin_linear", name, _learner_cfg(cfg))
-        e = ensembles.bagging_fit(spec, plan, d, args.mode, fm,
-                                  workers=cfg["workers"])
+        d, s, fm = run.dataset, run.splits, run.features
+        plan = ingest.bootstrap(d, s, run.cfg["members"], run.cfg["seed"])
+        spec = BaseLearnerSpec("builtin_linear", name, run.learner)
+        e = ensembles.bagging_fit(spec, plan, d, args.mode, fm, workers=run.cfg["workers"])
         pred = ensembles.bagging_predict_set(e, s.test, fm, "test", name)
-    _save_ensemble(cfg, name, e)
-    path = write_predictions(Path(cfg["out"]), pred)
-    _record_artifact(Path(cfg["out"]), path, cfg)
-    _emit_report(name, _evaluate(pred, d, s.test), cfg)
+    run.finish_ensemble(name, e, pred)
     return 0
 
 
 def cmd_boost(args) -> int:
-    cfg = resolve_config(args)
-    d = _load_dataset(cfg)
-    s = _load_splits(cfg)
-    out = Path(cfg["out"])
+    run = _Run(args)
+    d, s = run.dataset, run.splits
     weight_log: list = []
-    if cfg.get("external"):
-        from dataclasses import replace as _replace
-
-        from .learners import ingest_round_predictions
-
-        root = Path(cfg["external"])
-        e = ensembles.adaboost_fit_external(root, d, s.train, cfg["rounds"],
+    if run.cfg["external"]:
+        root = Path(run.cfg["external"])
+        e = ensembles.adaboost_fit_external(root, d, s.train, run.cfg["rounds"],
                                             args.vote_mode)
         # test-split votes come from each round's preds_test protocol file
-        test_rounds = tuple(
-            _replace(r, model=ingest_round_predictions(root, r.t, "test", s.test))
-            for r in e.rounds)
-        e_test = ensembles.BoostEnsemble(test_rounds, e.class_count, e.variant,
-                                         e.vote_mode)
+        e_test = replace(e, rounds=tuple(
+            replace(r, model=ingest_round_predictions(root, r.t, "test", s.test))
+            for r in e.rounds))
         pred = ensembles.adaboost_predict_set(e_test, s.test, None, "test")
-        weight_log = [(r.t, None) for r in e.rounds]
     else:
-        fm = _load_features(cfg)
-        spec = BaseLearnerSpec("builtin_linear", "boosting", _learner_cfg(cfg))
-        bcfg = ensembles.BoostConfig(cfg["rounds"], args.weight_mode,
-                                     args.vote_mode)
-        e = ensembles.adaboost_fit(spec, d, s.train, bcfg, fm,
+        spec = BaseLearnerSpec("builtin_linear", "boosting", run.learner)
+        bcfg = ensembles.BoostConfig(run.cfg["rounds"], args.weight_mode, args.vote_mode)
+        e = ensembles.adaboost_fit(spec, d, s.train, bcfg, run.features,
                                    weight_log=weight_log)
-        pred = ensembles.adaboost_predict_set(e, s.test, fm, "test")
+        pred = ensembles.adaboost_predict_set(e, s.test, run.features, "test")
     labels = d.labels_for(s.train)
     for t, w in weight_log[:len(e.rounds)]:
-        if w is None:
-            continue
-        csv_path = out / f"boost_weights_round_{t}.csv"
-        metrics.write_boost_weights_csv(csv_path, t, s.train, w, labels)
-        _stamp_csv(csv_path, cfg)
-    _save_ensemble(cfg, "boosting", e)
-    path = write_predictions(out, pred)
-    _record_artifact(out, path, cfg)
-    _emit_report("boosting", _evaluate(pred, d, s.test), cfg)
+        metrics.write_boost_weights_csv(run.out / f"boost_weights_round_{t}.csv", t,
+                                        s.train, w, labels, write=run.emit_csv)
+    run.finish_ensemble("boosting", e, pred)
     print(f"boost: retained {len(e.rounds)} rounds "
           f"(eps={[round(r.epsilon, 4) for r in e.rounds]})")
     return 0
 
 
 def cmd_stack(args) -> int:
-    cfg = resolve_config(args)
-    d = _load_dataset(cfg)
-    s = _load_splits(cfg)
-    if not args.base:
-        raise ConfigError("stacking needs --base model ids")
-    base_ids = args.base.split(",")
-    name = f"stacking_{cfg['meta']}"
+    run = _Run(args)
+    base_ids = _base_ids(args, "stacking")
+    d, s = run.dataset, run.splits
+    name = f"stacking_{run.cfg['meta']}"
     if args.oof:
-        fm = _load_features(cfg)
-        from dataclasses import replace as _replace
-
-        train_preds = []
+        if not 2 <= args.folds <= len(s.train):
+            raise ConfigError(f"folds must be an integer in [2, {len(s.train)}], "
+                              f"got {args.folds}")
+        base_fit, fit_ids = [], s.train
         for i, mid in enumerate(base_ids):
-            lcfg = _replace(_learner_cfg(cfg),
-                            seed=ensembles.derive_seed(cfg["seed"], 0x57A, i))
-            spec = BaseLearnerSpec("builtin_linear", mid, lcfg)
-            train_preds.append(ensembles.oof_prediction_set(
-                spec, d, s.train, fm, folds=args.folds, seed=cfg["seed"]))
-        fit_ids, labels = s.train, d.labels_for(s.train)
-        base_fit = train_preds
+            lcfg = replace(run.learner, seed=ensembles.derive_seed(run.cfg["seed"], 0x57A, i))
+            base_fit.append(ensembles.oof_prediction_set(
+                BaseLearnerSpec("builtin_linear", mid, lcfg), d, s.train, run.features,
+                folds=args.folds, seed=run.cfg["seed"]))
     else:
-        base_fit = _base_predsets(cfg, base_ids, "val", s.val)
-        fit_ids, labels = s.val, d.labels_for(s.val)
-    model = ensembles.stacking_fit(base_fit, fit_ids, labels, cfg["meta"],
-                                   MetaConfig(), cfg["seed"])
-    base_test = _base_predsets(cfg, base_ids, "test", s.test)
-    pred = ensembles.stacking_predict_set(model, base_test, s.test, "test", name)
-    _save_ensemble(cfg, name, model)
-    path = write_predictions(Path(cfg["out"]), pred)
-    _record_artifact(Path(cfg["out"]), path, cfg)
-    _emit_report(name, _evaluate(pred, d, s.test), cfg)
+        base_fit, fit_ids = run.predictions(base_ids, "val"), s.val
+    model = ensembles.stacking_fit(base_fit, fit_ids, d.labels_for(fit_ids),
+                                   run.cfg["meta"], MetaConfig(), run.cfg["seed"])
+    pred = ensembles.stacking_predict_set(model, run.predictions(base_ids, "test"),
+                                          s.test, "test", name)
+    run.finish_ensemble(name, model, pred)
     return 0
 
 
 def cmd_dgs(args) -> int:
-    cfg = resolve_config(args)
-    d = _load_dataset(cfg)
-    s = _load_splits(cfg)
-    fm = _load_features(cfg)
-    if not args.base:
-        raise ConfigError("dgs needs --base model ids")
-    base_ids = args.base.split(",")
-    name = f"dgs_{cfg['routing']}"
-    base_val = _base_predsets(cfg, base_ids, "val", s.val)
+    run = _Run(args)
+    base_ids = _base_ids(args, "dgs")
+    d, s, fm = run.dataset, run.splits, run.features
+    name = f"dgs_{run.cfg['routing']}"
     gate = ensembles.dgs_fit(
-        base_val, s.val, d.labels_for(s.val), fm,
-        ensembles.DgsConfig(cfg["routing"], args.gate),
-        gate_learner_cfg=_learner_cfg(cfg), seed=cfg["seed"])
-    base_test = _base_predsets(cfg, base_ids, "test", s.test)
-    pred = ensembles.dgs_predict_set(gate, base_test, s.test, fm, "test", name)
-    _save_ensemble(cfg, name, gate)
-    path = write_predictions(Path(cfg["out"]), pred)
-    _record_artifact(Path(cfg["out"]), path, cfg)
-    _emit_report(name, _evaluate(pred, d, s.test), cfg)
+        run.predictions(base_ids, "val"), s.val, d.labels_for(s.val), fm,
+        ensembles.DgsConfig(run.cfg["routing"], args.gate),
+        gate_learner_cfg=run.learner, seed=run.cfg["seed"])
+    pred = ensembles.dgs_predict_set(gate, run.predictions(base_ids, "test"), s.test,
+                                     fm, "test", name)
+    run.finish_ensemble(name, gate, pred)
     return 0
 
 
 def cmd_eval(args) -> int:
-    cfg = resolve_config(args)
-    d = _load_dataset(cfg)
-    s = _load_splits(cfg)
-    ids = s.for_split(args.split)
-    pred = ingest_predictions(_preds_root(cfg), args.preds, args.split, ids)
-    _emit_report(args.preds, _evaluate(pred, d, ids), cfg)
+    run = _Run(args)
+    pred, = run.predictions([args.preds], args.split)
+    run.report(args.preds, pred, run.splits.for_split(args.split))
     return 0
 
 
 def cmd_rank(args) -> int:
-    cfg = resolve_config(args)
+    run = _Run(args)
     path = Path(args.scores)
     if not path.exists():
         raise IoError(f"scores file {path} does not exist")
@@ -447,10 +418,8 @@ def cmd_rank(args) -> int:
                           "instance x metric grid")
     table = metrics.average_rank(scores, methods, instances, mets,
                                  tie_rule=args.tie_rule)
-    out = Path(cfg["out"])
-    metrics.write_ranks_csv(out / "ranks.csv", table)
-    _stamp_csv(out / "ranks.csv", cfg)
-    _write_json(out / "ranks.json", table.to_dict(), cfg)
+    metrics.write_ranks_csv(run.out / "ranks.csv", table, write=run.emit_csv)
+    run.emit_json(run.out / "ranks.json", table.to_dict())
     for i, m in enumerate(methods):
         cells = "  ".join(f"{met}={table.averages[i, j]:.2f}"
                           for j, met in enumerate(mets))
@@ -458,72 +427,51 @@ def cmd_rank(args) -> int:
     return 0
 
 
-def _correct_sets(cfg, d, s, base_ids, split):
-    ids = s.for_split(split)
-    truth = d.labels_for(ids)
-    sets = []
-    for mid in base_ids:
-        p = ingest_predictions(_preds_root(cfg), mid, split, ids)
-        labels = p.reindexed(ids).argmax(axis=1)
-        sets.append({sid for sid, ok in zip(ids, labels == truth) if ok})
-    return ids, truth, sets
-
-
 def cmd_overlap(args) -> int:
-    cfg = resolve_config(args)
-    d = _load_dataset(cfg)
-    s = _load_splits(cfg)
-    base_ids = args.preds.split(",")
-    _, _, sets = _correct_sets(cfg, d, s, base_ids, args.split)
+    run = _Run(args)
+    ids = run.splits.for_split(args.split)
+    truth = run.dataset.labels_for(ids)
+    sets = [{sid for sid, ok in zip(ids, p.reindexed(ids).argmax(axis=1) == truth) if ok}
+            for p in run.predictions(args.preds.split(","), args.split)]
     regions = metrics.overlap_regions(sets)
-    out = Path(cfg["out"])
-    metrics.write_overlap_csv(out / "overlap.csv", regions, len(sets))
-    _stamp_csv(out / "overlap.csv", cfg)
+    metrics.write_overlap_csv(run.out / "overlap.csv", regions, len(sets),
+                              write=run.emit_csv)
     print(f"overlap: {len(regions)} regions over {len(sets)} sets, "
           f"union={sum(regions.values())}")
     return 0
 
 
 def cmd_divergence(args) -> int:
-    cfg = resolve_config(args)
-    d = _load_dataset(cfg)
-    s = _load_splits(cfg)
-    base_ids = args.preds.split(",")
-    ids = s.for_split(args.split)
-    preds = [ingest_predictions(_preds_root(cfg), mid, args.split, ids)
-             for mid in base_ids]
-    truth = {sid: int(lbl) for sid, lbl in zip(ids, d.labels_for(ids))}
+    run = _Run(args)
+    ids = run.splits.for_split(args.split)
+    preds = run.predictions(args.preds.split(","), args.split)
+    truth = {sid: int(lbl) for sid, lbl in zip(ids, run.dataset.labels_for(ids))}
     report = metrics.divergence(preds, truth)
-    out = Path(cfg["out"])
-    metrics.write_divergence_csv(out / "divergence.csv", report)
-    _stamp_csv(out / "divergence.csv", cfg)
-    _write_json(out / "divergence.json", report.to_dict(), cfg)
+    metrics.write_divergence_csv(run.out / "divergence.csv", report, write=run.emit_csv)
+    run.emit_json(run.out / "divergence.json", report.to_dict())
     print(f"divergence: {len(report.divergent_ids)} of {report.total} samples")
     return 0
 
 
 def cmd_cwe_subsets(args) -> int:
-    cfg = resolve_config(args)
-    if cfg["schema"] != "multiclass":
+    run = _Run(args)
+    if run.cfg["schema"] != "multiclass":
         raise ConfigError("cwe-subsets requires --schema multiclass")
-    d = _load_dataset(cfg)
-    out = Path(cfg["out"]) / "subsets"
-    out.mkdir(parents=True, exist_ok=True)
-    for cwe in ingest.top_cwes(d, args.top):
-        sub = ingest.cwe_subset(d, cwe)
+    if args.top < 1:
+        raise ConfigError(f"top must be an integer >= 1, got {args.top}")
+    for cwe in ingest.top_cwes(run.dataset, args.top):
+        sub = ingest.cwe_subset(run.dataset, cwe)
         lines = [json.dumps({"id": x.id, "code": x.code, "label": x.label,
                              "cwe": x.cwe, "pair_id": x.pair_id})
                  for x in sub.samples]
-        path = out / f"{cwe}.jsonl"
-        _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
-        _record_artifact(Path(cfg["out"]), path, cfg)
+        run.emit(run.out / "subsets" / f"{cwe}.jsonl",
+                 ("\n".join(lines) + "\n").encode("utf-8"))
         print(f"cwe-subsets: {cwe} -> {len(sub)} samples (1:1)")
     return 0
 
 
 def cmd_verify(args) -> int:
-    cfg = resolve_config(args)
-    out = Path(cfg["out"])
+    out = _Run(args).out
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         raise IoError(f"{manifest_path} missing; nothing to verify")

@@ -89,11 +89,6 @@ class FeatureVector:
         self.indices.setflags(write=False)
         self.counts.setflags(write=False)
 
-    def to_dense(self) -> np.ndarray:
-        v = np.zeros(self.dims)
-        v[self.indices] = self.counts
-        return v
-
 
 def _misfiled(c: str) -> bool:
     """True for a character that ``re`` classes differently from the lexer.

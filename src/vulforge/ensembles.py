@@ -229,48 +229,53 @@ def _boost_step(w: np.ndarray, miss: np.ndarray, k: int):
     return eps, alpha, raw / z, z, False
 
 
+def _boost(fit_round, truth: np.ndarray, rounds: int, k: int,
+           vote_mode: str) -> BoostEnsemble:
+    """The AdaBoost round loop.  ``fit_round(t, w)`` fits round t under the
+    weights ``w`` and returns its model and that model's train labels; a
+    degenerate round stops the loop, keeping the rounds before it."""
+    w = np.full(len(truth), 1.0 / len(truth))  # uniform start
+    retained: list[BoostRound] = []
+    for t in range(1, rounds + 1):
+        model, labels = fit_round(t, w)
+        eps, alpha, w, z, stop = _boost_step(w, labels != truth, k)
+        if stop:
+            if not retained:
+                raise NoRoundsRetained(f"first round degenerate (epsilon={eps:.4f})")
+            break
+        retained.append(BoostRound(t, model, eps, alpha, z))
+    if not retained:
+        raise NoRoundsRetained("no rounds retained")
+    return BoostEnsemble(tuple(retained), k,
+                         "binary_adaboost" if k == 2 else "samme", vote_mode)
+
+
 def adaboost_fit(spec: BaseLearnerSpec, d: Dataset, ids, cfg: BoostConfig,
                  features: FeatureMatrix,
                  weight_log: list | None = None) -> BoostEnsemble:
     if cfg.rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {cfg.rounds}")
     ids = tuple(ids)
-    k = d.class_count
-    truth = d.labels_for(ids)
-    indptr, indices, data = None, None, None
-    w = np.full(len(ids), 1.0 / len(ids))  # uniform start
-    rounds: list[BoostRound] = []
-    rng_master = spec.config.seed
-    for t in range(1, cfg.rounds + 1):
-        round_cfg = replace(spec.config, seed=derive_seed(rng_master, 0xB057, t))
-        sw = SampleWeights(ids, w.copy())
+    rows = features.rows_for(ids)
+    master = spec.config.seed
+
+    def fit_round(t: int, w: np.ndarray):
+        fit_ids, fit_w = ids, SampleWeights(ids, w.copy())
         if weight_log is not None:
             weight_log.append((t, w.copy()))
         if cfg.weight_mode == "resample":
-            rng = np.random.default_rng(np.random.SeedSequence([rng_master, 0x4E5, t]))
-            picks = rng.choice(len(ids), size=len(ids), p=w)
-            uniq = Counter(ids[p] for p in picks)  # first-seen order
-            fit_ids = tuple(uniq)
+            rng = np.random.default_rng(np.random.SeedSequence([master, 0x4E5, t]))
+            uniq = Counter(ids[p] for p in rng.choice(len(ids), size=len(ids), p=w))
+            fit_ids = tuple(uniq)  # first-seen order
             fit_w = SampleWeights.normalized(
                 fit_ids, np.array(list(uniq.values()), dtype=np.float64))
-            model = fit_builtin(d, fit_ids, fit_w, round_cfg, features)
-        else:
-            model = fit_builtin(d, ids, sw, round_cfg, features)
-        if indptr is None:
-            indptr, indices, data = features.rows_for(ids)
-        pred = predict_builtin_many(model, indptr, indices, data).argmax(axis=1)
-        miss = pred != truth
-        eps, alpha, w, z, stop = _boost_step(w, miss, k)
-        if stop:
-            if not rounds:
-                raise NoRoundsRetained(
-                    f"first round degenerate (epsilon={eps:.4f})")
-            break
-        rounds.append(BoostRound(t, model, eps, alpha, z))
-    if not rounds:
-        raise NoRoundsRetained("no rounds retained")
-    return BoostEnsemble(tuple(rounds), k,
-                         "binary_adaboost" if k == 2 else "samme", cfg.vote_mode)
+        model = fit_builtin(d, fit_ids, fit_w,
+                            replace(spec.config, seed=derive_seed(master, 0xB057, t)),
+                            features)
+        return model, predict_builtin_many(model, *rows).argmax(axis=1)
+
+    return _boost(fit_round, d.labels_for(ids), cfg.rounds, d.class_count,
+                  cfg.vote_mode)
 
 
 def adaboost_fit_external(root, d: Dataset, train_ids, rounds: int,
@@ -279,24 +284,13 @@ def adaboost_fit_external(root, d: Dataset, train_ids, rounds: int,
     and each round's train predictions are ingested back from
     boost/round_<t>/preds_train.jsonl."""
     train_ids = tuple(train_ids)
-    k = d.class_count
-    truth = d.labels_for(train_ids)
-    w = np.full(len(train_ids), 1.0 / len(train_ids))
-    retained: list[BoostRound] = []
-    for t in range(1, rounds + 1):
+
+    def fit_round(t: int, w: np.ndarray):
         emit_round_weights(root, t, SampleWeights(train_ids, w.copy()))
         preds = ingest_round_predictions(root, t, "train", train_ids)
-        pred = preds.reindexed(train_ids).argmax(axis=1)
-        eps, alpha, w, z, stop = _boost_step(w, pred != truth, k)
-        if stop:
-            if not retained:
-                raise NoRoundsRetained(f"first round degenerate (epsilon={eps:.4f})")
-            break
-        retained.append(BoostRound(t, preds, eps, alpha, z))
-    if not retained:
-        raise NoRoundsRetained("no rounds retained")
-    return BoostEnsemble(tuple(retained), k,
-                         "binary_adaboost" if k == 2 else "samme", vote_mode)
+        return preds, preds.reindexed(train_ids).argmax(axis=1)
+
+    return _boost(fit_round, d.labels_for(train_ids), rounds, d.class_count, vote_mode)
 
 
 def boost_combine(stack: np.ndarray, alphas: np.ndarray, k: int,

@@ -85,6 +85,10 @@ class MalformedProbVector(VulforgeError):
     pass
 
 
+class NonFiniteModel(VulforgeError):
+    """A linear model's weights hold NaN or +-inf: its training diverged."""
+
+
 # --- ensembles ------------------------------------------------------------
 
 class MemberKMismatch(VulforgeError):

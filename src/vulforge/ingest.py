@@ -26,7 +26,6 @@ from .errors import (
 
 log = logging.getLogger(__name__)
 
-SPLIT_RATIOS = (0.8, 0.1, 0.1)
 MIN_CLASS_SIZE = 10
 
 
@@ -75,7 +74,6 @@ class SplitIndices:
     val: tuple[str, ...]
     test: tuple[str, ...]
     seed: int
-    ratios: tuple[float, float, float] = SPLIT_RATIOS
 
     def for_split(self, split: str) -> tuple[str, ...]:
         return {"train": self.train, "val": self.val, "test": self.test}[split]
@@ -119,7 +117,7 @@ def _utf8_lines(fh, path: Path):
                               f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def load_dataset(path, schema: str, name: str | None = None) -> Dataset:
+def load_dataset(path, schema: str) -> Dataset:
     """Load a dataset.jsonl file; K is 2 (binary) or 1 + distinct CWE count."""
     if schema not in ("binary", "multiclass"):
         raise ValueError(f"unknown schema {schema!r}")
@@ -164,7 +162,7 @@ def load_dataset(path, schema: str, name: str | None = None) -> Dataset:
         for s in samples:
             if s.label >= k:
                 raise UnknownLabel(f"label {s.label} >= inferred K={k}")
-    ds = Dataset(tuple(samples), k, name or path.stem)
+    ds = Dataset(tuple(samples), k, path.stem)
     if not samples:
         log.warning("loaded empty dataset from %s", path)
     else:

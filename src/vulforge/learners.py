@@ -30,6 +30,7 @@ from .errors import (
     InvalidProbVector,
     MalformedProbVector,
     MissingSample,
+    NonFiniteModel,
     ProtocolOrderError,
     UnknownSample,
     WeightCoverageMismatch,
@@ -77,10 +78,6 @@ class LearnerConfig:
     batch_size: int = 32
     seed: int = 0
 
-    def echo(self) -> dict:
-        return {"learning_rate": self.learning_rate, "epochs": self.epochs,
-                "l2": self.l2, "batch_size": self.batch_size, "seed": self.seed}
-
 
 @dataclass(frozen=True)
 class LinearModel:
@@ -94,7 +91,8 @@ class LinearModel:
 
     def __post_init__(self):
         if not (np.isfinite(self.W).all() and np.isfinite(self.b).all()):
-            raise ValueError("non-finite model parameters")
+            raise NonFiniteModel("non-finite model parameters; training diverged "
+                                 "(a lower learning rate may converge)")
         self.W.setflags(write=False)
         self.b.setflags(write=False)
 
@@ -237,10 +235,12 @@ def emit_round_weights(root, t: int, w: SampleWeights) -> Path:
     return path
 
 
-def write_predictions(root, p: PredictionSet, subdir: str = "preds") -> Path:
+def write_predictions(root, p: PredictionSet, write=_atomic_write) -> Path:
+    """Write preds/<model_id>/<split>.jsonl under ``root`` through
+    ``write(path, blob)``, by default the atomic writer."""
     lines = [json.dumps({"id": s, "probs": p.row(s).tolist()}) for s in p.ids]
-    path = Path(root) / subdir / p.model_id / f"{p.split}.jsonl"
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    path = Path(root) / "preds" / p.model_id / f"{p.split}.jsonl"
+    write(path, ("\n".join(lines) + "\n").encode("utf-8"))
     return path
 
 
@@ -312,8 +312,7 @@ def ingest_predictions(root, model_id: str, split: str, expected_ids) -> Predict
     return _ingest(path, model_id, split, expected_ids)
 
 
-def ingest_round_predictions(root, t: int, split: str, expected_ids,
-                             model_id: str | None = None) -> PredictionSet:
+def ingest_round_predictions(root, t: int, split: str, expected_ids) -> PredictionSet:
     """Read boost/round_<t>/preds_<split>.jsonl for external boosting."""
     path = Path(root) / "boost" / f"round_{t}" / f"preds_{split}.jsonl"
-    return _ingest(path, model_id or f"round_{t}", split, expected_ids)
+    return _ingest(path, f"round_{t}", split, expected_ids)

@@ -51,12 +51,6 @@ class MetaConfig:
     learning_rate: float = 0.5
     svm_learning_rate: float = 0.1
 
-    def echo(self) -> dict:
-        return {"knn_k": self.knn_k, "trees": self.trees, "max_depth": self.max_depth,
-                "l2": self.l2, "epochs": self.epochs,
-                "learning_rate": self.learning_rate,
-                "svm_learning_rate": self.svm_learning_rate}
-
 
 @dataclass(frozen=True)
 class MetaModel:

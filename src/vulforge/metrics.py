@@ -258,40 +258,43 @@ def overlap_regions(correct_sets: list) -> dict[int, int]:
 # file emission
 # ---------------------------------------------------------------------------
 
-def _write_csv(path, header: list, rows) -> None:
-    """Write a header and rows as one CSV through the atomic writer, which
-    creates the parent directory."""
+def _write_csv(path, header: list, rows, write=_atomic_write) -> None:
+    """Write a header and rows as one CSV through ``write(path, blob)``, by
+    default the atomic writer, which creates the parent directory."""
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(header)
     w.writerows(rows)
-    _atomic_write(Path(path), buf.getvalue().encode("utf-8"))
+    write(Path(path), buf.getvalue().encode("utf-8"))
 
 
-def write_report_csv(path, rows: list[dict]) -> None:
+def write_report_csv(path, rows: list[dict], write=_atomic_write) -> None:
     keys = sorted({k for r in rows for k in r})
-    _write_csv(path, keys, ([r.get(k, "") for k in keys] for r in rows))
+    _write_csv(path, keys, ([r.get(k, "") for k in keys] for r in rows), write)
 
 
-def write_ranks_csv(path, table: RankTable) -> None:
+def write_ranks_csv(path, table: RankTable, write=_atomic_write) -> None:
     _write_csv(path, ["method", *table.metrics],
                ([m, *[f"{v:.6f}" for v in table.averages[i]]]
-                for i, m in enumerate(table.methods)))
+                for i, m in enumerate(table.methods)), write)
 
 
-def write_overlap_csv(path, regions: dict[int, int], set_count: int) -> None:
+def write_overlap_csv(path, regions: dict[int, int], set_count: int,
+                      write=_atomic_write) -> None:
     _write_csv(path, ["bitmask", "count"],
                ([format(mask, f"0{set_count}b"), regions[mask]]
-                for mask in sorted(regions)))
+                for mask in sorted(regions)), write)
 
 
-def write_divergence_csv(path, report: DivergenceReport) -> None:
+def write_divergence_csv(path, report: DivergenceReport, write=_atomic_write) -> None:
     _write_csv(path, ["model_id", "correct_proportion", "divergent_count", "total"],
                ([mid, f"{prop:.6f}", len(report.divergent_ids), report.total]
-                for mid, prop in sorted(report.correct_proportion.items())))
+                for mid, prop in sorted(report.correct_proportion.items())), write)
 
 
-def write_boost_weights_csv(path, t: int, ids, weights, labels) -> None:
+def write_boost_weights_csv(path, t: int, ids, weights, labels,
+                            write=_atomic_write) -> None:
     """Per-round sample-weight dump backing the weight-evolution plots."""
     _write_csv(path, ["id", "weight", "label"],
-               ([sid, f"{wt:.12g}", int(lb)] for sid, wt, lb in zip(ids, weights, labels)))
+               ([sid, f"{wt:.12g}", int(lb)] for sid, wt, lb in zip(ids, weights, labels)),
+               write)

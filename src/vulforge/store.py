@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -87,7 +88,7 @@ def _enc_linear(m: LinearModel, store: _ArrayStore, prefix: str) -> dict:
         "type": "linear",
         "dims": m.dims,
         "class_count": m.class_count,
-        "config": m.config.echo(),
+        "config": asdict(m.config),
         "W": store.put(f"{prefix}_W", m.W),
         "b": store.put(f"{prefix}_b", m.b),
     }
@@ -123,7 +124,7 @@ def _enc_meta(m: MetaModel, store: _ArrayStore, prefix: str) -> dict:
         "kind": m.kind,
         "input_width": m.input_width,
         "output_width": m.output_width,
-        "config": m.config.echo(),
+        "config": asdict(m.config),
     }
     for name, value in m.params.items():  # arrays become sidecars, scalars stay
         rec[name] = (store.put(f"{prefix}_{name}", value)
@@ -228,11 +229,14 @@ def _decode(payload: dict, arrays: dict):
     raise IoError(f"unknown ensemble variant {variant!r}")
 
 
-def save_ensemble(out_dir, e, config_echo: dict | None = None) -> Path:
+def save_ensemble(out_dir, e, config_echo: dict | None = None,
+                  write=_atomic_write) -> Path:
     """Persist an ensemble under ``out_dir`` as ensemble.json + params/.
 
-    Sidecars in params/ that the new ensemble.json does not list are
-    deleted once it is written.
+    ensemble.json goes through ``write(path, blob)``, by default the atomic
+    writer, and the sidecars through the atomic writer.  Sidecars in
+    params/ that the new ensemble.json does not list are deleted once it is
+    written.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -244,7 +248,7 @@ def save_ensemble(out_dir, e, config_echo: dict | None = None) -> Path:
     payload["params"] = store.flush(out_dir / "params")
     text = json.dumps(payload, indent=1, sort_keys=True, default=float) + "\n"
     path = out_dir / "ensemble.json"
-    _atomic_write(path, text.encode("utf-8"))
+    write(path, text.encode("utf-8"))
     # a model saved earlier under this name may have left other sidecars
     listed = {Path(rec["file"]).name for rec in payload["params"].values()}
     for stale in (out_dir / "params").glob("*.npy"):

@@ -119,6 +119,18 @@ class TestPipeline:
                          "--top", "2"]) == 0
         assert (tmp_path / "out" / "subsets" / "CWE-119.jsonl").exists()
 
+    def test_every_output_file_is_tracked(self, workspace):
+        """Each file under out/ is in manifest.json, or is a params/*.npy
+        sidecar that an ensemble.json lists, or is the manifest itself."""
+        out = workspace / "out"
+        tracked = set(json.loads((out / "manifest.json").read_text()))
+        tracked |= {"manifest.json", "manifest.lock"}
+        for ens in out.glob("ensembles/*/ensemble.json"):
+            tracked |= {str((ens.parent / rec["file"]).relative_to(out))
+                        for rec in json.loads(ens.read_text())["params"].values()}
+        files = {str(f.relative_to(out)) for f in out.rglob("*") if f.is_file()}
+        assert files - tracked == set()
+
     def test_dense_gate_columns_tracked(self, workspace):
         out = workspace / "out"
         base = ["--dataset", str(workspace / "dataset.jsonl"), "--out", str(out),
@@ -326,3 +338,93 @@ class TestExitCodes:
         capsys.readouterr()
         assert cli.main(["verify", *base]) == 2
         assert "ensembles/boosting/ensemble.json" in capsys.readouterr().out
+
+
+# Bad values of a setting, each as a flag and as a config-file value where
+# both exist: (argv, config, exit code, message).  A config dict is written
+# with the dataset and out settings added; a string is the file's text.
+_BAD_INPUTS = {
+    "seed-flag": (["split", "--seed", "-1"], None, 2, "seed must be an integer >= 0"),
+    "seed-config": (["split"], {"seed": -1}, 2, "seed must be an integer >= 0"),
+    "seed-config-str": (["split"], {"seed": "x"}, 2, "seed must be an integer >= 0"),
+    "ngram-orders-config": (["featurize"], {"ngram_orders": [0]}, 2,
+                            "ngram_orders must be a non-empty list"),
+    "learning-rate-config-str": (["train-base", "--model-id", "m"],
+                                 {"learning_rate": "fast"}, 2, "learning_rate must be"),
+    "learning-rate-flag-inf": (["train-base", "--model-id", "m", "--learning-rate",
+                                "inf"], None, 2, "learning_rate must be a finite"),
+    "learning-rate-config-inf": (["train-base", "--model-id", "m"],
+                                 {"learning_rate": float("inf")}, 2,
+                                 "learning_rate must be a finite"),
+    "l2-flag-nan": (["train-base", "--model-id", "m", "--l2", "nan"], None, 2,
+                    "l2 must be a finite number >= 0"),
+    "l2-config-nan": (["train-base", "--model-id", "m"], {"l2": float("nan")}, 2,
+                      "l2 must be a finite number >= 0"),
+    "l2-flag-negative": (["train-base", "--model-id", "m", "--l2", "-5"], None, 2,
+                         "l2 must be a finite number >= 0"),
+    "l2-config-negative": (["train-base", "--model-id", "m"], {"l2": -5}, 2,
+                           "l2 must be a finite number >= 0"),
+    "dataset-config": (["split"], {"dataset": 5}, 2, "dataset must be a path"),
+    "out-config": (["split"], {"out": None}, 2, "out must be a path"),
+    "workers-flag": (["bag", "--workers", "0"], None, 2, "workers must be an integer"),
+    "workers-config": (["bag"], {"workers": "two"}, 2, "workers must be an integer"),
+    "meta-flag": (["stack", "--meta", "xgb"], None, 2, "invalid choice: 'xgb'"),
+    "meta-config": (["stack"], {"meta": "xgb"}, 2, "meta must be lr|rf|svm|knn"),
+    "routing-flag": (["dgs", "--routing", "diag"], None, 2, "invalid choice: 'diag'"),
+    "routing-config": (["dgs"], {"routing": "diag"}, 2, "routing must be hard|soft"),
+    "folds-flag": (["stack", "--base", "m1,m2", "--oof", "--folds", "1"], None, 2,
+                   "folds must be an integer in [2, 80], got 1"),
+    "top-flag": (["cwe-subsets", "--schema", "multiclass", "--top", "-1"], None, 2,
+                 "top must be an integer >= 1"),
+    "config-string": (["split"], '"str"', 2, "must hold a JSON object"),
+    "config-array": (["split"], "[1]", 2, "must hold a JSON object"),
+    "config-null": (["split"], "null", 2, "must hold a JSON object"),
+    "diverging-flag": (["train-base", "--model-id", "m", "--learning-rate", "1e308"],
+                       None, 5, "non-finite model parameters"),
+    "diverging-config": (["train-base", "--model-id", "m"], {"learning_rate": 1e308},
+                         5, "non-finite model parameters"),
+}
+
+
+@pytest.fixture(scope="module")
+def featurized(tmp_path_factory):
+    """A split and featurized 100-sample corpus: (dataset path, out dir)."""
+    ws = tmp_path_factory.mktemp("badinputs")
+    data = ws / "d.jsonl"
+    _write_dataset(data, synth.separable_corpus(100, seed=0))
+    base = ["--dataset", str(data), "--out", str(ws / "out")]
+    assert cli.main(["split", *base]) == 0
+    assert cli.main(["featurize", *base, "--dims", "1024"]) == 0
+    return data, ws / "out"
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_setting_exits_with_its_code(case, featurized, tmp_path, capsys):
+    argv, config, code, needle = _BAD_INPUTS[case]
+    data, out = featurized
+    argv = [*argv, "--dataset", str(data), "--out", str(out)]
+    if config is not None:
+        if isinstance(config, dict):  # flags would override the bad value
+            config = json.dumps({"dataset": str(data), "out": str(out), **config})
+            argv = argv[:-4]
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(config)
+        argv += ["--config", str(cfgfile)]
+    capsys.readouterr()
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a bad choice this way
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert needle in err and "Traceback" not in err
+
+
+def test_valid_config_values_are_kept_as_given(tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text('{"learning_rate": 1, "l2": 0, "ngram_orders": [1, 2, 3]}')
+    cfg = cli.resolve_config(cli.build_parser().parse_args(
+        ["split", "--config", str(cfgfile), "--seed", "4"]))
+    assert cfg == {**cli._DEFAULTS, "learning_rate": 1, "l2": 0,
+                   "ngram_orders": [1, 2, 3], "seed": 4}
+    assert type(cfg["learning_rate"]) is int
