@@ -33,20 +33,25 @@ def softmax(z: np.ndarray) -> np.ndarray:
 # sparse (CSR) softmax regression
 # ---------------------------------------------------------------------------
 
+def _logits(rows, cols, vals, n, W, b):
+    """(n, K) logits b + W x of n sparse rows whose nonzeros ``vals`` sit at
+    (``rows``, ``cols``); each class sums them in the order given."""
+    zT = np.repeat(b[:, None], n, axis=1)  # (K, n): one contiguous row per class
+    if len(cols):
+        for k in range(W.shape[0]):
+            np.add.at(zT[k], rows, W[k, cols] * vals)
+    # softmax reduces along rows; a strided view would change its order
+    return np.ascontiguousarray(zT.T)
+
+
 def csr_logits(indptr, indices, data, W, b):
     n = len(indptr) - 1
-    zT = np.repeat(b[:, None], n, axis=1)  # (K, n): one contiguous row per class
-    if len(indices):
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        for k in range(W.shape[0]):
-            np.add.at(zT[k], rows, W[k, indices] * data)
-    return np.ascontiguousarray(zT.T)
+    return _logits(np.repeat(np.arange(n), np.diff(indptr)), indices, data, n, W, b)
 
 
 def csr_softmax_fit(indptr, indices, data, targets, coefs, W, b, order,
                         batch_size, lr, decay):
     n = targets.shape[0]
-    K = W.shape[0]
     row_len = np.diff(indptr)
     for e in range(order.shape[0]):
         perm = order[e]
@@ -70,14 +75,10 @@ def csr_softmax_fit(indptr, indices, data, targets, coefs, W, b, order,
             cols = cols_e[lo:hi]
             vals = vals_e[lo:hi]
             brows = brows_e[lo:hi]
-            zT = np.repeat(b[:, None], bs, axis=1)
-            for k in range(K):
-                np.add.at(zT[k], brows, W[k, cols] * vals)
-            # softmax reduces along rows; a strided view would change its order
-            p = softmax(np.ascontiguousarray(zT.T))
+            p = softmax(_logits(brows, cols, vals, bs, W, b))
             g = (p - targets[batch]) * (coefs[batch] / bs)[:, None]  # (bs, K)
             b -= lr * g.sum(axis=0)
-            for k in range(K):
+            for k in range(W.shape[0]):
                 np.subtract.at(W[k], cols, g[brows, k] * vals * lr)
         if decay != 1.0:
             W *= decay
@@ -88,18 +89,16 @@ def csr_softmax_fit(indptr, indices, data, targets, coefs, W, b, order,
 # dense softmax regression (meta-learners)
 # ---------------------------------------------------------------------------
 
-def dense_softmax_fit(X, targets, coefs, W, b, order, batch_size, lr, decay):
-    n = X.shape[0]
-    for e in range(order.shape[0]):
-        perm = order[e]
-        for start in range(0, n, batch_size):
-            batch = perm[start:start + batch_size]
-            bs = len(batch)
-            Xb = X[batch]
-            p = softmax(Xb @ W.T + b)
-            g = (p - targets[batch]) * (coefs[batch] / bs)[:, None]
-            b -= lr * g.sum(axis=0)
-            W -= lr * (g.T @ Xb)
+def dense_softmax_fit(X, targets, W, b, epochs, lr, decay):
+    """Full-batch gradient descent on the mean cross-entropy, then weight
+    decay, once per epoch.  The ``* (1.0 / n)`` scale and the C-ordered X
+    keep the weights' bits; dividing by n would change the last bit."""
+    X = np.ascontiguousarray(X)
+    scale = 1.0 / X.shape[0]
+    for _ in range(epochs):
+        g = (softmax(X @ W.T + b) - targets) * scale
+        b -= lr * g.sum(axis=0)
+        W -= lr * (g.T @ X)
         if decay != 1.0:
             W *= decay
     return W, b

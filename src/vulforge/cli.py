@@ -33,8 +33,8 @@ import numpy as np
 from . import ensembles, ingest, metrics, store
 from .codefeat import FeaturizerConfig
 from .core import PredictionSet
-from .errors import ConfigError, IoError, ProtocolOrderError, VulforgeError
-from .ingest import _atomic_write
+from .errors import ConfigError, IoError, ProtocolOrderError, UnsafeName, VulforgeError
+from .ingest import _atomic_write, _is_id_list, _read_json
 from .learners import (
     BaseLearnerSpec,
     FeatureMatrix,
@@ -122,6 +122,31 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+_FILE_NAME = "a non-empty file name, not . or .., with no /, \\ or NUL"
+
+
+def _is_file_name(name) -> bool:
+    """True when ``name``, which becomes one path component under --out, is
+    a plain file name: ``_FILE_NAME``."""
+    return (isinstance(name, str) and name not in ("", ".", "..")
+            and not any(c in name for c in "/\\\0"))
+
+
+def _model_id(flag: str, name: str) -> str:
+    if not _is_file_name(name):
+        raise ConfigError(f"{flag} {name!r} must be {_FILE_NAME}")
+    return name
+
+
+def _model_ids(flag: str, names: str) -> list[str]:
+    return [_model_id(flag, name) for name in names.split(",")]
+
+
+def _is_manifest(m) -> bool:
+    return isinstance(m, dict) and all(
+        isinstance(r, dict) and isinstance(r.get("sha256"), str) for r in m.values())
+
+
 def _echo(cfg: dict) -> dict:
     return {k: cfg.get(k) for k in _CONFIG}
 
@@ -140,7 +165,7 @@ def _record_artifact(out: Path, path: Path, cfg: dict, blob: bytes | None = None
         fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
         manifest = {}
         if manifest_path.exists():
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            manifest = _read_json(manifest_path, "artifact records", _is_manifest)
         manifest[rel] = {"sha256": digest,
                          "config_hash": store.config_hash(_echo(cfg))}
         _atomic_write(manifest_path, (json.dumps(manifest, indent=1, sort_keys=True)
@@ -176,7 +201,10 @@ class _Run:
         path = self.out / "splits.json"
         if not path.exists():
             raise IoError(f"{path} missing; run `vulforge split` first")
-        return ingest.load_splits(path)
+        s = ingest.load_splits(path)
+        if not {*s.train, *s.val, *s.test} <= set(self.dataset.ids):
+            raise IoError(f"{path} names samples that are not in the dataset")
+        return s
 
     @cached_property
     def features(self) -> FeatureMatrix:
@@ -185,10 +213,23 @@ class _Run:
         meta_path = fdir / "meta.json"
         if not meta_path.exists():
             raise IoError(f"{meta_path} missing; run `vulforge featurize` first")
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        return FeatureMatrix(tuple(meta["ids"]), np.load(fdir / "indptr.npy"),
-                             np.load(fdir / "indices.npy"), np.load(fdir / "data.npy"),
-                             meta["dims"])
+        meta = _read_json(meta_path, "the feature ids and dims",
+                          lambda m: isinstance(m, dict) and _is_id_list(m.get("ids"))
+                          and _is_int(m.get("dims")) and m["dims"] >= 1)
+        arrays = []
+        for name in ("indptr", "indices", "data"):
+            try:
+                arrays.append(np.load(fdir / f"{name}.npy", allow_pickle=False))
+            except (ValueError, EOFError) as exc:
+                raise IoError(f"{fdir / name}.npy is not a saved array: {exc}") from exc
+        indptr, indices, data = arrays
+        if (indptr.shape != (len(meta["ids"]) + 1,) or indices.shape != data.shape
+                or indices.shape != (indptr[-1],)):
+            raise IoError(f"the arrays in {fdir} do not match {meta_path}")
+        fm = FeatureMatrix(tuple(meta["ids"]), indptr, indices, data, meta["dims"])
+        if not {*self.splits.train, *self.splits.val, *self.splits.test} <= set(fm.ids):
+            raise IoError(f"{fdir} does not cover the samples of splits.json")
+        return fm
 
     @cached_property
     def learner(self) -> LearnerConfig:
@@ -246,7 +287,7 @@ class _Run:
 def _base_ids(args, needs: str) -> list[str]:
     if not args.base:
         raise ConfigError(f"{needs} needs --base model ids")
-    return args.base.split(",")
+    return _model_ids("--base", args.base)
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +318,16 @@ def cmd_featurize(args) -> int:
 
 def cmd_train_base(args) -> int:
     run = _Run(args)
+    model_id = _model_id("--model-id", args.model_id)
     s = run.splits
     model = fit_builtin(run.dataset, s.train, SampleWeights.uniform(s.train),
                         run.learner, run.features)
     for split in ("train", "val", "test"):
         ids = s.for_split(split)
         probs = predict_builtin_many(model, *run.features.rows_for(ids))
-        write_predictions(run.out, PredictionSet(args.model_id, split, tuple(ids), probs),
+        write_predictions(run.out, PredictionSet(model_id, split, tuple(ids), probs),
                           write=run.emit)
-    print(f"train-base: {args.model_id} trained on {len(s.train)} samples")
+    print(f"train-base: {model_id} trained on {len(s.train)} samples")
     return 0
 
 
@@ -378,7 +420,7 @@ def cmd_dgs(args) -> int:
 
 def cmd_eval(args) -> int:
     run = _Run(args)
-    pred, = run.predictions([args.preds], args.split)
+    pred, = run.predictions([_model_id("--preds", args.preds)], args.split)
     run.report(args.preds, pred, run.splits.for_split(args.split))
     return 0
 
@@ -432,7 +474,7 @@ def cmd_overlap(args) -> int:
     ids = run.splits.for_split(args.split)
     truth = run.dataset.labels_for(ids)
     sets = [{sid for sid, ok in zip(ids, p.reindexed(ids).argmax(axis=1) == truth) if ok}
-            for p in run.predictions(args.preds.split(","), args.split)]
+            for p in run.predictions(_model_ids("--preds", args.preds), args.split)]
     regions = metrics.overlap_regions(sets)
     metrics.write_overlap_csv(run.out / "overlap.csv", regions, len(sets),
                               write=run.emit_csv)
@@ -444,7 +486,7 @@ def cmd_overlap(args) -> int:
 def cmd_divergence(args) -> int:
     run = _Run(args)
     ids = run.splits.for_split(args.split)
-    preds = run.predictions(args.preds.split(","), args.split)
+    preds = run.predictions(_model_ids("--preds", args.preds), args.split)
     truth = {sid: int(lbl) for sid, lbl in zip(ids, run.dataset.labels_for(ids))}
     report = metrics.divergence(preds, truth)
     metrics.write_divergence_csv(run.out / "divergence.csv", report, write=run.emit_csv)
@@ -459,7 +501,12 @@ def cmd_cwe_subsets(args) -> int:
         raise ConfigError("cwe-subsets requires --schema multiclass")
     if args.top < 1:
         raise ConfigError(f"top must be an integer >= 1, got {args.top}")
-    for cwe in ingest.top_cwes(run.dataset, args.top):
+    cwes = ingest.top_cwes(run.dataset, args.top)
+    unsafe = [cwe for cwe in cwes if not _is_file_name(cwe)]
+    if unsafe:  # found before any subset is written
+        raise UnsafeName(f"CWE tag {unsafe[0]!r} names a subset file, so it must be "
+                         f"{_FILE_NAME}")
+    for cwe in cwes:
         sub = ingest.cwe_subset(run.dataset, cwe)
         lines = [json.dumps({"id": x.id, "code": x.code, "label": x.label,
                              "cwe": x.cwe, "pair_id": x.pair_id})
@@ -475,7 +522,7 @@ def cmd_verify(args) -> int:
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         raise IoError(f"{manifest_path} missing; nothing to verify")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = _read_json(manifest_path, "artifact records", _is_manifest)
     failures = []
     for rel, rec in sorted(manifest.items()):
         path = out / rel
@@ -486,7 +533,7 @@ def cmd_verify(args) -> int:
             failures.append(f"{rel}: content digest mismatch")
     for edir in sorted(out.glob("ensembles/*")):
         if (edir / "ensemble.json").exists() and not store.verify_ensemble(edir):
-            failures.append(f"{edir.name}: ensemble hash mismatch")
+            failures.append(f"{edir.name}: ensemble.json malformed or hash mismatch")
     if failures:
         for f in failures:
             print(f"FAIL {f}")

@@ -39,8 +39,6 @@ C_OPERATORS = (
     "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~", "?", ".",
 )
 
-PUNCT_CHARS = frozenset("(){}[];,:#\\@`$")
-
 NUM_SENTINEL = "<num>"
 STR_SENTINEL = "<str>"
 CHR_SENTINEL = "<chr>"

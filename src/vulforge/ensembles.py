@@ -1,13 +1,17 @@
 """The four ensemble strategies: bagging (hard/soft voting), AdaBoost
 (binary and SAMME), stacking, and dynamic gated stacking.
 
-The combiners are batch-first.  They act on an (M, N, K) stack: M members,
-rounds or experts, N samples, K classes, with ``stack[m, i]`` the
-probability vector member m gives sample i.  They return (N, K).  An
-(M, K) input is one sample's rows and gives one (K,) vector; the
-single-sample predictors (``bagging_predict``, ``adaboost_predict``,
-``dgs_predict``) are batches of one over the same code.  Gate scores are
-an (N, M) batch too, from the one gate-input builder ``dgs_fit`` trains on.
+All four combine one object, the member stack: an (M, N, K) array of M
+members, rounds or base models on N samples over K classes, ``stack[m, i]``
+the probability vector member m gives sample i.  One builder,
+``_member_stack``, makes it at fit and at predict, and is the one place
+that rejects members of unequal K or of other feature dims.  Stacking's
+meta rows and the DGS gate input lay it out sample-major, each sample's M
+vectors in base order.  The combiners are batch-first: they take the stack
+and return (N, K).  An (M, K) input is one sample's rows and gives one (K,)
+vector; the single-sample predictors (``bagging_predict``, ``dgs_predict``)
+are batches of one over the same code.  Gate scores are an (N, M) batch too,
+from the one gate-input builder ``dgs_fit`` trains on.
 A dense gate (svm, rf, knn) has one width from fit to score: the sorted
 columns of the gate input that some validation row touches, kept on the
 ``GateModel`` as ``columns``.  Fit and scoring densify the gate-input CSR
@@ -98,35 +102,51 @@ def bagging_combine(stack: np.ndarray, mode: str) -> np.ndarray:
     return out
 
 
-def _member_stack(models, class_count: int, ids, features) -> np.ndarray:
-    """(M, N, K) outputs of bagging members or boosting rounds.
+def _member_k(ks, class_count: int | None = None) -> int:
+    """The one class count ``ks`` hold, which must be ``class_count`` if given."""
+    ks = sorted(set(ks))
+    if len(ks) != 1 or class_count not in (None, ks[0]):
+        want = "one K" if class_count is None else f"K = {class_count}"
+        raise MemberKMismatch(f"member class counts {ks}; members need {want}")
+    return ks[0]
+
+
+def _member_stack(models, ids, features=None, class_count: int | None = None) -> np.ndarray:
+    """The (M, N, K) member stack of ``models`` on the samples ``ids``.
 
     A PredictionSet member is reindexed to ``ids``.  A built-in member
-    predicts the rows of ``features`` (a FeatureMatrix) for ``ids``, or the
-    one row of a FeatureVector.
+    predicts the rows of ``features`` for ``ids`` (a FeatureMatrix), or the
+    one row of a FeatureVector.  Every member must give one K, equal to
+    ``class_count`` when it is given.
     """
-    if isinstance(features, FeatureVector):
-        csr = stack_features([features])
-    elif features is not None:
-        csr = features.rows_for(ids)
-    rows = []
+    rows, csr = [], None
     for m in models:
         if isinstance(m, PredictionSet):
             rows.append(m.reindexed(ids))
-        elif m.dims != features.dims:
+            continue
+        if m.dims != features.dims:
             raise DimensionMismatch(f"feature dims {features.dims} != model dims {m.dims}")
-        else:
-            rows.append(predict_builtin_many(m, *csr))
-    stack = np.stack(rows)
-    if stack.shape[2] != class_count:
-        raise MemberKMismatch(f"member K {stack.shape[2]} != {class_count}")
-    return stack
+        if csr is None:
+            csr = (stack_features([features]) if isinstance(features, FeatureVector)
+                   else features.rows_for(ids))
+        rows.append(predict_builtin_many(m, *csr))
+    _member_k((r.shape[1] for r in rows), class_count)
+    return np.stack(rows)
 
 
-def _one_sample(x) -> tuple:
-    """The ``ids, features`` of _member_stack for one sample: its feature
-    vector for built-in members, or its id for prediction-set members."""
-    return (None, x) if isinstance(x, FeatureVector) else ((x,), None)
+def _meta_rows(stack: np.ndarray) -> np.ndarray:
+    """(N, M*K) rows of an (M, N, K) stack: each sample's M probability
+    vectors concatenated in member order."""
+    m, n, k = stack.shape
+    return np.transpose(stack, (1, 0, 2)).reshape(n, m * k)
+
+
+def _distinct_draws(draws) -> tuple[tuple, SampleWeights]:
+    """The distinct ids of a with-replacement draw, in first-seen order,
+    each weighted by how often it was drawn."""
+    uniq = Counter(draws)
+    ids = tuple(uniq)
+    return ids, SampleWeights.normalized(ids, np.array(list(uniq.values()), dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +158,6 @@ class BaggingEnsemble:
     mode: str  # hard | soft
     members: tuple  # LinearModel... or PredictionSet... (external mode)
     class_count: int
-    plan: BootstrapPlan | None = None
     external: bool = False
 
 
@@ -146,10 +165,7 @@ def bagging_fit(spec: BaseLearnerSpec, plan: BootstrapPlan, d: Dataset, mode: st
                 features: FeatureMatrix, workers: int = 1) -> BaggingEnsemble:
     """Train M homogeneous built-in members on the plan's bootstrap draws."""
     def fit_member(i: int) -> LinearModel:
-        # with-replacement draws repeat ids; weight mass folds repetitions in
-        uniq = Counter(plan.draws[i])  # first-seen order
-        ids = tuple(uniq)
-        w = SampleWeights.normalized(ids, np.array(list(uniq.values()), dtype=np.float64))
+        ids, w = _distinct_draws(plan.draws[i])
         cfg = replace(spec.config, seed=derive_seed(spec.config.seed, 0xBA6, i))
         return fit_builtin(d, ids, w, cfg, features)
 
@@ -158,27 +174,27 @@ def bagging_fit(spec: BaseLearnerSpec, plan: BootstrapPlan, d: Dataset, mode: st
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             members = list(pool.map(fit_member, range(plan.member_count)))
-    return BaggingEnsemble(mode, tuple(members), d.class_count, plan)
+    return BaggingEnsemble(mode, tuple(members), d.class_count)
 
 
 def bagging_from_predictions(predsets: list[PredictionSet], mode: str) -> BaggingEnsemble:
     """External mode: members are prediction sets, no training happens."""
-    ks = {p.k for p in predsets}
-    if len(ks) != 1:
-        raise MemberKMismatch(f"member class counts differ: {sorted(ks)}")
-    return BaggingEnsemble(mode, tuple(predsets), ks.pop(), external=True)
+    return BaggingEnsemble(mode, tuple(predsets), _member_k(p.k for p in predsets),
+                           external=True)
 
 
 def bagging_predict(e: BaggingEnsemble, x: FeatureVector | str) -> np.ndarray:
-    """One sample's combined vote: a batch of one for bagging_predict_set."""
-    return bagging_combine(_member_stack(e.members, e.class_count, *_one_sample(x)),
+    """One sample's combined vote, by its feature vector for built-in
+    members or by its id: a batch of one for bagging_predict_set."""
+    ids, features = (None, x) if isinstance(x, FeatureVector) else ((x,), None)
+    return bagging_combine(_member_stack(e.members, ids, features, e.class_count),
                            e.mode)[0]
 
 
 def bagging_predict_set(e: BaggingEnsemble, ids, features: FeatureMatrix | None,
                         split: str, model_id: str = "bagging") -> PredictionSet:
     ids = tuple(ids)
-    stack = _member_stack(e.members, e.class_count, ids, features)
+    stack = _member_stack(e.members, ids, features, e.class_count)
     return PredictionSet(model_id, split, ids, bagging_combine(stack, e.mode))
 
 
@@ -256,7 +272,6 @@ def adaboost_fit(spec: BaseLearnerSpec, d: Dataset, ids, cfg: BoostConfig,
     if cfg.rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {cfg.rounds}")
     ids = tuple(ids)
-    rows = features.rows_for(ids)
     master = spec.config.seed
 
     def fit_round(t: int, w: np.ndarray):
@@ -265,14 +280,12 @@ def adaboost_fit(spec: BaseLearnerSpec, d: Dataset, ids, cfg: BoostConfig,
             weight_log.append((t, w.copy()))
         if cfg.weight_mode == "resample":
             rng = np.random.default_rng(np.random.SeedSequence([master, 0x4E5, t]))
-            uniq = Counter(ids[p] for p in rng.choice(len(ids), size=len(ids), p=w))
-            fit_ids = tuple(uniq)  # first-seen order
-            fit_w = SampleWeights.normalized(
-                fit_ids, np.array(list(uniq.values()), dtype=np.float64))
+            fit_ids, fit_w = _distinct_draws(
+                ids[p] for p in rng.choice(len(ids), size=len(ids), p=w))
         model = fit_builtin(d, fit_ids, fit_w,
                             replace(spec.config, seed=derive_seed(master, 0xB057, t)),
                             features)
-        return model, predict_builtin_many(model, *rows).argmax(axis=1)
+        return model, _member_stack([model], ids, features, d.class_count)[0].argmax(axis=1)
 
     return _boost(fit_round, d.labels_for(ids), cfg.rounds, d.class_count,
                   cfg.vote_mode)
@@ -288,7 +301,7 @@ def adaboost_fit_external(root, d: Dataset, train_ids, rounds: int,
     def fit_round(t: int, w: np.ndarray):
         emit_round_weights(root, t, SampleWeights(train_ids, w.copy()))
         preds = ingest_round_predictions(root, t, "train", train_ids)
-        return preds, preds.reindexed(train_ids).argmax(axis=1)
+        return preds, _member_stack([preds], train_ids, None, d.class_count)[0].argmax(axis=1)
 
     return _boost(fit_round, d.labels_for(train_ids), rounds, d.class_count, vote_mode)
 
@@ -305,17 +318,10 @@ def boost_combine(stack: np.ndarray, alphas: np.ndarray, k: int,
     return soft_combine(stack, weights) / alphas.sum()
 
 
-def adaboost_predict(e: BoostEnsemble, x: FeatureVector | str) -> np.ndarray:
-    """One sample's boosted vote: a batch of one for adaboost_predict_set."""
-    stack = _member_stack([r.model for r in e.rounds], e.class_count, *_one_sample(x))
-    alphas = np.array([r.alpha for r in e.rounds])
-    return boost_combine(stack, alphas, e.class_count, e.vote_mode)[0]
-
-
 def adaboost_predict_set(e: BoostEnsemble, ids, features: FeatureMatrix | None,
                          split: str, model_id: str = "boosting") -> PredictionSet:
     ids = tuple(ids)
-    stack = _member_stack([r.model for r in e.rounds], e.class_count, ids, features)
+    stack = _member_stack([r.model for r in e.rounds], ids, features, e.class_count)
     alphas = np.array([r.alpha for r in e.rounds])
     return PredictionSet(model_id, split, ids,
                          boost_combine(stack, alphas, e.class_count, e.vote_mode))
@@ -332,43 +338,25 @@ class StackingModel:
     class_count: int
 
 
-def build_meta_rows(predsets: list[PredictionSet], ids) -> np.ndarray:
-    """Meta input rows: [phi_1(x) .. phi_M(x)] concatenated in base order."""
-    blocks = []
-    for p in predsets:
-        blocks.append(p.reindexed(ids))
-    return np.hstack(blocks)
-
-
 def stacking_fit(base_preds_val: list[PredictionSet], val_ids, labels: np.ndarray,
                  meta_kind: str, cfg: MetaConfig = MetaConfig(),
                  seed: int = 0) -> StackingModel:
     if len(base_preds_val) < 2:
         raise CoverageMismatch("stacking needs at least two base models")
-    ks = {p.k for p in base_preds_val}
-    if len(ks) != 1:
-        raise MemberKMismatch(f"base class counts differ: {sorted(ks)}")
-    k = ks.pop()
-    X = build_meta_rows(base_preds_val, val_ids)
-    meta = meta_fit(meta_kind, X, np.asarray(labels, dtype=np.int64), cfg, seed,
-                    output_width=k)
+    stack = _member_stack(base_preds_val, val_ids)
+    k = stack.shape[2]
+    meta = meta_fit(meta_kind, _meta_rows(stack), np.asarray(labels, dtype=np.int64),
+                    cfg, seed, output_width=k)
     return StackingModel(tuple(p.model_id for p in base_preds_val), meta, k)
-
-
-def stacking_predict(s: StackingModel, base_row) -> np.ndarray:
-    """Meta output for one sample's M base probability vectors."""
-    row = np.concatenate([np.asarray(r, dtype=np.float64) for r in base_row])
-    if row.shape[0] != s.meta.input_width:
-        raise LayoutMismatch(f"row width {row.shape[0]} != {s.meta.input_width}")
-    return meta_predict_many(s.meta, row[None, :])[0]
 
 
 def stacking_predict_set(s: StackingModel, base_preds: list[PredictionSet], ids,
                          split: str, model_id: str = "stacking") -> PredictionSet:
     if tuple(p.model_id for p in base_preds) != s.base_ids:
         raise LayoutMismatch("base prediction sets out of order for this model")
-    X = build_meta_rows(base_preds, ids)
-    return PredictionSet(model_id, split, tuple(ids), meta_predict_many(s.meta, X))
+    stack = _member_stack(base_preds, ids, class_count=s.class_count)
+    return PredictionSet(model_id, split, tuple(ids),
+                         meta_predict_many(s.meta, _meta_rows(stack)))
 
 
 def oof_prediction_set(spec: BaseLearnerSpec, d: Dataset, ids,
@@ -443,7 +431,7 @@ def _gate_rows(indptr, indices, data, dims: int, stack: np.ndarray):
     row_ends = np.repeat(indptr[1:], m * k)  # np.insert keeps equal positions in order
     return (indptr + m * k * np.arange(n + 1),
             np.insert(indices, row_ends, np.tile(dims + np.arange(m * k), n)),
-            np.insert(data, row_ends, np.transpose(stack, (1, 0, 2)).ravel()))
+            np.insert(data, row_ends, _meta_rows(stack).ravel()))
 
 
 def _densify(indptr, indices, data, columns: np.ndarray) -> np.ndarray:
@@ -465,7 +453,7 @@ def dgs_fit(base_preds_val: list[PredictionSet], val_ids, labels: np.ndarray,
         raise CoverageMismatch("gated stacking needs at least two base models")
     val_ids = tuple(val_ids)
     labels = np.asarray(labels, dtype=np.int64)
-    stacked = np.stack([p.reindexed(val_ids) for p in base_preds_val])  # (M, N, K)
+    stacked = _member_stack(base_preds_val, val_ids)
     m, _, k = stacked.shape
     targets = gate_targets(stacked, labels)
     rows = _gate_rows(*features.rows_for(val_ids), features.dims, stacked)
@@ -534,6 +522,6 @@ def dgs_predict_set(g: GateModel, base_preds: list[PredictionSet], ids,
     if tuple(p.model_id for p in base_preds) != g.base_ids:
         raise LayoutMismatch("base prediction sets out of order for this gate")
     ids = tuple(ids)
-    stack = np.stack([p.reindexed(ids) for p in base_preds])  # (M, N, K)
+    stack = _member_stack(base_preds, ids, class_count=g.class_count)
     scores = gate_scores_many(g, *features.rows_for(ids), stack, forced_uniform)
     return PredictionSet(model_id, split, ids, _route(stack, scores, g.routing))

@@ -55,6 +55,11 @@ class UnknownCwe(VulforgeError):
     pass
 
 
+class UnsafeName(VulforgeError):
+    """A name from the data that would become a path but is not a plain
+    file name."""
+
+
 # --- learners -------------------------------------------------------------
 
 class EmptyTrainingSet(VulforgeError):

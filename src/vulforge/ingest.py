@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     ClassTooSmall,
     DuplicateId,
+    IoError,
     MalformedRecord,
     UnknownCwe,
     UnknownLabel,
@@ -94,6 +95,22 @@ def _atomic_write(path: Path, blob: bytes) -> None:
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     tmp.write_bytes(blob)
     tmp.replace(path)
+
+
+def _read_json(path, what: str, check):
+    """The JSON value in ``path``, which ``check`` must accept; IoError names
+    the file when it is not JSON or does not hold ``what``."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise IoError(f"{path} is not JSON: {exc}") from exc
+    if not check(payload):
+        raise IoError(f"{path} does not hold {what}")
+    return payload
+
+
+def _is_id_list(v) -> bool:
+    return isinstance(v, list) and all(isinstance(s, str) for s in v)
 
 
 def _first_non_utf8_line(path: Path) -> int:
@@ -249,6 +266,8 @@ def top_cwes(d: Dataset, n: int = 10) -> list[str]:
 
 
 def load_splits(path) -> SplitIndices:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = _read_json(path, "an integer seed and train, val and test id lists",
+                         lambda p: isinstance(p, dict) and isinstance(p.get("seed"), int)
+                         and all(_is_id_list(p.get(k)) for k in ("train", "val", "test")))
     return SplitIndices(tuple(payload["train"]), tuple(payload["val"]),
                         tuple(payload["test"]), int(payload["seed"]))

@@ -146,11 +146,8 @@ def _fit_lr(X, y, k_out, cfg, seed):
     targets[np.arange(n), y] = 1.0
     W = np.zeros((k_out, X.shape[1]))
     b = np.zeros(k_out)
-    # full batch: the identity permutation each epoch keeps this pure GD
-    order = np.tile(np.arange(n, dtype=np.int64), (cfg.epochs, 1))
     decay = 1.0 - cfg.learning_rate * cfg.l2
-    _kernels.dense_softmax_fit(X, targets, np.ones(n), W, b, order, n,
-                               cfg.learning_rate, decay)
+    _kernels.dense_softmax_fit(X, targets, W, b, cfg.epochs, cfg.learning_rate, decay)
     return {"W": W, "b": b}
 
 

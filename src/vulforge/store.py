@@ -276,13 +276,16 @@ def load_ensemble(out_dir):
 
 
 def verify_ensemble(out_dir) -> bool:
-    """Recompute the config hash and sidecar digests; True when intact."""
+    """Recompute the config hash and sidecar digests; True when intact.  An
+    ensemble.json that is not the object save_ensemble writes is not."""
     out_dir = Path(out_dir)
-    payload = json.loads((out_dir / "ensemble.json").read_text(encoding="utf-8"))
-    if payload["config_hash"] != config_hash(payload["config"]):
-        return False
-    for rec in payload.get("params", {}).values():
-        blob = (out_dir / rec["file"]).read_bytes()
-        if hashlib.sha256(blob).hexdigest() != rec["sha256"]:
+    try:
+        payload = json.loads((out_dir / "ensemble.json").read_text(encoding="utf-8"))
+        sidecars = [(out_dir / rec["file"], rec["sha256"])
+                    for rec in payload.get("params", {}).values()]
+        if payload["config_hash"] != config_hash(payload["config"]):
             return False
-    return True
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return False
+    return all(path.is_file() and hashlib.sha256(path.read_bytes()).hexdigest() == digest
+               for path, digest in sidecars)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -428,3 +429,111 @@ def test_valid_config_values_are_kept_as_given(tmp_path):
     assert cfg == {**cli._DEFAULTS, "learning_rate": 1, "l2": 0,
                    "ngram_orders": [1, 2, 3], "seed": 4}
     assert type(cfg["learning_rate"]) is int
+
+
+# Names that become paths, malformed pipeline artifacts and bases of unequal
+# K: (argv, edits, exit code, message).  Each case runs on its own copy of a
+# trained workspace in tmp_path; ``edits`` maps a path under --out to the
+# text written there first.  Flags in argv come after the workspace's
+# --dataset and --out, so they override them; "{tmp}", "{out}" and "{cwe}"
+# stand for tmp_path, --out and a multiclass dataset whose second CWE tag
+# is "../../cwe_escape".
+_UNSAFE_INPUTS = {
+    "model-id-absolute": (["train-base", "--model-id", "{tmp}/abs"], {}, 2, "--model-id"),
+    "model-id-parent": (["train-base", "--model-id", "../outside"], {}, 2, "--model-id"),
+    "model-id-dot": (["train-base", "--model-id", "."], {}, 2, "--model-id"),
+    "model-id-empty": (["train-base", "--model-id", ""], {}, 2, "--model-id"),
+    "model-id-backslash": (["train-base", "--model-id", "a\\b"], {}, 2, "--model-id"),
+    "model-id-nul": (["train-base", "--model-id", "a\0b"], {}, 2, "--model-id"),
+    "base-empty-id": (["stack", "--base", "m1,,m2"], {}, 2, "--base"),
+    "base-parent": (["dgs", "--base", "m1,../m2"], {}, 2, "--base"),
+    "preds-parent": (["eval", "--preds", ".."], {}, 2, "--preds"),
+    "preds-dot": (["overlap", "--preds", "m1,."], {}, 2, "--preds"),
+    "cwe-tag-parent": (["cwe-subsets", "--dataset", "{cwe}", "--schema", "multiclass",
+                        "--top", "2"], {}, 5, "'../../cwe_escape'"),
+    "splits-no-keys": (["train-base", "--model-id", "m"], {"splits.json": '{"train": []}'},
+                       3, "splits.json"),
+    "splits-not-json": (["train-base", "--model-id", "m"], {"splits.json": "{"}, 3,
+                        "splits.json"),
+    "splits-unknown-id": (["train-base", "--model-id", "m"],
+                          {"splits.json": '{"seed": 0, "train": ["ghost"], "val": [], '
+                                          '"test": []}'}, 3, "not in the dataset"),
+    "features-meta-short": (["train-base", "--model-id", "m"],
+                            {"features/meta.json": '{"ids": [], "dims": 1024}'}, 3,
+                            "do not match"),
+    "features-other-ids": (["train-base", "--model-id", "m"],
+                           {"features/meta.json": json.dumps(
+                               {"ids": [f"x{i}" for i in range(100)], "dims": 1024})},
+                           3, "does not cover"),
+    "features-meta-empty": (["train-base", "--model-id", "m"],
+                            {"features/meta.json": "{}"}, 3, "meta.json"),
+    "features-not-npy": (["train-base", "--model-id", "m"],
+                         {"features/indices.npy": "not an array"}, 3, "indices.npy"),
+    "manifest-not-json": (["verify"], {"manifest.json": "["}, 3, "manifest.json"),
+    "ensemble-no-hash": (["verify"], {"ensembles/e/ensemble.json": '{"config": {}}'},
+                         2, "FAIL e: "),
+    "bag-unequal-k": (["bag", "--external", "{out}", "--base", "m1,k3"], {}, 5,
+                      "member class counts [2, 3]"),
+    "stack-unequal-k": (["stack", "--base", "m1,k3"], {}, 5, "member class counts [2, 3]"),
+    "dgs-lr-unequal-k": (["dgs", "--gate", "lr", "--base", "m1,k3"], {}, 5,
+                         "member class counts [2, 3]"),
+    "dgs-svm-unequal-k": (["dgs", "--gate", "svm", "--base", "m1,k3"], {}, 5,
+                          "member class counts [2, 3]"),
+}
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A featurized 100-sample binary workspace with base models m1 and m2,
+    prediction files of a K = 3 model k3, and a paired multiclass dataset:
+    (dataset path, multiclass dataset path, out dir)."""
+    ws = tmp_path_factory.mktemp("unsafe")
+    data, cwe_data = ws / "d.jsonl", ws / "cwe.jsonl"
+    _write_dataset(data, synth.separable_corpus(100, seed=0))
+    _write_dataset(cwe_data, synth.paired_cwe_corpus({"CWE-119": 12,
+                                                      "../../cwe_escape": 11}))
+    base = ["--dataset", str(data), "--out", str(ws / "out")]
+    assert cli.main(["split", *base]) == 0
+    assert cli.main(["featurize", *base, "--dims", "1024"]) == 0
+    for mid in ("m1", "m2"):
+        assert cli.main(["train-base", *base, *LEARN, "--model-id", mid]) == 0
+    splits = json.loads((ws / "out" / "splits.json").read_text())
+    for split in ("val", "test"):
+        path = ws / "out" / "preds" / "k3" / f"{split}.jsonl"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("".join(json.dumps({"id": s, "probs": [0.5, 0.25, 0.25]}) + "\n"
+                                for s in splits[split]))
+    return data, cwe_data, ws / "out"
+
+
+@pytest.mark.parametrize("case", sorted(_UNSAFE_INPUTS))
+def test_unsafe_input_exits_with_its_code(case, trained, tmp_path, capsys):
+    argv, edits, code, needle = _UNSAFE_INPUTS[case]
+    data, cwe_data, template = trained
+    out = tmp_path / "out"
+    shutil.copytree(template, out)
+    for rel, text in edits.items():
+        (out / rel).parent.mkdir(parents=True, exist_ok=True)
+        (out / rel).write_text(text)
+    before = {p for p in tmp_path.rglob("*") if p.is_file()}
+    fill = {"tmp": tmp_path, "out": out, "cwe": cwe_data}
+    argv = [argv[0], "--dataset", str(data), "--out", str(out),
+            *(a.format(**fill) for a in argv[1:])]
+    capsys.readouterr()
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == code, captured.err
+    assert needle in captured.err + captured.out and "Traceback" not in captured.err
+    written = {p for p in tmp_path.rglob("*") if p.is_file()} - before
+    assert all(p.is_relative_to(out) for p in written), sorted(map(str, written))
+    if case.startswith("cwe"):  # stopped before writing any subset
+        assert not (out / "subsets").exists()
+
+
+def test_import_vulforge_loads_no_submodule():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = ("import sys, vulforge; "
+             "print(sorted(m for m in sys.modules if m.startswith('vulforge.')))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.strip() == "[]"

@@ -22,7 +22,6 @@ from vulforge.ensembles import (
     _route,
     adaboost_fit,
     adaboost_fit_external,
-    adaboost_predict,
     adaboost_predict_set,
     bagging_combine,
     bagging_fit,

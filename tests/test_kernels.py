@@ -176,3 +176,45 @@ def test_np_csr_logits_bit_identical(problem):
     z = kernels.csr_logits(indptr, indices, data, W, b)
     assert z.flags.c_contiguous
     assert np.array_equal(z, _ref_csr_logits(indptr, indices, data, W, b))
+
+
+# ---------------------------------------------------------------------------
+# dense softmax trainer: bit-identical to the mini-batch loop run full-batch
+# ---------------------------------------------------------------------------
+
+def _ref_dense_softmax_fit(X, targets, coefs, W, b, order, batch_size, lr, decay):
+    """The mini-batch trainer that the lr meta-learner ran with one batch of
+    all rows in identity order and unit coefficients."""
+    n = X.shape[0]
+    for e in range(order.shape[0]):
+        perm = order[e]
+        for start in range(0, n, batch_size):
+            batch = perm[start:start + batch_size]
+            bs = len(batch)
+            Xb = X[batch]
+            p = kernels.softmax(Xb @ W.T + b)
+            g = (p - targets[batch]) * (coefs[batch] / bs)[:, None]
+            b -= lr * g.sum(axis=0)
+            W -= lr * (g.T @ Xb)
+        if decay != 1.0:
+            W *= decay
+    return W, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 600), st.integers(1, 100), st.sampled_from([2, 3, 9]),
+       st.integers(1, 5), st.sampled_from([1.0, 0.9995]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_dense_softmax_fit_bit_identical(n, d, k, epochs, decay, fortran, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    if fortran:  # a matmul on Fortran-ordered X can round differently
+        X = np.asfortranarray(X)
+    targets = np.eye(k)[rng.integers(0, k, size=n)]
+    Wr, br = np.zeros((k, d)), np.zeros(k)
+    order = np.tile(np.arange(n, dtype=np.int64), (epochs, 1))
+    _ref_dense_softmax_fit(X, targets, np.ones(n), Wr, br, order, n, 0.5, decay)
+    W, b = np.zeros((k, d)), np.zeros(k)
+    kernels.dense_softmax_fit(X, targets, W, b, epochs, 0.5, decay)
+    assert np.array_equal(W, Wr)
+    assert np.array_equal(b, br)
