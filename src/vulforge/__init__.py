@@ -7,3 +7,7 @@ The API is the modules (``vulforge.ensembles``, ``vulforge.learners``,
 """
 
 __version__ = "0.1.0"
+
+#: the meta-learner kinds of ``vulforge.metamodels``, kept here so that the
+#: CLI parser can offer them without loading numpy
+META_KINDS = ("lr", "rf", "svm", "knn")

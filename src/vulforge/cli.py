@@ -12,42 +12,35 @@ Exit codes:
   3  IoError       — missing or unreadable artifacts
   4  ProtocolOrderError — external boosting round files out of order
   5  other vulforge errors (data validation, coverage, ...)
+
+A process pays only for what its subcommand runs: this module imports the
+standard library and ``errors`` at load time, and each ``cmd_*`` imports the
+modules it calls when it runs, so ``verify`` loads no numpy and ``split``
+no learner.  ``main`` pins OpenBLAS to one thread when it runs before numpy
+is loaded; the engine's own parallelism is ``--workers``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import fcntl
 import hashlib
 import json
 import logging
 import math
+import os
 import sys
-from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import ensembles, ingest, metrics, store
-from .codefeat import FeaturizerConfig
-from .core import PredictionSet
+from . import META_KINDS
 from .errors import ConfigError, IoError, ProtocolOrderError, UnsafeName, VulforgeError
-from .ingest import _atomic_write, _is_id_list, _read_json
-from .learners import (
-    BaseLearnerSpec,
-    FeatureMatrix,
-    LearnerConfig,
-    SampleWeights,
-    featurize_dataset,
-    fit_builtin,
-    ingest_predictions,
-    ingest_round_predictions,
-    predict_builtin_many,
-    write_predictions,
-)
-from .metamodels import META_KINDS, MetaConfig
+
+if TYPE_CHECKING:
+    from .core import PredictionSet
+    from .ingest import Dataset, SplitIndices
+    from .learners import FeatureMatrix, LearnerConfig
 
 EXIT_CONFIG, EXIT_IO, EXIT_PROTOCOL, EXIT_OTHER = 2, 3, 4, 5
 
@@ -139,7 +132,12 @@ def _model_id(flag: str, name: str) -> str:
 
 
 def _model_ids(flag: str, names: str) -> list[str]:
-    return [_model_id(flag, name) for name in names.split(",")]
+    ids = [_model_id(flag, name) for name in names.split(",")]
+    for n, mid in enumerate(ids):
+        if mid in ids[:n]:
+            raise ConfigError(f"{flag} names {mid!r} twice; each model id may "
+                              "appear once")
+    return ids
 
 
 def _is_manifest(m) -> bool:
@@ -151,12 +149,16 @@ def _echo(cfg: dict) -> dict:
     return {k: cfg.get(k) for k in _CONFIG}
 
 
-def _record_artifact(out: Path, path: Path, cfg: dict, blob: bytes | None = None) -> None:
+def _record_artifact(out: Path, path: Path, config_hash: str,
+                     blob: bytes | None = None) -> None:
     """Track an artifact in out/manifest.json for `verify`: the digest of
-    ``blob``, the bytes just written to ``path``, or else of the file.
+    ``blob``, the bytes just written to ``path``, or else of the file, under
+    ``config_hash``.
 
     The read-modify-write holds an exclusive lock on out/manifest.lock, so
     concurrent commands on one --out each add their entries."""
+    from .ingest import _atomic_write, _read_json
+
     manifest_path = out / "manifest.json"
     digest = hashlib.sha256(path.read_bytes() if blob is None else blob).hexdigest()
     rel = str(path.relative_to(out)) if path.is_relative_to(out) else str(path)
@@ -166,8 +168,7 @@ def _record_artifact(out: Path, path: Path, cfg: dict, blob: bytes | None = None
         manifest = {}
         if manifest_path.exists():
             manifest = _read_json(manifest_path, "artifact records", _is_manifest)
-        manifest[rel] = {"sha256": digest,
-                         "config_hash": store.config_hash(_echo(cfg))}
+        manifest[rel] = {"sha256": digest, "config_hash": config_hash}
         _atomic_write(manifest_path, (json.dumps(manifest, indent=1, sort_keys=True)
                                       + "\n").encode("utf-8"))
 
@@ -181,33 +182,44 @@ class _Run:
     one is reported before any input built from it."""
 
     def __init__(self, args: argparse.Namespace):
+        from .store import config_hash
+
         self.cfg = resolve_config(args)
         self.out = Path(self.cfg["out"])
         self.echo = _echo(self.cfg)
-        self.config_hash = store.config_hash(self.echo)
+        self.config_hash = config_hash(self.echo)
 
     @cached_property
-    def dataset(self) -> ingest.Dataset:
+    def dataset(self) -> Dataset:
+        from .ingest import load_dataset
+
         if not self.cfg["dataset"]:
             raise ConfigError("no dataset given (--dataset or config file)")
         path = Path(self.cfg["dataset"])
         if not path.exists():
             raise IoError(f"dataset file {path} does not exist")
-        return ingest.load_dataset(path, self.cfg["schema"])
+        return load_dataset(path, self.cfg["schema"])
 
     @cached_property
-    def splits(self) -> ingest.SplitIndices:
+    def splits(self) -> SplitIndices:
+        from .ingest import load_splits
+
         _ = self.dataset
         path = self.out / "splits.json"
         if not path.exists():
             raise IoError(f"{path} missing; run `vulforge split` first")
-        s = ingest.load_splits(path)
+        s = load_splits(path)
         if not {*s.train, *s.val, *s.test} <= set(self.dataset.ids):
             raise IoError(f"{path} names samples that are not in the dataset")
         return s
 
     @cached_property
     def features(self) -> FeatureMatrix:
+        import numpy as np
+
+        from .ingest import _is_id_list, _read_json
+        from .learners import FeatureMatrix
+
         _ = self.splits
         fdir = self.out / "features"
         meta_path = fdir / "meta.json"
@@ -233,6 +245,8 @@ class _Run:
 
     @cached_property
     def learner(self) -> LearnerConfig:
+        from .learners import LearnerConfig
+
         c = self.cfg
         return LearnerConfig(learning_rate=c["learning_rate"], epochs=c["epochs"],
                              l2=c["l2"], batch_size=c["batch_size"], seed=c["seed"])
@@ -240,18 +254,24 @@ class _Run:
     def predictions(self, model_ids, split: str) -> list[PredictionSet]:
         """The prediction sets of ``model_ids`` on ``split``, read from
         --external, or else from --out."""
+        from .learners import ingest_predictions
+
         root = Path(self.cfg["external"] or self.out)
         ids = self.splits.for_split(split)
         return [ingest_predictions(root, mid, split, ids) for mid in model_ids]
 
     def emit(self, path: Path, blob: bytes) -> None:
         """Write ``blob`` to ``path`` atomically and record its digest."""
+        from .ingest import _atomic_write
+
         _atomic_write(path, blob)
-        _record_artifact(self.out, path, self.cfg, blob)
+        _record_artifact(self.out, path, self.config_hash, blob)
 
     def emit_json(self, path: Path, payload: dict) -> None:
         """Emit ``payload`` as JSON with the schema version and config hash."""
-        payload ={"schema_version": store.SCHEMA_VERSION, **payload,
+        from .store import SCHEMA_VERSION
+
+        payload = {"schema_version": SCHEMA_VERSION, **payload,
                    "config_hash": self.config_hash}
         self.emit(path, (json.dumps(payload, indent=1, sort_keys=True, default=float)
                          + "\n").encode("utf-8"))
@@ -265,6 +285,8 @@ class _Run:
 
     def report(self, name: str, pred: PredictionSet, ids) -> None:
         """Score ``pred`` on ``ids`` and emit report_<name>.json and .csv."""
+        from . import metrics
+
         d = self.dataset
         labels, truth = pred.reindexed(ids).argmax(axis=1), d.labels_for(ids)
         report = (metrics.binary_metrics(labels, truth) if d.class_count == 2
@@ -279,7 +301,10 @@ class _Run:
     def finish_ensemble(self, name: str, e, pred: PredictionSet) -> None:
         """An ensemble command's tail: save ``e`` as out/ensembles/<name>,
         write its test-split predictions ``pred`` and report them."""
-        store.save_ensemble(self.out / "ensembles" / name, e, self.echo, write=self.emit)
+        from .learners import write_predictions
+        from .store import save_ensemble
+
+        save_ensemble(self.out / "ensembles" / name, e, self.echo, write=self.emit)
         write_predictions(self.out, pred, write=self.emit)
         self.report(name, pred, self.splits.test)
 
@@ -295,8 +320,10 @@ def _base_ids(args, needs: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def cmd_split(args) -> int:
+    from .ingest import stratified_split
+
     run = _Run(args)
-    s = ingest.stratified_split(run.dataset, run.cfg["seed"])
+    s = stratified_split(run.dataset, run.cfg["seed"])
     run.emit_json(run.out / "splits.json", {"seed": s.seed, "train": list(s.train),
                                             "val": list(s.val), "test": list(s.test)})
     print(f"split: train={len(s.train)} val={len(s.val)} test={len(s.test)}")
@@ -304,12 +331,16 @@ def cmd_split(args) -> int:
 
 
 def cmd_featurize(args) -> int:
+    from .codefeat import FeaturizerConfig
+    from .learners import featurize_dataset
+    from .store import _npy_bytes
+
     run = _Run(args)
     fconfig = FeaturizerConfig(run.cfg["dims"], tuple(run.cfg["ngram_orders"]))
     fm = featurize_dataset(run.dataset, fconfig)
     fdir = run.out / "features"
     for name in ("indptr", "indices", "data"):
-        run.emit(fdir / f"{name}.npy", store._npy_bytes(getattr(fm, name)))
+        run.emit(fdir / f"{name}.npy", _npy_bytes(getattr(fm, name)))
     run.emit_json(fdir / "meta.json", {"ids": list(fm.ids), "dims": fm.dims,
                                        "ngram_orders": list(fconfig.ngram_orders)})
     print(f"featurize: {len(fm.ids)} samples, {len(fm.data)} nonzeros, D={fm.dims}")
@@ -317,6 +348,10 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train_base(args) -> int:
+    from .core import PredictionSet
+    from .learners import (SampleWeights, fit_builtin, predict_builtin_many,
+                           write_predictions)
+
     run = _Run(args)
     model_id = _model_id("--model-id", args.model_id)
     s = run.splits
@@ -332,6 +367,10 @@ def cmd_train_base(args) -> int:
 
 
 def cmd_bag(args) -> int:
+    from . import ensembles
+    from .ingest import bootstrap
+    from .learners import BaseLearnerSpec
+
     run = _Run(args)
     name = f"bagging_{args.mode}"
     if run.cfg["external"]:
@@ -341,7 +380,7 @@ def cmd_bag(args) -> int:
         pred = ensembles.bagging_predict_set(e, run.splits.test, None, "test", name)
     else:
         d, s, fm = run.dataset, run.splits, run.features
-        plan = ingest.bootstrap(d, s, run.cfg["members"], run.cfg["seed"])
+        plan = bootstrap(d, s, run.cfg["members"], run.cfg["seed"])
         spec = BaseLearnerSpec("builtin_linear", name, run.learner)
         e = ensembles.bagging_fit(spec, plan, d, args.mode, fm, workers=run.cfg["workers"])
         pred = ensembles.bagging_predict_set(e, s.test, fm, "test", name)
@@ -350,6 +389,11 @@ def cmd_bag(args) -> int:
 
 
 def cmd_boost(args) -> int:
+    from dataclasses import replace
+
+    from . import ensembles, metrics
+    from .learners import BaseLearnerSpec, ingest_round_predictions
+
     run = _Run(args)
     d, s = run.dataset, run.splits
     weight_log: list = []
@@ -379,6 +423,12 @@ def cmd_boost(args) -> int:
 
 
 def cmd_stack(args) -> int:
+    from dataclasses import replace
+
+    from . import ensembles
+    from .learners import BaseLearnerSpec
+    from .metamodels import MetaConfig
+
     run = _Run(args)
     base_ids = _base_ids(args, "stacking")
     d, s = run.dataset, run.splits
@@ -404,6 +454,8 @@ def cmd_stack(args) -> int:
 
 
 def cmd_dgs(args) -> int:
+    from . import ensembles
+
     run = _Run(args)
     base_ids = _base_ids(args, "dgs")
     d, s, fm = run.dataset, run.splits, run.features
@@ -426,6 +478,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    import csv
+
+    import numpy as np
+
+    from . import metrics
+
     run = _Run(args)
     path = Path(args.scores)
     if not path.exists():
@@ -470,6 +528,8 @@ def cmd_rank(args) -> int:
 
 
 def cmd_overlap(args) -> int:
+    from . import metrics
+
     run = _Run(args)
     ids = run.splits.for_split(args.split)
     truth = run.dataset.labels_for(ids)
@@ -484,6 +544,8 @@ def cmd_overlap(args) -> int:
 
 
 def cmd_divergence(args) -> int:
+    from . import metrics
+
     run = _Run(args)
     ids = run.splits.for_split(args.split)
     preds = run.predictions(_model_ids("--preds", args.preds), args.split)
@@ -496,18 +558,20 @@ def cmd_divergence(args) -> int:
 
 
 def cmd_cwe_subsets(args) -> int:
+    from .ingest import cwe_subset, top_cwes
+
     run = _Run(args)
     if run.cfg["schema"] != "multiclass":
         raise ConfigError("cwe-subsets requires --schema multiclass")
     if args.top < 1:
         raise ConfigError(f"top must be an integer >= 1, got {args.top}")
-    cwes = ingest.top_cwes(run.dataset, args.top)
+    cwes = top_cwes(run.dataset, args.top)
     unsafe = [cwe for cwe in cwes if not _is_file_name(cwe)]
     if unsafe:  # found before any subset is written
         raise UnsafeName(f"CWE tag {unsafe[0]!r} names a subset file, so it must be "
                          f"{_FILE_NAME}")
     for cwe in cwes:
-        sub = ingest.cwe_subset(run.dataset, cwe)
+        sub = cwe_subset(run.dataset, cwe)
         lines = [json.dumps({"id": x.id, "code": x.code, "label": x.label,
                              "cwe": x.cwe, "pair_id": x.pair_id})
                  for x in sub.samples]
@@ -518,6 +582,9 @@ def cmd_cwe_subsets(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .ingest import _read_json
+    from .store import verify_ensemble
+
     out = _Run(args).out
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
@@ -532,7 +599,7 @@ def cmd_verify(args) -> int:
         if hashlib.sha256(path.read_bytes()).hexdigest() != rec["sha256"]:
             failures.append(f"{rel}: content digest mismatch")
     for edir in sorted(out.glob("ensembles/*")):
-        if (edir / "ensemble.json").exists() and not store.verify_ensemble(edir):
+        if (edir / "ensemble.json").exists() and not verify_ensemble(edir):
             failures.append(f"{edir.name}: ensemble.json malformed or hash mismatch")
     if failures:
         for f in failures:
@@ -655,6 +722,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS",
+                                           "OMP_NUM_THREADS"} & os.environ.keys():
+        # Before numpy's first import only: OpenBLAS sizes its thread pool
+        # when it loads.  One thread saves the pool's start-up and shutdown
+        # in every process and keeps BLAS threads off the cores that
+        # --workers uses.
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -4,6 +4,9 @@ File formats:
   dataset.jsonl  one record per line:
       {"id": str, "code": str, "label": int, "cwe": str|null, "pair_id": str|null}
   splits.json    {"seed": int, "train": [ids], "val": [ids], "test": [ids]}
+
+numpy is imported inside the functions that use it, so a command that only
+reads and writes JSON (``verify``) runs without it.
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     ClassTooSmall,
@@ -24,6 +26,9 @@ from .errors import (
     UnknownCwe,
     UnknownLabel,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -60,6 +65,8 @@ class Dataset:
         return self._index[sample_id]
 
     def labels_for(self, ids) -> np.ndarray:
+        import numpy as np
+
         return np.array([self._index[i].label for i in ids], dtype=np.int64)
 
     def class_counts(self) -> dict[int, int]:
@@ -201,6 +208,8 @@ def stratified_split(d: Dataset, seed: int) -> SplitIndices:
     for c, ids in sorted(by_class.items()):
         if len(ids) < MIN_CLASS_SIZE:
             raise ClassTooSmall(c, len(ids), MIN_CLASS_SIZE)
+    import numpy as np
+
     train: list[str] = []
     val: list[str] = []
     test: list[str] = []
@@ -226,6 +235,8 @@ def bootstrap(d: Dataset, s: SplitIndices, m: int, seed: int) -> BootstrapPlan:
     """
     if m < 1:
         raise ValueError(f"member count must be >= 1, got {m}")
+    import numpy as np
+
     by_class: dict[int, list[str]] = {}
     for sid in s.train:
         by_class.setdefault(d.by_id(sid).label, []).append(sid)

@@ -35,10 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from . import META_KINDS, _kernels  # noqa: F401 (META_KINDS: public name)
 from .errors import EmptyTrainingSet, NonFiniteInput, WidthMismatch
-
-META_KINDS = ("lr", "rf", "svm", "knn")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,9 @@ alpha, Z), base-model order, the config echo and its hash, and sha256
 digests of every sidecar so ``verify`` can detect corruption.  All writes
 are atomic (temp file + rename) and byte-identical across reruns of the
 same inputs.
+
+numpy and the model modules are imported inside the encode and decode
+paths, so ``config_hash`` and ``verify_ensemble`` load neither.
 """
 
 from __future__ import annotations
@@ -22,21 +25,17 @@ import io
 import json
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import PredictionSet
-from .ensembles import (
-    BaggingEnsemble,
-    BoostEnsemble,
-    BoostRound,
-    GateModel,
-    StackingModel,
-)
 from .errors import IoError
 from .ingest import _atomic_write
-from .learners import LearnerConfig, LinearModel
-from .metamodels import MetaConfig, MetaModel
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .core import PredictionSet
+    from .learners import LinearModel
+    from .metamodels import MetaModel
 
 SCHEMA_VERSION = 3
 
@@ -50,6 +49,8 @@ def config_hash(echo: dict) -> str:
 def _npy_bytes(arr: np.ndarray) -> bytes:
     """The bytes ``np.save`` writes for ``arr`` in C order, built with one
     copy of the data (saving into a ``BytesIO`` holds two at once)."""
+    import numpy as np
+
     arr = np.ascontiguousarray(arr)
     head = io.BytesIO()
     np.lib.format.write_array_header_1_0(head, np.lib.format.header_data_from_array_1_0(arr))
@@ -63,6 +64,8 @@ class _ArrayStore:
         self.arrays: dict[str, np.ndarray] = {}
 
     def put(self, name: str, arr: np.ndarray) -> str:
+        import numpy as np
+
         self.arrays[name] = np.asarray(arr)
         return name
 
@@ -95,6 +98,8 @@ def _enc_linear(m: LinearModel, store: _ArrayStore, prefix: str) -> dict:
 
 
 def _dec_linear(rec: dict, arrays: dict) -> LinearModel:
+    from .learners import LearnerConfig, LinearModel
+
     return LinearModel(arrays[rec["W"]].copy(), arrays[rec["b"]].copy(),
                        rec["dims"], rec["class_count"],
                        LearnerConfig(**rec["config"]))
@@ -111,6 +116,8 @@ def _enc_predset(p: PredictionSet, store: _ArrayStore, prefix: str) -> dict:
 
 
 def _dec_predset(rec: dict, arrays: dict) -> PredictionSet:
+    from .core import PredictionSet
+
     return PredictionSet(rec["model_id"], rec["split"], tuple(rec["ids"]),
                          arrays[rec["probs"]].copy())
 
@@ -119,6 +126,8 @@ _META_HEADER = ("type", "kind", "input_width", "output_width", "config")
 
 
 def _enc_meta(m: MetaModel, store: _ArrayStore, prefix: str) -> dict:
+    import numpy as np
+
     rec = {
         "type": "meta",
         "kind": m.kind,
@@ -133,6 +142,8 @@ def _enc_meta(m: MetaModel, store: _ArrayStore, prefix: str) -> dict:
 
 
 def _dec_meta(rec: dict, arrays: dict) -> MetaModel:
+    from .metamodels import MetaConfig, MetaModel
+
     params = {name: arrays[value] if isinstance(value, str) else value
               for name, value in rec.items() if name not in _META_HEADER}
     return MetaModel(rec["kind"], params, rec["input_width"], rec["output_width"],
@@ -140,6 +151,10 @@ def _dec_meta(rec: dict, arrays: dict) -> MetaModel:
 
 
 def _enc_component(obj, store: _ArrayStore, prefix: str) -> dict:
+    from .core import PredictionSet
+    from .learners import LinearModel
+    from .metamodels import MetaModel
+
     if isinstance(obj, LinearModel):
         return _enc_linear(obj, store, prefix)
     if isinstance(obj, PredictionSet):
@@ -159,6 +174,8 @@ def _dec_component(rec: dict, arrays: dict):
 # ---------------------------------------------------------------------------
 
 def _encode(e, store: _ArrayStore) -> dict:
+    from .ensembles import BaggingEnsemble, BoostEnsemble, GateModel, StackingModel
+
     if isinstance(e, BaggingEnsemble):
         return {
             "variant": "bagging",
@@ -202,6 +219,14 @@ def _encode(e, store: _ArrayStore) -> dict:
 
 
 def _decode(payload: dict, arrays: dict):
+    from .ensembles import (
+        BaggingEnsemble,
+        BoostEnsemble,
+        BoostRound,
+        GateModel,
+        StackingModel,
+    )
+
     variant = payload["variant"]
     if variant == "bagging":
         members = tuple(_dec_component(m, arrays) for m in payload["members"])
@@ -266,6 +291,8 @@ def load_ensemble(out_dir):
     payload = json.loads(path.read_text(encoding="utf-8"))
     if payload.get("schema_version") != SCHEMA_VERSION:
         raise IoError(f"unsupported schema version {payload.get('schema_version')}")
+    import numpy as np
+
     arrays = {}
     for name, rec in payload.get("params", {}).items():
         blob = (out_dir / rec["file"]).read_bytes()

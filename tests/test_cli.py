@@ -148,13 +148,13 @@ class TestPipeline:
 _RECORDER = """
 import sys
 from pathlib import Path
-from vulforge import cli
+from vulforge import cli, store
 out, tag = Path(sys.argv[1]), sys.argv[2]
 for i in range(40):
     path = out / tag / f"{i}.txt"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(f"{tag} {i}")
-    cli._record_artifact(out, path, cli._DEFAULTS)
+    cli._record_artifact(out, path, store.config_hash(cli._echo(cli._DEFAULTS)))
 """
 
 
@@ -479,6 +479,14 @@ _UNSAFE_INPUTS = {
                          "member class counts [2, 3]"),
     "dgs-svm-unequal-k": (["dgs", "--gate", "svm", "--base", "m1,k3"], {}, 5,
                           "member class counts [2, 3]"),
+    "stack-repeated-id": (["stack", "--base", "m1,m1"], {}, 2, "--base names 'm1' twice"),
+    "dgs-repeated-id": (["dgs", "--base", "m1,m2,m1"], {}, 2, "--base names 'm1' twice"),
+    "bag-repeated-id": (["bag", "--external", "{out}", "--base", "m2,m2"], {}, 2,
+                        "--base names 'm2' twice"),
+    "overlap-repeated-id": (["overlap", "--preds", "m1,m1"], {}, 2,
+                            "--preds names 'm1' twice"),
+    "divergence-repeated-id": (["divergence", "--preds", "m2,m1,m2"], {}, 2,
+                               "--preds names 'm2' twice"),
 }
 
 
@@ -537,3 +545,61 @@ def test_import_vulforge_loads_no_submodule():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def _imports(*args) -> set[str]:
+    """Modules a ``python ARGS`` child imports, read from ``-X importtime``;
+    the child must exit 0."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-X", "importtime", *args],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_import_cli_loads_no_numpy():
+    loaded = _imports("-c", "import vulforge.cli")
+    assert "vulforge.cli" in loaded and "numpy" not in loaded
+
+
+def test_verify_process_loads_no_numpy(workspace):
+    loaded = _imports("-m", "vulforge.cli", "verify", "--out", str(workspace / "out"))
+    assert "vulforge.store" in loaded and "numpy" not in loaded
+
+
+def test_split_process_loads_no_model_module(tmp_path):
+    data = tmp_path / "d.jsonl"
+    _write_dataset(data, synth.separable_corpus(100, seed=0))
+    loaded = _imports("-m", "vulforge.cli", "split", "--dataset", str(data),
+                      "--out", str(tmp_path / "out"))
+    assert "vulforge.ingest" in loaded and "numpy" in loaded
+    heavy = {"vulforge.ensembles", "vulforge.metamodels", "vulforge.learners",
+             "vulforge.codefeat", "vulforge.metrics", "vulforge._kernels"}
+    assert not heavy & loaded, sorted(heavy & loaded)
+
+
+# Runs a CLI command in a process that has not loaded numpy, then prints the
+# BLAS thread setting the process holds: argv is the --out dir.
+_PIN_PROBE = """
+import os, sys
+from vulforge import cli
+cli.main(["verify", "--out", sys.argv[1]])
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+def test_cli_pins_blas_to_one_thread_unless_set(workspace):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    bare = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    pinned = {}
+    for name, extra in (("unset", {}), ("openblas", {"OPENBLAS_NUM_THREADS": "3"}),
+                        ("omp", {"OMP_NUM_THREADS": "2"})):
+        result = subprocess.run(
+            [sys.executable, "-c", _PIN_PROBE, str(workspace / "out")],
+            capture_output=True, text=True, check=True,
+            env={**bare, **extra, "PYTHONPATH": src})
+        pinned[name] = result.stdout.split()[-1]
+    assert pinned == {"unset": "1", "openblas": "3", "omp": "None"}
