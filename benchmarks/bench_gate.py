@@ -1,6 +1,6 @@
-"""Time and measure the dense DGS gates: fit, then score.
+"""Time and measure every DGS gate: fit, then score.
 
-For each dense gate kind and corpus size, builds ``synth.imbalanced_corpus(n,
+For each gate kind and corpus size, builds ``synth.imbalanced_corpus(n,
 pos_fraction=0.3)`` with its stratified 8:1:1 split, hashes the validation
 and test rows at the default 2^18 dims, and gives each of 5 seeded experts
 a random probability row per sample.  It then runs ``dgs_fit`` on the
@@ -14,7 +14,7 @@ Every gate kind runs at every size and scores every test row.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_gate.py [--sizes 4000,16000]
-        [--kinds svm,rf,knn] [--seed S]
+        [--kinds lr,svm,rf,knn] [--seed S]
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def _run(kind, d, split, features, bases):
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sizes", default="4000,16000")
-    ap.add_argument("--kinds", default="svm,rf,knn")
+    ap.add_argument("--kinds", default="lr,svm,rf,knn")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     print(f"{'kind':4} {'n':>6} {'val':>5} {'scored':>6} {'active':>6} "

@@ -462,8 +462,7 @@ def cmd_dgs(args) -> int:
     name = f"dgs_{run.cfg['routing']}"
     gate = ensembles.dgs_fit(
         run.predictions(base_ids, "val"), s.val, d.labels_for(s.val), fm,
-        ensembles.DgsConfig(run.cfg["routing"], args.gate),
-        gate_learner_cfg=run.learner, seed=run.cfg["seed"])
+        ensembles.DgsConfig(run.cfg["routing"], args.gate), seed=run.cfg["seed"])
     pred = ensembles.dgs_predict_set(gate, run.predictions(base_ids, "test"), s.test,
                                      fm, "test", name)
     run.finish_ensemble(name, gate, pred)

@@ -12,10 +12,11 @@ and return (N, K).  An (M, K) input is one sample's rows and gives one (K,)
 vector; the single-sample predictors (``bagging_predict``, ``dgs_predict``)
 are batches of one over the same code.  Gate scores are an (N, M) batch too,
 from the one gate-input builder ``dgs_fit`` trains on.
-A dense gate (svm, rf, knn) has one width from fit to score: the sorted
-columns of the gate input that some validation row touches, kept on the
-``GateModel`` as ``columns``.  Fit and scoring densify the gate-input CSR
-onto those columns with one helper, which drops every entry outside them.
+Every gate (lr, svm, rf, knn) is a meta-model with one width from fit to
+score: the sorted columns of the gate input that some validation row
+touches, kept on the ``GateModel`` as ``columns``.  Fit and scoring densify
+the gate-input CSR onto those columns with one helper, which drops every
+entry outside them.
 
 Vote conventions, fixed across the package:
   * hard bagging: majority over member argmax labels; vote ties resolve by
@@ -54,7 +55,6 @@ from .ingest import BootstrapPlan, Dataset
 from .learners import (
     BaseLearnerSpec,
     FeatureMatrix,
-    LearnerConfig,
     LinearModel,
     SampleWeights,
     emit_round_weights,
@@ -392,11 +392,11 @@ def oof_prediction_set(spec: BaseLearnerSpec, d: Dataset, ids,
 @dataclass(frozen=True)
 class GateModel:
     base_ids: tuple[str, ...]
-    gate: object  # LinearModel (sparse lr) or MetaModel (dense kinds)
+    gate: MetaModel
     routing: str  # hard | soft
     dims: int
     class_count: int
-    columns: np.ndarray | None = None  # a dense gate's input columns, sorted
+    columns: np.ndarray  # the gate's input columns, sorted
 
     @property
     def member_count(self) -> int:
@@ -447,29 +447,21 @@ def _densify(indptr, indices, data, columns: np.ndarray) -> np.ndarray:
 
 def dgs_fit(base_preds_val: list[PredictionSet], val_ids, labels: np.ndarray,
             features: FeatureMatrix, cfg: DgsConfig = DgsConfig(),
-            gate_learner_cfg: LearnerConfig | None = None,
             meta_cfg: MetaConfig = MetaConfig(), seed: int = 0) -> GateModel:
+    """Train the gate on routing labels, the argmax of each validation
+    sample's expert-correctness target, over only the columns the
+    validation rows touch."""
     if len(base_preds_val) < 2:
         raise CoverageMismatch("gated stacking needs at least two base models")
     val_ids = tuple(val_ids)
     labels = np.asarray(labels, dtype=np.int64)
     stacked = _member_stack(base_preds_val, val_ids)
     m, _, k = stacked.shape
-    targets = gate_targets(stacked, labels)
     rows = _gate_rows(*features.rows_for(val_ids), features.dims, stacked)
-    width = features.dims + m * k
-    columns = None
-    if cfg.gate_kind == "lr":
-        lcfg = gate_learner_cfg or LearnerConfig(seed=seed)
-        gate = fit_builtin(None, val_ids, SampleWeights.uniform(val_ids), lcfg,
-                           FeatureMatrix(val_ids, *rows, width), soft_targets=targets)
-    else:
-        # dense kinds train on hard routing labels (argmax of the soft target),
-        # over only the columns the validation rows touch
-        columns = np.unique(rows[1])
-        gate = meta_fit(cfg.gate_kind, _densify(*rows, columns),
-                        targets.argmax(axis=1), meta_cfg, seed, output_width=m,
-                        columns=columns, width=width)
+    columns = np.unique(rows[1])
+    gate = meta_fit(cfg.gate_kind, _densify(*rows, columns),
+                    gate_targets(stacked, labels).argmax(axis=1), meta_cfg, seed,
+                    output_width=m, columns=columns, width=features.dims + m * k)
     return GateModel(tuple(p.model_id for p in base_preds_val), gate, cfg.routing,
                      features.dims, k, columns)
 
@@ -477,21 +469,14 @@ def dgs_fit(base_preds_val: list[PredictionSet], val_ids, labels: np.ndarray,
 def gate_scores_many(g: GateModel, indptr, indices, data, stack: np.ndarray,
                      forced_uniform: bool = False) -> np.ndarray:
     """(N, M) gate scores of N samples: their hashed features as CSR and
-    their (M, N, K) expert stack.
-
-    The lr gate scores through predict_builtin_many, the forward pass it
-    was trained through; a dense gate scores the rows densified onto its
-    ``columns``.
-    """
+    their (M, N, K) expert stack, densified onto the gate's ``columns``."""
     m, n, k = stack.shape
     if m != g.member_count or k != g.class_count:
         raise LayoutMismatch(f"expert stack shape {stack.shape} does not match gate")
     if forced_uniform:
         return _kernels.softmax(np.zeros((n, m)))
-    indptr, indices, data = _gate_rows(indptr, indices, data, g.dims, stack)
-    if not isinstance(g.gate, MetaModel):
-        return predict_builtin_many(g.gate, indptr, indices, data)
-    return meta_predict_many(g.gate, _densify(indptr, indices, data, g.columns))
+    rows = _gate_rows(indptr, indices, data, g.dims, stack)
+    return meta_predict_many(g.gate, _densify(*rows, g.columns))
 
 
 def gate_scores(g: GateModel, fv: FeatureVector, base_rows: np.ndarray,

@@ -164,14 +164,11 @@ def _epoch_orders(n: int, epochs: int, seed: int) -> np.ndarray:
     return np.vstack([rng.permutation(n) for _ in range(epochs)]).astype(np.int64)
 
 
-def fit_builtin(d: Dataset | None, ids, w: SampleWeights, cfg: LearnerConfig,
-                features: FeatureMatrix, soft_targets: np.ndarray | None = None) -> LinearModel:
-    """Train the built-in learner on ``ids`` under weight distribution ``w``.
-
-    ``soft_targets`` (N x K, rows summing to 1) overrides the one-hot labels
-    of ``d``, which is then not read; the gate trainer uses this for
-    soft-target cross-entropy.
-    """
+def fit_builtin(d: Dataset, ids, w: SampleWeights, cfg: LearnerConfig,
+                features: FeatureMatrix) -> LinearModel:
+    """Train the built-in learner on the labels of ``ids`` in ``d`` under
+    weight distribution ``w``.  It trains base models only; every DGS gate
+    is a meta-model (see ensembles.dgs_fit)."""
     ids = tuple(ids)
     if not ids:
         raise EmptyTrainingSet("no training ids")
@@ -186,12 +183,9 @@ def fit_builtin(d: Dataset | None, ids, w: SampleWeights, cfg: LearnerConfig,
     n = len(ids)
     indptr, indices, data = features.rows_for(ids)
     data = unit_rows(indptr, data)
-    if soft_targets is None:
-        targets = np.zeros((n, d.class_count))
-        targets[np.arange(n), d.labels_for(ids)] = 1.0
-    else:
-        targets = np.asarray(soft_targets, dtype=np.float64)
-    k = targets.shape[1]
+    k = d.class_count
+    targets = np.zeros((n, k))
+    targets[np.arange(n), d.labels_for(ids)] = 1.0
     W = np.zeros((k, features.dims))
     b = np.zeros(k)
     coefs = weights * n  # uniform weights give the usual per-sample mean scale

@@ -8,7 +8,8 @@ given (X, y, cfg, seed); forest fitting may parallelize across trees with
 per-tree seed streams, so results are identical for any worker count.
 
 Every param is an ndarray except knn's ``k``, and every predict is a batch
-operation.  Fit and predict both reject an input holding NaN or +-inf
+operation; lr, rf and knn give each row the same bits in a batch of any
+size.  Fit and predict both reject an input holding NaN or +-inf
 with ``NonFiniteInput``.  A forest is flat node arrays: ``feature``,
 ``threshold``, ``left``, ``right`` and ``value`` (nodes, K) hold the trees'
 nodes, each tree in preorder and the trees joined in tree order, and
@@ -19,7 +20,7 @@ none moves, then sums the leaf values in tree order.
 A fit may see only some columns of a wider input: ``meta_fit(..., columns,
 width)`` takes X as the columns ``columns`` of a ``width``-wide matrix that
 is zero everywhere else.  The model's input is those columns only, so a
-caller scores a row by its entries in ``columns``.  The dense DGS gates use
+caller scores a row by its entries in ``columns``.  Every DGS gate uses
 this to train and score on the few hashed columns the validation rows
 touch.  lr, svm and knn fit X as it is.  The forest draws its features
 from the full width with the same RNG calls as a full-width fit and skips
@@ -122,7 +123,9 @@ def meta_predict_many(m: MetaModel, X) -> np.ndarray:
         raise WidthMismatch(f"row width {X.shape[1:]} != model input {m.input_width}")
     _check_finite(X)
     if m.kind == "lr":
-        return _kernels.softmax(X @ m.params["W"].T + m.params["b"])
+        # einsum sums each row's logits on their own, so a row scores the same
+        # bits in a batch of any size; a matmul of one row takes another path
+        return _kernels.softmax(np.einsum("nd,kd->nk", X, m.params["W"]) + m.params["b"])
     if m.kind == "svm":
         W, b = m.params["W"], m.params["b"]
         squashed = 1.0 / (1.0 + np.exp(-(X @ W.T + b)))  # unit-scale logistic

@@ -4,9 +4,11 @@ deterministic ``.npy`` sidecars for the parameter arrays.
 Every meta-model param that is an ndarray (lr/svm ``W``/``b``, the rf
 forest arrays, knn ``rows``/``labels``) is a digested sidecar named
 ``{prefix}_{name}.npy``, as are linear-model weights and prediction-set
-probabilities; scalars such as knn ``k`` stay in the JSON.  A dense DGS
-gate's input columns are the ``gate_columns`` sidecar, and its meta-model's
-``input_width`` is their count (schema 3; a schema-2 gate was full width).
+probabilities; scalars such as knn ``k`` stay in the JSON.  Every DGS
+gate is a meta-model; its input columns are the ``gate_columns`` sidecar,
+and its ``input_width`` is their count (schema 3; a schema-2 gate was full
+width).  A dgs payload whose gate is not a meta-model or that has no
+columns is refused.
 
 The manifest records the variant tag, per-member/round records (epsilon,
 alpha, Z), base-model order, the config echo and its hash, and sha256
@@ -204,17 +206,15 @@ def _encode(e, store: _ArrayStore) -> dict:
             "meta": _enc_component(e.meta, store, "meta"),
         }
     if isinstance(e, GateModel):
-        rec = {
+        return {
             "variant": "dgs",
             "class_count": e.class_count,
             "base_ids": list(e.base_ids),
             "routing": e.routing,
             "dims": e.dims,
             "gate": _enc_component(e.gate, store, "gate"),
+            "columns": store.put("gate_columns", e.columns),
         }
-        if e.columns is not None:  # dense gates only; an lr gate has none
-            rec["columns"] = store.put("gate_columns", e.columns)
-        return rec
     raise IoError(f"cannot serialize ensemble of type {type(e).__name__}")
 
 
@@ -245,12 +245,13 @@ def _decode(payload: dict, arrays: dict):
                              _dec_component(payload["meta"], arrays),
                              payload["class_count"])
     if variant == "dgs":
-        columns = payload.get("columns")
+        if payload["gate"].get("type") != "meta" or "columns" not in payload:
+            raise IoError("dgs gate is not a meta-model with input columns; "
+                          "it was saved by an older version")
         return GateModel(tuple(payload["base_ids"]),
                          _dec_component(payload["gate"], arrays),
                          payload["routing"], payload["dims"],
-                         payload["class_count"],
-                         arrays[columns] if columns else None)
+                         payload["class_count"], arrays[payload["columns"]])
     raise IoError(f"unknown ensemble variant {variant!r}")
 
 

@@ -322,9 +322,7 @@ def test_07_dgs_planted_routing():
     test_preds = synth.sentinel_predsets(d, owner, s.test, "test", seed=1)
     ty = d.labels_for(s.test)
     gate = dgs_fit(val_preds, s.val, d.labels_for(s.val), feats,
-                   DgsConfig("hard", "lr"),
-                   gate_learner_cfg=LearnerConfig(epochs=300, learning_rate=1.0,
-                                                  seed=0))
+                   DgsConfig("hard", "lr"))
     stacked = np.stack([p.reindexed(s.test) for p in test_preds])
     routed = sum(
         int(np.argmax(gate_scores(gate, feats.vector_for(sid), stacked[:, i, :])))

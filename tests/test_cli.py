@@ -46,7 +46,7 @@ def workspace(tmp_path_factory):
     assert cli.main(["boost", *base, *LEARN, "--rounds", "3"]) == 0
     assert cli.main(["stack", *base, "--meta", "lr", "--base", "m1,m2"]) == 0
     assert cli.main(["dgs", *base, "--routing", "hard", "--gate", "lr",
-                     "--base", "m1,m2", "--epochs", "30"]) == 0
+                     "--base", "m1,m2"]) == 0
     assert cli.main(["eval", *base, "--preds", "m1"]) == 0
     assert cli.main(["overlap", *base, "--preds", "m1,m2"]) == 0
     assert cli.main(["divergence", *base, "--preds", "m1,m2"]) == 0
@@ -156,6 +156,37 @@ for i in range(40):
     path.write_text(f"{tag} {i}")
     cli._record_artifact(out, path, store.config_hash(cli._echo(cli._DEFAULTS)))
 """
+
+
+def test_default_lr_gate_routes_planted_experts(tmp_path):
+    """`vulforge dgs --gate lr` at its defaults sends each test sample of the
+    sentinel corpus to the one expert that is right on it."""
+    from vulforge.ensembles import gate_scores_many
+    from vulforge.ingest import load_splits
+    from vulforge.learners import FeatureMatrix, write_predictions
+
+    d, owner = synth.sentinel_corpus(2000, experts=5, seed=1)
+    data, out, ext = tmp_path / "dataset.jsonl", tmp_path / "out", tmp_path / "ext"
+    _write_dataset(data, d)
+    base = ["--dataset", str(data), "--out", str(out), "--seed", "1"]
+    assert cli.main(["split", *base]) == 0
+    s = load_splits(out / "splits.json")
+    test_preds = synth.sentinel_predsets(d, owner, s.test, "test", seed=101)
+    for p in (*synth.sentinel_predsets(d, owner, s.val, "val", seed=1), *test_preds):
+        write_predictions(ext, p)
+    assert cli.main(["featurize", *base]) == 0
+    assert cli.main(["dgs", *base, "--external", str(ext), "--gate", "lr", "--base",
+                     ",".join(p.model_id for p in test_preds)]) == 0
+
+    gate = store.load_ensemble(out / "ensembles" / "dgs_hard")
+    fdir = out / "features"
+    features = FeatureMatrix(tuple(json.loads((fdir / "meta.json").read_text())["ids"]),
+                             *(np.load(fdir / f"{name}.npy")
+                               for name in ("indptr", "indices", "data")), gate.dims)
+    scores = gate_scores_many(gate, *features.rows_for(s.test),
+                              np.stack([p.probs for p in test_preds]))
+    routed = scores.argmax(axis=1) == np.array([owner[sid] for sid in s.test])
+    assert routed.mean() >= 0.95, f"routing accuracy {routed.mean()}"
 
 
 def test_concurrent_commands_keep_every_manifest_entry(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_compact_of, make_predset, random_feature_matrix
-from vulforge import _kernels, synth
+from vulforge import synth
 from vulforge.codefeat import FeaturizerConfig
 from vulforge.core import make_prediction_set
 from vulforge.ensembles import (
@@ -58,7 +58,6 @@ from vulforge.learners import (
 from vulforge.metamodels import (
     META_KINDS,
     MetaConfig,
-    MetaModel,
     meta_fit,
     meta_predict_many,
 )
@@ -384,8 +383,7 @@ class TestGate:
             probs = rng.random((20, 2))
             probs /= probs.sum(1, keepdims=True)
             bases.append(make_predset(mid, "val", ids, probs))
-        g = dgs_fit(bases, ids, labels, feats,
-                    gate_learner_cfg=LearnerConfig(epochs=2))
+        g = dgs_fit(bases, ids, labels, feats)
         with pytest.raises(LayoutMismatch):
             dgs_predict_set(g, bases[::-1], ids, feats, "val")
 
@@ -400,8 +398,7 @@ class TestGate:
             probs = rng.random((30, 2))
             probs /= probs.sum(1, keepdims=True)
             bases.append(make_predset(mid, "val", ids, probs))
-        g = dgs_fit(bases, ids, labels, feats, DgsConfig("soft", kind),
-                    gate_learner_cfg=LearnerConfig(epochs=2))
+        g = dgs_fit(bases, ids, labels, feats, DgsConfig("soft", kind))
         out = dgs_predict_set(g, bases, ids, feats, "val")
         assert out.probs.shape == (30, 2)
         assert np.allclose(out.probs.sum(1), 1.0)
@@ -440,17 +437,10 @@ def _ref_dense_gate_input(features, ids, stacked):
 
 def _ref_gate_scores(g, fv, base_rows):
     m, k = base_rows.shape
-    flat = base_rows.reshape(m * k)
-    if isinstance(g.gate, MetaModel):
-        dense = np.zeros(g.dims + m * k)
-        dense[fv.indices] = fv.counts
-        dense[g.dims:] = flat
-        return meta_predict_many(g.gate, dense[g.columns][None, :])[0]
-    norm = math.sqrt(fv.norm * fv.norm + float(flat @ flat))
-    scale = 1.0 / norm if norm > 0 else 1.0
-    z = (g.gate.W[:, fv.indices] @ fv.counts
-         + g.gate.W[:, g.dims:] @ flat) * scale + g.gate.b
-    return _kernels.softmax(z)[0]
+    dense = np.zeros(g.dims + m * k)
+    dense[fv.indices] = fv.counts
+    dense[g.dims:] = base_rows.reshape(m * k)
+    return meta_predict_many(g.gate, dense[g.columns][None, :])[0]
 
 
 def _ref_scores(g, feats, ids, stack):
@@ -487,7 +477,7 @@ def _fit_gate(d, feats, kind, routing="hard", n_val=30, n_test=40, m=3, k=2,
     val, test = d.ids[:n_val], d.ids[n_val:n_val + n_test]
     bases = _random_bases(rng, val, m, k, "val")
     g = dgs_fit(bases, val, d.labels_for(val), feats, DgsConfig(routing, kind),
-                gate_learner_cfg=LearnerConfig(epochs=5), meta_cfg=meta_cfg)
+                meta_cfg=meta_cfg)
     return g, test, _random_bases(rng, test, m, k, "test")
 
 
@@ -591,7 +581,7 @@ class TestDenseGateActiveColumns:
                                 "test").probs for h in (g, full)]
         assert np.array_equal(*hard)
 
-    @pytest.mark.parametrize("kind", ["svm", "rf", "knn"])
+    @pytest.mark.parametrize("kind", META_KINDS)
     def test_memory_is_a_fraction_of_the_dense_input(self, kind):
         rng = np.random.default_rng(12)
         feats = random_feature_matrix(rng, 40, dims=1 << 18)

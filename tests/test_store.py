@@ -114,21 +114,7 @@ class TestRoundtrips:
         b = stacking_predict_set(sm2, bases, ids, "val").probs
         assert np.array_equal(a, b)
 
-    def test_dgs(self, tmp_path, separable):
-        d, feats = separable
-        ids = d.ids[:20]
-        bases = _bases(ids, None)
-        g = dgs_fit(bases, ids, d.labels_for(ids), feats,
-                    DgsConfig("hard", "lr"),
-                    gate_learner_cfg=LearnerConfig(epochs=2))
-        save_ensemble(tmp_path, g, {})
-        g2 = load_ensemble(tmp_path)
-        assert g2.base_ids == g.base_ids and g2.routing == "hard"
-        assert np.array_equal(g2.gate.W, g.gate.W)
-        assert g2.columns is None
-        assert "columns" not in json.loads((tmp_path / "ensemble.json").read_text())
-
-    @pytest.mark.parametrize("kind", ["svm", "rf", "knn"])
+    @pytest.mark.parametrize("kind", ["lr", "svm", "rf", "knn"])
     def test_dgs_dense_gate(self, kind, tmp_path, separable):
         d, feats = separable
         ids, test = d.ids[:20], d.ids[20:40]
@@ -221,6 +207,25 @@ class TestVerification:
         payload["schema_version"] = 2
         (tmp_path / "ensemble.json").write_text(json.dumps(payload))
         with pytest.raises(IoError, match="unsupported schema version 2"):
+            load_ensemble(tmp_path)
+
+    @pytest.mark.parametrize("layout", ["linear-gate", "no-columns"])
+    def test_gate_without_columns_rejected(self, layout, tmp_path, separable):
+        # an lr gate saved by an older version was a full-width linear model
+        # with no gate_columns sidecar
+        d, feats = separable
+        ids = d.ids[:20]
+        g = dgs_fit(_bases(ids, None), ids, d.labels_for(ids), feats,
+                    DgsConfig("hard", "lr"), meta_cfg=MetaConfig(epochs=5))
+        save_ensemble(tmp_path, g, {})
+        payload = json.loads((tmp_path / "ensemble.json").read_text())
+        del payload["columns"], payload["params"]["gate_columns"]
+        if layout == "linear-gate":
+            payload["gate"] = {"type": "linear", "dims": feats.dims + 4,
+                               "class_count": 2, "config": {"seed": 0},
+                               "W": "gate_W", "b": "gate_b"}
+        (tmp_path / "ensemble.json").write_text(json.dumps(payload))
+        with pytest.raises(IoError, match="dgs gate"):
             load_ensemble(tmp_path)
 
     def test_detects_config_tamper(self, tmp_path):
