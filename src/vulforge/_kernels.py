@@ -10,6 +10,12 @@ every sum matches the earlier per-batch ``np.isin`` formulation, so trained
 weights are bit-identical to it (``tests/test_kernels.py`` checks this
 against a copy of that formulation).  ``benchmarks/bench_kernels.py``
 times the trainer at n and 4n rows.
+
+The CSR kernels index ``W`` by column: ``indices`` must be column
+positions of the ``W`` they are given, which can be narrower than the hash
+width.  The built-in learner passes its rows remapped onto their sorted
+active columns and a W of that many columns; a column that ``indices``
+never names is never read or written, except by the epoch's weight decay.
 """
 
 from __future__ import annotations

@@ -238,6 +238,16 @@ class _Run:
         if (indptr.shape != (len(meta["ids"]) + 1,) or indices.shape != data.shape
                 or indices.shape != (indptr[-1],)):
             raise IoError(f"the arrays in {fdir} do not match {meta_path}")
+        # a model gathers its columns by these: a bad one must stop here
+        if (indptr.dtype.kind not in "iu" or indptr[0] != 0
+                or (indptr[1:] < indptr[:-1]).any()):
+            raise IoError(f"{fdir / 'indptr.npy'} is not row offsets rising from 0")
+        if indices.dtype.kind not in "iu" or (
+                len(indices) and not 0 <= indices.min() <= indices.max() < meta["dims"]):
+            raise IoError(f"{fdir / 'indices.npy'} holds indices that are not "
+                          f"integers in [0, {meta['dims']})")
+        if data.dtype.kind not in "iuf" or not np.isfinite(data).all():
+            raise IoError(f"{fdir / 'data.npy'} holds values that are not finite numbers")
         fm = FeatureMatrix(tuple(meta["ids"]), indptr, indices, data, meta["dims"])
         if not {*self.splits.train, *self.splits.val, *self.splits.test} <= set(fm.ids):
             raise IoError(f"{fdir} does not cover the samples of splits.json")

@@ -57,6 +57,7 @@ from .learners import (
     FeatureMatrix,
     LinearModel,
     SampleWeights,
+    _column_positions,
     emit_round_weights,
     fit_builtin,
     ingest_round_predictions,
@@ -438,8 +439,8 @@ def _densify(indptr, indices, data, columns: np.ndarray) -> np.ndarray:
     """Dense (N, len(columns)) rows of a CSR on the sorted column set
     ``columns``; entries in any other column are dropped."""
     n = len(indptr) - 1
-    pos = np.minimum(np.searchsorted(columns, indices), len(columns) - 1)
-    keep = columns[pos] == indices
+    pos = _column_positions(columns, indices)
+    keep = pos < len(columns)
     dense = np.zeros((n, len(columns)))
     dense[np.repeat(np.arange(n), np.diff(indptr))[keep], pos[keep]] = data[keep]
     return dense

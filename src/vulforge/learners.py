@@ -4,12 +4,18 @@ for external models.
 The built-in learner trains multinomial logistic regression over hashed
 n-gram features by mini-batch gradient descent on weighted cross-entropy.
 Sample weights enter as per-sample loss multipliers by default; boosting may
-alternatively resample (see ensembles).  External models integrate through
+alternatively resample (see ensembles).  It trains and holds only the
+columns its training rows touch (``LinearModel.columns``): a gradient step
+from zero never moves any other column, so the model is the full-width one
+restricted to them, bit for bit.  External models integrate through
 prediction files:
 
   preds/<model_id>/<split>.jsonl          {"id": str, "probs": [float; K]}
   boost/round_<t>/weights.jsonl           {"id": str, "weight": float}
   boost/round_<t>/preds_<split>.jsonl     same row schema as preds
+
+The featurizer and the numeric kernels are imported by the functions that
+use them, so a process that only reads prediction files loads neither.
 """
 
 from __future__ import annotations
@@ -17,11 +23,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import _kernels
-from .codefeat import FeaturizerConfig, FeatureVector, featurize_many, stack_features
 from .core import PredictionSet, make_prediction_set, validate_prob_matrix
 from .errors import (
     DimensionMismatch,
@@ -36,6 +41,9 @@ from .errors import (
     WeightCoverageMismatch,
 )
 from .ingest import Dataset, _atomic_write
+
+if TYPE_CHECKING:
+    from .codefeat import FeaturizerConfig, FeatureVector
 
 
 @dataclass(frozen=True)
@@ -81,20 +89,24 @@ class LearnerConfig:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Trained softmax regression: K x D weights plus K biases."""
+    """Trained softmax regression over ``dims`` hashed columns: K biases and
+    the (K, len(columns)) weights of the sorted ``columns`` it holds.  Every
+    other column's weight is +0.0, so ``W`` is the full-width K x D matrix
+    restricted to ``columns``; the store saves it at full width."""
 
     W: np.ndarray
     b: np.ndarray
     dims: int
     class_count: int
     config: LearnerConfig
+    columns: np.ndarray
 
     def __post_init__(self):
         if not (np.isfinite(self.W).all() and np.isfinite(self.b).all()):
             raise NonFiniteModel("non-finite model parameters; training diverged "
                                  "(a lower learning rate may converge)")
-        self.W.setflags(write=False)
-        self.b.setflags(write=False)
+        for arr in (self.W, self.b, self.columns):
+            arr.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -129,6 +141,8 @@ class FeatureMatrix:
         return indptr, self.indices[gather], self.data[gather]
 
     def vector_for(self, sample_id: str) -> FeatureVector:
+        from .codefeat import FeatureVector
+
         r = self._index[sample_id]
         idx = self.indices[self.indptr[r]:self.indptr[r + 1]]
         cnt = self.data[self.indptr[r]:self.indptr[r + 1]]
@@ -136,7 +150,12 @@ class FeatureMatrix:
                              float(np.sqrt(np.dot(cnt, cnt))))
 
 
-def featurize_dataset(d: Dataset, config: FeaturizerConfig = FeaturizerConfig()) -> FeatureMatrix:
+def featurize_dataset(d: Dataset, config: FeaturizerConfig | None = None) -> FeatureMatrix:
+    """Hash every sample of ``d`` under ``config``, by default
+    ``FeaturizerConfig()``."""
+    from .codefeat import FeaturizerConfig, featurize_many
+
+    config = FeaturizerConfig() if config is None else config
     return FeatureMatrix(tuple(d.ids), *featurize_many([s.code for s in d.samples], config),
                          config.dims)
 
@@ -159,6 +178,26 @@ def unit_rows(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
     return data / norms[rows]
 
 
+def _column_positions(columns: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The position of each of the nonnegative ``indices`` in the sorted
+    ``columns``, or ``len(columns)`` for an index that is not among them.
+
+    One lookup table as wide as the largest index, O(width + nnz), in the
+    narrowest dtype that holds ``len(columns)`` (one byte per hashed column
+    for up to 255 columns); a ``searchsorted`` of the unsorted indices was
+    25 times slower on 690k indices."""
+    width = 1 + max(columns[-1] if len(columns) else -1, indices.max(initial=-1))
+    lookup = np.full(width, len(columns), dtype=np.min_scalar_type(len(columns)))
+    lookup[columns] = np.arange(len(columns))
+    return lookup[indices].astype(np.intp)
+
+
+def _check_indices(indices: np.ndarray, dims: int) -> None:
+    """Raise DimensionMismatch unless every feature index lies in [0, dims)."""
+    if len(indices) and not 0 <= indices.min() <= indices.max() < dims:
+        raise DimensionMismatch(f"feature indices outside [0, {dims})")
+
+
 def _epoch_orders(n: int, epochs: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF17]))
     return np.vstack([rng.permutation(n) for _ in range(epochs)]).astype(np.int64)
@@ -168,7 +207,18 @@ def fit_builtin(d: Dataset, ids, w: SampleWeights, cfg: LearnerConfig,
                 features: FeatureMatrix) -> LinearModel:
     """Train the built-in learner on the labels of ``ids`` in ``d`` under
     weight distribution ``w``.  It trains base models only; every DGS gate
-    is a meta-model (see ensembles.dgs_fit)."""
+    is a meta-model (see ensembles.dgs_fit).
+
+    The rows are remapped onto their sorted active columns and W holds only
+    those.  A column no training row touches would keep its +0.0 through
+    every step and every ``W *= decay``, and each touched entry sees the
+    same products in the same order, so the model is the full-width one
+    restricted to ``columns``.  (A negative decay turns +0.0 into -0.0 on
+    an odd epoch count; that one case trains at full width.)  ``np.unique``
+    holds about five nnz-long arrays for a moment; a dims-wide lookup table
+    per fit peaked higher on ``bag --workers 2``."""
+    from . import _kernels
+
     ids = tuple(ids)
     if not ids:
         raise EmptyTrainingSet("no training ids")
@@ -182,30 +232,46 @@ def fit_builtin(d: Dataset, ids, w: SampleWeights, cfg: LearnerConfig,
     weights = np.array([wmap[s] for s in ids])
     n = len(ids)
     indptr, indices, data = features.rows_for(ids)
+    _check_indices(indices, features.dims)
     data = unit_rows(indptr, data)
+    decay = 1.0 - cfg.learning_rate * cfg.l2
+    if decay < 0.0 and cfg.epochs % 2:
+        columns = np.arange(features.dims)
+    else:
+        columns, indices = np.unique(indices, return_inverse=True)
     k = d.class_count
     targets = np.zeros((n, k))
     targets[np.arange(n), d.labels_for(ids)] = 1.0
-    W = np.zeros((k, features.dims))
+    W = np.zeros((k, len(columns)))
     b = np.zeros(k)
     coefs = weights * n  # uniform weights give the usual per-sample mean scale
     order = _epoch_orders(n, cfg.epochs, cfg.seed)
-    decay = 1.0 - cfg.learning_rate * cfg.l2
     batch = min(cfg.batch_size, n)
     _kernels.csr_softmax_fit(indptr, indices, data, targets, coefs, W, b,
                              order, batch, cfg.learning_rate, decay)
-    return LinearModel(W, b, features.dims, k, cfg)
+    return LinearModel(W, b, features.dims, k, cfg, columns)
 
 
 def predict_builtin_many(m: LinearModel, indptr, indices, data) -> np.ndarray:
-    """Softmax of W.x + b over each unit-normalized CSR row: (N, K)."""
-    z = _kernels.csr_logits(indptr, indices, unit_rows(indptr, data), m.W, m.b)
+    """Softmax of W.x + b over each unit-normalized CSR row: (N, K).
+
+    Rows are normalized over all their entries; then each index reads its
+    column of ``m.W``, or an appended zero column when the model does not
+    hold it, so every logit sums the full-width products."""
+    from . import _kernels
+
+    _check_indices(indices, m.dims)
+    W = np.concatenate((m.W, np.zeros((m.class_count, 1))), axis=1)
+    z = _kernels.csr_logits(indptr, _column_positions(m.columns, indices),
+                            unit_rows(indptr, data), W, m.b)
     return _kernels.softmax(z)
 
 
 def predict_builtin(m: LinearModel, f: FeatureVector) -> np.ndarray:
     """One feature vector's class probabilities: a batch of one for
     predict_builtin_many."""
+    from .codefeat import stack_features
+
     if f.dims != m.dims:
         raise DimensionMismatch(f"feature dims {f.dims} != model dims {m.dims}")
     return predict_builtin_many(m, *stack_features([f]))[0]

@@ -4,7 +4,12 @@ deterministic ``.npy`` sidecars for the parameter arrays.
 Every meta-model param that is an ndarray (lr/svm ``W``/``b``, the rf
 forest arrays, knn ``rows``/``labels``) is a digested sidecar named
 ``{prefix}_{name}.npy``, as are linear-model weights and prediction-set
-probabilities; scalars such as knn ``k`` stay in the JSON.  Every DGS
+probabilities; scalars such as knn ``k`` stay in the JSON.  A built-in
+linear model holds only its active columns (``LinearModel.columns``), but
+its ``W`` sidecar is the full-width (K, dims) array it always was: the
+active columns are written into a zeroed buffer whose untouched pages
+never become resident, and loading compacts ``W`` onto its columns that
+are not all +0.0.  Every DGS
 gate is a meta-model; its input columns are the ``gate_columns`` sidecar,
 and its ``input_width`` is their count (schema 3; a schema-2 gate was full
 width).  A dgs payload whose gate is not a meta-model or that has no
@@ -12,9 +17,10 @@ columns is refused.
 
 The manifest records the variant tag, per-member/round records (epsilon,
 alpha, Z), base-model order, the config echo and its hash, and sha256
-digests of every sidecar so ``verify`` can detect corruption.  All writes
-are atomic (temp file + rename) and byte-identical across reruns of the
-same inputs.
+digests of every sidecar so ``verify`` can detect corruption.  Each
+sidecar is written and digested as it is encoded, so no more than one
+encoded array is held at a time.  All writes are atomic (temp file +
+rename) and byte-identical across reruns of the same inputs.
 
 numpy and the model modules are imported inside the encode and decode
 paths, so ``config_hash`` and ``verify_ensemble`` load neither.
@@ -48,40 +54,62 @@ def config_hash(echo: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _npy_header(shape: tuple, dtype) -> bytes:
+    """The header ``np.save`` writes for a C-ordered array."""
+    import numpy as np
+
+    head = io.BytesIO()
+    np.lib.format.write_array_header_1_0(head, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+        "fortran_order": False, "shape": tuple(shape)})
+    return head.getvalue()
+
+
 def _npy_bytes(arr: np.ndarray) -> bytes:
     """The bytes ``np.save`` writes for ``arr`` in C order, built with one
     copy of the data (saving into a ``BytesIO`` holds two at once)."""
     import numpy as np
 
     arr = np.ascontiguousarray(arr)
-    head = io.BytesIO()
-    np.lib.format.write_array_header_1_0(head, np.lib.format.header_data_from_array_1_0(arr))
-    return b"".join((head.getvalue(), arr.reshape(-1).view(np.uint8)))
+    return b"".join((_npy_header(arr.shape, arr.dtype), arr.reshape(-1).view(np.uint8)))
+
+
+def _full_width_npy(m: LinearModel) -> np.ndarray:
+    """The ``np.save`` bytes of ``m``'s full-width (K, dims) weights, as
+    one uint8 buffer.  The buffer comes from ``np.zeros``, which the
+    allocator backs with calloc, so only the pages of the header and of
+    ``m.columns`` are written; the untouched zero pages never become
+    resident, even while the buffer is digested and written out."""
+    import numpy as np
+
+    head = _npy_header((m.class_count, m.dims), np.float64)
+    buf = np.zeros(len(head) + 8 * m.class_count * m.dims, dtype=np.uint8)
+    buf[:len(head)] = np.frombuffer(head, dtype=np.uint8)
+    W = buf[len(head):].view(np.float64).reshape(m.class_count, m.dims)
+    W[:, m.columns] = m.W
+    return buf
 
 
 class _ArrayStore:
-    """Collects named arrays during encoding; flushes them as sidecars."""
+    """Writes each named array as a sidecar under ``params_dir`` as it is
+    encoded, and keeps the sidecars' manifest: file and sha256 by name."""
 
-    def __init__(self):
-        self.arrays: dict[str, np.ndarray] = {}
+    def __init__(self, params_dir: Path):
+        params_dir.mkdir(parents=True, exist_ok=True)
+        self.params_dir = params_dir
+        self.manifest: dict[str, dict] = {}
 
     def put(self, name: str, arr: np.ndarray) -> str:
-        import numpy as np
+        return self.write(name, _npy_bytes(arr))
 
-        self.arrays[name] = np.asarray(arr)
+    def write(self, name: str, blob) -> str:
+        """Write the ``.npy`` bytes ``blob`` as the sidecar ``name``."""
+        _atomic_write(self.params_dir / f"{name}.npy", blob)
+        self.manifest[name] = {
+            "file": f"params/{name}.npy",
+            "sha256": hashlib.sha256(blob).hexdigest(),
+        }
         return name
-
-    def flush(self, params_dir: Path) -> dict[str, dict]:
-        params_dir.mkdir(parents=True, exist_ok=True)
-        manifest = {}
-        for name, arr in sorted(self.arrays.items()):
-            blob = _npy_bytes(arr)
-            _atomic_write(params_dir / f"{name}.npy", blob)
-            manifest[name] = {
-                "file": f"params/{name}.npy",
-                "sha256": hashlib.sha256(blob).hexdigest(),
-            }
-        return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -94,17 +122,23 @@ def _enc_linear(m: LinearModel, store: _ArrayStore, prefix: str) -> dict:
         "dims": m.dims,
         "class_count": m.class_count,
         "config": asdict(m.config),
-        "W": store.put(f"{prefix}_W", m.W),
+        "W": store.write(f"{prefix}_W", _full_width_npy(m)),
         "b": store.put(f"{prefix}_b", m.b),
     }
 
 
 def _dec_linear(rec: dict, arrays: dict) -> LinearModel:
+    """The saved model on the columns whose weights are not all +0.0 (the
+    one float64 whose bits are all zero), the columns it can hold."""
+    import numpy as np
+
     from .learners import LearnerConfig, LinearModel
 
-    return LinearModel(arrays[rec["W"]].copy(), arrays[rec["b"]].copy(),
+    W = np.ascontiguousarray(arrays[rec["W"]], dtype=np.float64)
+    columns = np.flatnonzero(W.view(np.uint64).any(axis=0))
+    return LinearModel(W[:, columns], arrays[rec["b"]].copy(),
                        rec["dims"], rec["class_count"],
-                       LearnerConfig(**rec["config"]))
+                       LearnerConfig(**rec["config"]), columns)
 
 
 def _enc_predset(p: PredictionSet, store: _ArrayStore, prefix: str) -> dict:
@@ -266,12 +300,12 @@ def save_ensemble(out_dir, e, config_echo: dict | None = None,
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    store = _ArrayStore()
+    store = _ArrayStore(out_dir / "params")
     payload = _encode(e, store)
     payload["schema_version"] = SCHEMA_VERSION
     payload["config"] = config_echo or {}
     payload["config_hash"] = config_hash(payload["config"])
-    payload["params"] = store.flush(out_dir / "params")
+    payload["params"] = store.manifest
     text = json.dumps(payload, indent=1, sort_keys=True, default=float) + "\n"
     path = out_dir / "ensemble.json"
     write(path, text.encode("utf-8"))

@@ -1,0 +1,241 @@
+"""The built-in learner trains and holds only its active columns: bit
+identity with a full-width reference, the unchanged on-disk format, and
+the memory that no longer grows with members x K x dims."""
+
+import tracemalloc
+from dataclasses import dataclass, replace
+
+import numpy as np
+import pytest
+
+from conftest import TEST_FEATURIZER, random_feature_matrix
+from vulforge import _kernels, ensembles, store, synth
+from vulforge.codefeat import FeaturizerConfig
+from vulforge.ensembles import (
+    BaseLearnerSpec,
+    BoostConfig,
+    adaboost_fit,
+    adaboost_predict_set,
+    bagging_fit,
+    bagging_predict_set,
+    oof_prediction_set,
+)
+from vulforge.errors import DimensionMismatch
+from vulforge.ingest import Dataset, Sample, bootstrap, stratified_split
+from vulforge.learners import (
+    LearnerConfig,
+    SampleWeights,
+    _epoch_orders,
+    featurize_dataset,
+    fit_builtin,
+    predict_builtin_many,
+    unit_rows,
+)
+from vulforge.store import load_ensemble, save_ensemble
+
+
+@dataclass(frozen=True)
+class _RefModel:
+    W: np.ndarray
+    b: np.ndarray
+    dims: int
+
+
+def _ref_fit(d, ids, w, cfg, features):
+    """The full-width trainer the active-column one replaced: a dense
+    (K, dims) W from zero."""
+    ids = tuple(ids)
+    wmap = w.as_dict()
+    weights = np.array([wmap[s] for s in ids])
+    n = len(ids)
+    indptr, indices, data = features.rows_for(ids)
+    data = unit_rows(indptr, data)
+    k = d.class_count
+    targets = np.zeros((n, k))
+    targets[np.arange(n), d.labels_for(ids)] = 1.0
+    W = np.zeros((k, features.dims))
+    b = np.zeros(k)
+    _kernels.csr_softmax_fit(indptr, indices, data, targets, weights * n, W, b,
+                             _epoch_orders(n, cfg.epochs, cfg.seed),
+                             min(cfg.batch_size, n), cfg.learning_rate,
+                             1.0 - cfg.learning_rate * cfg.l2)
+    return _RefModel(W, b, features.dims)
+
+
+def _ref_predict(m, indptr, indices, data):
+    return _kernels.softmax(_kernels.csr_logits(indptr, indices, unit_rows(indptr, data),
+                                                m.W, m.b))
+
+
+def _lifted(m):
+    """The full-width (K, dims) W a model restricted to ``m.columns`` is."""
+    W = np.zeros((m.class_count, m.dims))
+    W[:, m.columns] = m.W
+    return W
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: +0.0 and -0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _corpus(kind):
+    if kind == "imbalanced":
+        d = synth.imbalanced_corpus(300, seed=3, pos_fraction=0.3)
+    else:  # K = 9
+        d = synth.paired_cwe_corpus({f"CWE-{c}": 14 for c in range(100, 108)}, seed=3)
+    return d, featurize_dataset(d, TEST_FEATURIZER), stratified_split(d, 0)
+
+
+@pytest.fixture(scope="module", params=["imbalanced", "paired_cwe"])
+def corpus(request):
+    return _corpus(request.param)
+
+
+LEARN = LearnerConfig(epochs=3, learning_rate=0.5, batch_size=16, seed=2)
+
+
+def _assert_same_model(m, ref):
+    assert m.W.shape == (m.class_count, len(m.columns))
+    assert _same_bits(_lifted(m), ref.W) and _same_bits(m.b, ref.b)
+
+
+def test_fit_is_the_full_width_fit_on_its_columns(corpus):
+    d, feats, s = corpus
+    fit_ids = s.train[:40]
+    w = SampleWeights.normalized(fit_ids, np.arange(1, len(fit_ids) + 1))
+    m = fit_builtin(d, fit_ids, w, LEARN, feats)
+    ref = _ref_fit(d, fit_ids, w, LEARN, feats)
+    _assert_same_model(m, ref)
+    assert np.array_equal(m.columns, np.unique(feats.rows_for(fit_ids)[1]))
+    assert len(m.columns) < feats.dims // 10
+    # the other rows hold columns no training row touches; they read +0.0
+    csr = feats.rows_for(d.ids)
+    assert np.setdiff1d(csr[1], m.columns).size > 0
+    assert _same_bits(predict_builtin_many(m, *csr), _ref_predict(ref, *csr))
+
+
+@pytest.mark.parametrize("weight_mode", ["loss", "resample"])
+def test_adaboost_rounds_match_full_width(corpus, weight_mode, monkeypatch):
+    d, feats, s = corpus
+    spec = BaseLearnerSpec("builtin_linear", "boost",
+                           LearnerConfig(epochs=20, learning_rate=0.5, batch_size=32))
+    cfg = BoostConfig(rounds=3, weight_mode=weight_mode)
+    e = adaboost_fit(spec, d, s.train, cfg, feats)
+    got = adaboost_predict_set(e, s.test, feats, "test")
+    monkeypatch.setattr(ensembles, "fit_builtin", _ref_fit)
+    monkeypatch.setattr(ensembles, "predict_builtin_many", _ref_predict)
+    ref = adaboost_fit(spec, d, s.train, cfg, feats)
+    want = adaboost_predict_set(ref, s.test, feats, "test")
+    assert len(e.rounds) == len(ref.rounds) >= 1
+    for r, q in zip(e.rounds, ref.rounds):
+        assert (r.epsilon, r.alpha, r.z) == (q.epsilon, q.alpha, q.z)
+        _assert_same_model(r.model, q.model)
+    assert _same_bits(got.probs, want.probs)
+
+
+def test_oof_predictions_match_full_width(corpus, monkeypatch):
+    d, feats, s = corpus
+    spec = BaseLearnerSpec("builtin_linear", "m1", LEARN)
+    got = oof_prediction_set(spec, d, s.train, feats, folds=4, seed=1)
+    monkeypatch.setattr(ensembles, "fit_builtin", _ref_fit)
+    monkeypatch.setattr(ensembles, "predict_builtin_many", _ref_predict)
+    want = oof_prediction_set(spec, d, s.train, feats, folds=4, seed=1)
+    assert _same_bits(got.probs, want.probs)
+
+
+def _empty_rows_case():
+    """A random feature matrix, its dataset, and the ids of its empty rows."""
+    fm = random_feature_matrix(np.random.default_rng(8), 60, dims=64)
+    d = Dataset(tuple(Sample(s, "", i % 2) for i, s in enumerate(fm.ids)), 2, "rand")
+    empty = tuple(s for i, s in enumerate(fm.ids) if fm.indptr[i] == fm.indptr[i + 1])
+    return d, fm, empty
+
+
+def test_rows_without_a_nonzero_train_no_column():
+    d, fm, empty = _empty_rows_case()
+    assert len(empty) >= 4
+    w = SampleWeights.uniform(empty)
+    m = fit_builtin(d, empty, w, LEARN, fm)
+    ref = _ref_fit(d, empty, w, LEARN, fm)
+    assert m.columns.size == 0
+    _assert_same_model(m, ref)
+    csr = fm.rows_for(fm.ids)
+    assert _same_bits(predict_builtin_many(m, *csr), _ref_predict(ref, *csr))
+
+
+@pytest.mark.parametrize("bad", [-1, 64])
+def test_index_outside_dims_is_refused(bad):
+    d, fm, empty = _empty_rows_case()
+    indices = fm.indices.copy()
+    indices[0] = bad
+    bad_fm = replace(fm, indices=indices)
+    w = SampleWeights.uniform(fm.ids)
+    with pytest.raises(DimensionMismatch):
+        fit_builtin(d, fm.ids, w, LEARN, bad_fm)
+    m = fit_builtin(d, fm.ids, w, LEARN, fm)
+    with pytest.raises(DimensionMismatch):
+        predict_builtin_many(m, *bad_fm.rows_for(fm.ids))
+
+
+def test_negative_decay_keeps_signed_zero_columns(corpus, tmp_path):
+    # decay = 1 - lr * l2 = -1: after an odd number of epochs every
+    # untouched column of the full-width W holds -0.0
+    d, feats, s = corpus
+    cfg = LearnerConfig(epochs=1, learning_rate=0.5, l2=4.0, batch_size=16)
+    w = SampleWeights.uniform(s.train)
+    m = fit_builtin(d, s.train, w, cfg, feats)
+    ref = _ref_fit(d, s.train, w, cfg, feats)
+    assert np.signbit(ref.W).any()
+    _assert_same_model(m, ref)
+    e = ensembles.BaggingEnsemble("soft", (m,), d.class_count)
+    save_ensemble(tmp_path, e)
+    assert _same_bits(np.load(tmp_path / "params" / "member_0_W.npy"), ref.W)
+    csr = feats.rows_for(s.test)
+    loaded, = load_ensemble(tmp_path).members
+    assert _same_bits(predict_builtin_many(loaded, *csr), _ref_predict(ref, *csr))
+
+
+def _sidecars(root):
+    return {p.name: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_store_keeps_the_full_width_format_and_round_trips(corpus, tmp_path):
+    d, feats, s = corpus
+    spec = BaseLearnerSpec("builtin_linear", "bag", LEARN)
+    e = bagging_fit(spec, bootstrap(d, s, 2, seed=4), d, "soft", feats)
+    first, second = tmp_path / "a", tmp_path / "b"
+    save_ensemble(first, e, {"members": 2})
+    for i, m in enumerate(e.members):
+        blob = (first / "params" / f"member_{i}_W.npy").read_bytes()
+        assert blob == store._npy_bytes(_lifted(m))
+    loaded = load_ensemble(first)
+    save_ensemble(second, loaded, {"members": 2})
+    assert _sidecars(first) == _sidecars(second)
+    for m, q in zip(e.members, loaded.members):
+        assert _same_bits(_lifted(m), _lifted(q)) and _same_bits(m.b, q.b)
+        assert set(q.columns) <= set(m.columns)
+    assert _same_bits(bagging_predict_set(loaded, s.test, feats, "test").probs,
+                      bagging_predict_set(e, s.test, feats, "test").probs)
+
+
+def test_bagging_memory_does_not_hold_full_width_members(tmp_path):
+    # a member holds K x (active columns); the store writes one full-width
+    # W at a time, so eight members at 2^18 dims stay below two full W
+    d = synth.imbalanced_corpus(200, seed=1, pos_fraction=0.3)
+    feats = featurize_dataset(d, FeaturizerConfig(dims=1 << 18))
+    s = stratified_split(d, 0)
+    plan = bootstrap(d, s, 8, seed=0)
+    spec = BaseLearnerSpec("builtin_linear", "bag",
+                           replace(LEARN, epochs=1, batch_size=len(s.train)))
+    full_w = d.class_count * feats.dims * 8
+    tracemalloc.start()
+    try:
+        e = bagging_fit(spec, plan, d, "soft", feats)
+        save_ensemble(tmp_path, e)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(e.members) == 8
+    assert peak < 2 * full_w, (peak, full_w)

@@ -569,6 +569,48 @@ def test_unsafe_input_exits_with_its_code(case, trained, tmp_path, capsys):
         assert not (out / "subsets").exists()
 
 
+def _with(a, i, value):
+    """A copy of ``a`` with ``a[i] = value``."""
+    a = a.copy()
+    a[i] = value
+    return a
+
+
+def _swap_offsets(a):
+    i = int(np.flatnonzero(np.diff(a) > 0)[1])  # a nonempty row after the first
+    return _with(_with(a, i, a[i + 1]), i + 1, a[i])
+
+
+# A corrupted features/*.npy: (file, the array to save in place of the one
+# featurize wrote).  Each is caught when the features load, before training.
+_BAD_FEATURES = {
+    "index-at-dims": ("indices", lambda a: _with(a, 0, 1024)),
+    "index-negative": ("indices", lambda a: _with(a, 0, -1)),
+    "index-float": ("indices", lambda a: a.astype(np.float64)),
+    "offsets-not-from-0": ("indptr", lambda a: _with(a, 0, 1)),
+    "offsets-decrease": ("indptr", _swap_offsets),
+    "data-nan": ("data", lambda a: _with(a, 0, np.nan)),
+    "data-inf": ("data", lambda a: _with(a, -1, np.inf)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_FEATURES))
+def test_bad_feature_array_exits_3(case, trained, tmp_path, capsys):
+    name, corrupt = _BAD_FEATURES[case]
+    data, _, template = trained
+    out = tmp_path / "out"
+    shutil.copytree(template, out)
+    path = out / "features" / f"{name}.npy"
+    np.save(path, corrupt(np.load(path)))
+    capsys.readouterr()
+    rc = cli.main(["train-base", "--dataset", str(data), "--out", str(out),
+                   *LEARN, "--model-id", "m3"])
+    captured = capsys.readouterr()
+    assert rc == 3, captured.err
+    assert f"{name}.npy" in captured.err and "Traceback" not in captured.err
+    assert not (out / "preds" / "m3").exists()
+
+
 def test_import_vulforge_loads_no_submodule():
     src = str(Path(cli.__file__).resolve().parents[1])
     probe = ("import sys, vulforge; "
@@ -608,6 +650,16 @@ def test_split_process_loads_no_model_module(tmp_path):
     assert "vulforge.ingest" in loaded and "numpy" in loaded
     heavy = {"vulforge.ensembles", "vulforge.metamodels", "vulforge.learners",
              "vulforge.codefeat", "vulforge.metrics", "vulforge._kernels"}
+    assert not heavy & loaded, sorted(heavy & loaded)
+
+
+def test_eval_process_loads_no_featurizer_or_kernels(workspace):
+    loaded = _imports("-m", "vulforge.cli", "eval", "--dataset",
+                      str(workspace / "dataset.jsonl"), "--out", str(workspace / "out"),
+                      "--seed", "3", "--preds", "m1")
+    assert "vulforge.learners" in loaded and "vulforge.metrics" in loaded
+    heavy = {"vulforge.codefeat", "vulforge._kernels", "vulforge.ensembles",
+             "vulforge.metamodels"}
     assert not heavy & loaded, sorted(heavy & loaded)
 
 
