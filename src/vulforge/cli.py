@@ -17,7 +17,13 @@ A process pays only for what its subcommand runs: this module imports the
 standard library and ``errors`` at load time, and each ``cmd_*`` imports the
 modules it calls when it runs, so ``verify`` loads no numpy and ``split``
 no learner.  ``main`` pins OpenBLAS to one thread when it runs before numpy
-is loaded; the engine's own parallelism is ``--workers``.
+is loaded.
+
+Every subcommand takes the I/O flags (``--config``, ``--dataset``,
+``--out``, ``--seed``, ``--schema``, ``--external``); only the commands that
+train a built-in learner (``train-base``, ``bag``, ``boost``, ``stack``)
+take its flags.  ``bag --workers`` and the ``workers`` key are checked,
+echoed and hashed, but select nothing: members and trees are fit in order.
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ _CONFIG = {
     "batch_size": (32, *_COUNT),
     "external": (None, *_PATH_OR_NULL),
     "out": ("out", *_PATH),
-    "workers": (1, *_COUNT),
+    "workers": (1, *_COUNT),  # selects nothing; kept for the config hash
 }
 _DEFAULTS = {key: default for key, (default, _, _) in _CONFIG.items()}
 
@@ -392,7 +398,7 @@ def cmd_bag(args) -> int:
         d, s, fm = run.dataset, run.splits, run.features
         plan = bootstrap(d, s, run.cfg["members"], run.cfg["seed"])
         spec = BaseLearnerSpec("builtin_linear", name, run.learner)
-        e = ensembles.bagging_fit(spec, plan, d, args.mode, fm, workers=run.cfg["workers"])
+        e = ensembles.bagging_fit(spec, plan, d, args.mode, fm)
         pred = ensembles.bagging_predict_set(e, s.test, fm, "test", name)
     run.finish_ensemble(name, e, pred)
     return 0
@@ -622,7 +628,10 @@ def cmd_verify(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _subcommand(sub, name: str, func, help: str, learner: bool = False):
+    """Add subcommand ``name`` with the I/O flags, and with the built-in
+    learner's flags when it trains one."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None, help="JSON config file")
@@ -630,12 +639,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="directory with external prediction files")
     p.add_argument("--dataset", default=None)
     p.add_argument("--schema", choices=("binary", "multiclass"), default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None,
-                   dest="learning_rate")
-    p.add_argument("--l2", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
+    if learner:
+        p.add_argument("--epochs", type=int, default=None)
+        p.add_argument("--learning-rate", type=float, default=None,
+                       dest="learning_rate")
+        p.add_argument("--l2", type=float, default=None)
+        p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -645,87 +656,65 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("split", help="stratified 8:1:1 split")
-    _add_common(p)
-    p.set_defaults(func=cmd_split)
+    _subcommand(sub, "split", cmd_split, "stratified 8:1:1 split")
 
-    p = sub.add_parser("featurize", help="hashed n-gram features")
-    _add_common(p)
+    p = _subcommand(sub, "featurize", cmd_featurize, "hashed n-gram features")
     p.add_argument("--dims", type=int, default=None)
-    p.set_defaults(func=cmd_featurize)
 
-    p = sub.add_parser("train-base", help="train a built-in base learner")
-    _add_common(p)
+    p = _subcommand(sub, "train-base", cmd_train_base, "train a built-in base learner",
+                    learner=True)
     p.add_argument("--model-id", required=True)
-    p.set_defaults(func=cmd_train_base)
 
-    p = sub.add_parser("bag", help="bagging ensemble (hard/soft voting)")
-    _add_common(p)
+    p = _subcommand(sub, "bag", cmd_bag, "bagging ensemble (hard/soft voting)",
+                    learner=True)
     p.add_argument("--mode", choices=("hard", "soft"), default="soft")
     p.add_argument("--members", type=int, default=None)
     p.add_argument("--base", default=None, help="external member ids (csv)")
-    p.set_defaults(func=cmd_bag)
+    p.add_argument("--workers", type=int, default=None,
+                   help="checked and hashed; members are fit one after another")
 
-    p = sub.add_parser("boost", help="AdaBoost/SAMME boosting")
-    _add_common(p)
+    p = _subcommand(sub, "boost", cmd_boost, "AdaBoost/SAMME boosting", learner=True)
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--weight-mode", choices=("loss", "resample"),
                    default="loss", dest="weight_mode")
     p.add_argument("--vote-mode", choices=("label", "score"),
                    default="label", dest="vote_mode")
-    p.set_defaults(func=cmd_boost)
 
-    p = sub.add_parser("stack", help="stacked generalization")
-    _add_common(p)
+    p = _subcommand(sub, "stack", cmd_stack, "stacked generalization", learner=True)
     p.add_argument("--meta", choices=META_KINDS, default=None)
     p.add_argument("--base", default=None, help="base model ids (csv)")
     p.add_argument("--oof", action="store_true",
                    help="train the meta-model on out-of-fold train predictions")
     p.add_argument("--folds", type=int, default=5)
-    p.set_defaults(func=cmd_stack)
 
-    p = sub.add_parser("dgs", help="dynamic gated stacking")
-    _add_common(p)
+    p = _subcommand(sub, "dgs", cmd_dgs, "dynamic gated stacking")
     p.add_argument("--routing", choices=("hard", "soft"), default=None,
                    dest="routing")
     p.add_argument("--gate", choices=META_KINDS, default="lr")
     p.add_argument("--base", default=None, help="base model ids (csv)")
-    p.set_defaults(func=cmd_dgs)
 
-    p = sub.add_parser("eval", help="evaluate one prediction set")
-    _add_common(p)
+    p = _subcommand(sub, "eval", cmd_eval, "evaluate one prediction set")
     p.add_argument("--preds", required=True, help="model id to evaluate")
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("rank", help="average-rank table from a scores CSV")
-    _add_common(p)
+    p = _subcommand(sub, "rank", cmd_rank, "average-rank table from a scores CSV")
     p.add_argument("--scores", required=True,
                    help="CSV with columns method,instance,metric,score")
     p.add_argument("--tie-rule", choices=("average", "competition"),
                    default="average", dest="tie_rule")
-    p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("overlap", help="correct-set overlap regions")
-    _add_common(p)
+    p = _subcommand(sub, "overlap", cmd_overlap, "correct-set overlap regions")
     p.add_argument("--preds", required=True, help="model ids (csv)")
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
-    p.set_defaults(func=cmd_overlap)
 
-    p = sub.add_parser("divergence", help="divergent-sample analysis")
-    _add_common(p)
+    p = _subcommand(sub, "divergence", cmd_divergence, "divergent-sample analysis")
     p.add_argument("--preds", required=True, help="model ids (csv)")
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
-    p.set_defaults(func=cmd_divergence)
 
-    p = sub.add_parser("cwe-subsets", help="per-CWE 1:1 paired subsets")
-    _add_common(p)
+    p = _subcommand(sub, "cwe-subsets", cmd_cwe_subsets, "per-CWE 1:1 paired subsets")
     p.add_argument("--top", type=int, default=10)
-    p.set_defaults(func=cmd_cwe_subsets)
 
-    p = sub.add_parser("verify", help="recheck artifact hashes in --out")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
+    _subcommand(sub, "verify", cmd_verify, "recheck artifact hashes in --out")
 
     return parser
 
@@ -735,8 +724,7 @@ def main(argv=None) -> int:
                                            "OMP_NUM_THREADS"} & os.environ.keys():
         # Before numpy's first import only: OpenBLAS sizes its thread pool
         # when it loads.  One thread saves the pool's start-up and shutdown
-        # in every process and keeps BLAS threads off the cores that
-        # --workers uses.
+        # in every process.
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()

@@ -15,6 +15,7 @@ binary threshold maps mean probability >= 0.5 to class 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -92,7 +93,7 @@ class PredictionSet:
     """Per-sample class-probability outputs of one model over one split.
 
     ``probs`` is an (N, K) array aligned with ``ids``.  Instances are
-    immutable and safe to share across workers.
+    immutable: ``probs`` is read-only.
     """
 
     model_id: str
@@ -130,27 +131,35 @@ class PredictionSet:
         return self.probs[rows]
 
 
+def _all_numbers(values) -> bool:
+    """Whether each of ``values`` is an int or a float (numpy's too), not a
+    bool: one C pass collects the types, and the check runs once a type."""
+    return all(t is not bool and issubclass(t, (int, float, np.integer, np.floating))
+               for t in set(map(type, values)))
+
+
 def _stack_rows(rows: list) -> np.ndarray:
     """Raw probability rows as one (N, K) float64 array.
 
     Raises InvalidProbVector with ``row`` set for the first row that is not a
-    non-empty list of numbers, or with ``row`` None when every row is one but
-    their lengths differ.
+    non-empty list of numbers (a bool or a string is not a number), or with
+    ``row`` None when every row is one but their lengths differ.
     """
     try:
         P = np.array(rows, dtype=np.float64)
     except (ValueError, TypeError, OverflowError):
         P = None
-    if P is not None and P.ndim == 2 and P.shape[1] > 0:
+    if (P is not None and P.ndim == 2 and P.shape[1] > 0
+            and _all_numbers(chain.from_iterable(rows))):
         return P
     for i, r in enumerate(rows):
         try:
             p = np.asarray(r, dtype=np.float64)
         except (ValueError, TypeError, OverflowError) as exc:
             raise InvalidProbVector(f"row {i}: probs are not numbers: {exc}", row=i) from exc
-        if p.ndim != 1 or p.size == 0:
-            raise InvalidProbVector(f"row {i}: expected non-empty 1-d vector, "
-                                    f"got shape {p.shape}", row=i)
+        if p.ndim != 1 or p.size == 0 or not _all_numbers(r):
+            raise InvalidProbVector(f"row {i}: probs are not a non-empty list of "
+                                    "numbers", row=i)
     raise InvalidProbVector(f"inconsistent class counts {sorted({len(r) for r in rows})}")
 
 

@@ -14,9 +14,9 @@ are batches of one over the same code.  Gate scores are an (N, M) batch too,
 from the one gate-input builder ``dgs_fit`` trains on.
 Every gate (lr, svm, rf, knn) is a meta-model with one width from fit to
 score: the sorted columns of the gate input that some validation row
-touches, kept on the ``GateModel`` as ``columns``.  Fit and scoring densify
-the gate-input CSR onto those columns with one helper, which drops every
-entry outside them.
+touches, kept on the ``GateModel`` as ``columns``.  Fit and scoring build
+the dense gate input on those columns with one helper, ``_gate_input``,
+which drops every feature entry outside them.
 
 Vote conventions, fixed across the package:
   * hard bagging: majority over member argmax labels; vote ties resolve by
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,7 +54,6 @@ from .ingest import BootstrapPlan, Dataset
 from .learners import (
     BaseLearnerSpec,
     FeatureMatrix,
-    LinearModel,
     SampleWeights,
     _column_positions,
     emit_round_weights,
@@ -67,7 +65,7 @@ from .metamodels import MetaConfig, MetaModel, meta_fit, meta_predict_many
 
 
 def derive_seed(master: int, *path: int) -> int:
-    """Per-member seed stream: deterministic, independent of worker count."""
+    """Per-member seed stream: deterministic in ``master`` and ``path``."""
     return int(np.random.SeedSequence([master, *path]).generate_state(1)[0])
 
 
@@ -163,18 +161,14 @@ class BaggingEnsemble:
 
 
 def bagging_fit(spec: BaseLearnerSpec, plan: BootstrapPlan, d: Dataset, mode: str,
-                features: FeatureMatrix, workers: int = 1) -> BaggingEnsemble:
-    """Train M homogeneous built-in members on the plan's bootstrap draws."""
-    def fit_member(i: int) -> LinearModel:
+                features: FeatureMatrix) -> BaggingEnsemble:
+    """Train M homogeneous built-in members on the plan's bootstrap draws,
+    in member order, each on its own seed stream."""
+    members = []
+    for i in range(plan.member_count):
         ids, w = _distinct_draws(plan.draws[i])
         cfg = replace(spec.config, seed=derive_seed(spec.config.seed, 0xBA6, i))
-        return fit_builtin(d, ids, w, cfg, features)
-
-    if workers <= 1:
-        members = [fit_member(i) for i in range(plan.member_count)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            members = list(pool.map(fit_member, range(plan.member_count)))
+        members.append(fit_builtin(d, ids, w, cfg, features))
     return BaggingEnsemble(mode, tuple(members), d.class_count)
 
 
@@ -424,17 +418,6 @@ def gate_targets(stacked: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return targets / targets.sum(axis=1, keepdims=True)
 
 
-def _gate_rows(indptr, indices, data, dims: int, stack: np.ndarray):
-    """Gate input as CSR: each row's hashed features, then its M*K base
-    probabilities in columns ``dims`` onward, in base order.  ``indptr``
-    starts at 0, as rows_for and stack_features give it."""
-    m, n, k = stack.shape
-    row_ends = np.repeat(indptr[1:], m * k)  # np.insert keeps equal positions in order
-    return (indptr + m * k * np.arange(n + 1),
-            np.insert(indices, row_ends, np.tile(dims + np.arange(m * k), n)),
-            np.insert(data, row_ends, _meta_rows(stack).ravel()))
-
-
 def _densify(indptr, indices, data, columns: np.ndarray) -> np.ndarray:
     """Dense (N, len(columns)) rows of a CSR on the sorted column set
     ``columns``; entries in any other column are dropped."""
@@ -443,6 +426,17 @@ def _densify(indptr, indices, data, columns: np.ndarray) -> np.ndarray:
     keep = pos < len(columns)
     dense = np.zeros((n, len(columns)))
     dense[np.repeat(np.arange(n), np.diff(indptr))[keep], pos[keep]] = data[keep]
+    return dense
+
+
+def _gate_input(indptr, indices, data, dims: int, stack: np.ndarray,
+                columns: np.ndarray) -> np.ndarray:
+    """The dense gate input on the sorted ``columns``: each row's hashed
+    features in columns below ``dims``, then its M*K base probabilities,
+    ``_meta_rows(stack)``, in columns ``dims`` onward."""
+    dense = _densify(indptr, indices, data, columns)
+    meta = columns >= dims
+    dense[:, meta] = _meta_rows(stack)[:, columns[meta] - dims]
     return dense
 
 
@@ -458,9 +452,11 @@ def dgs_fit(base_preds_val: list[PredictionSet], val_ids, labels: np.ndarray,
     labels = np.asarray(labels, dtype=np.int64)
     stacked = _member_stack(base_preds_val, val_ids)
     m, _, k = stacked.shape
-    rows = _gate_rows(*features.rows_for(val_ids), features.dims, stacked)
-    columns = np.unique(rows[1])
-    gate = meta_fit(cfg.gate_kind, _densify(*rows, columns),
+    indptr, indices, data = features.rows_for(val_ids)
+    columns = np.concatenate([np.unique(indices), features.dims + np.arange(m * k)],
+                             dtype=indices.dtype)
+    gate = meta_fit(cfg.gate_kind,
+                    _gate_input(indptr, indices, data, features.dims, stacked, columns),
                     gate_targets(stacked, labels).argmax(axis=1), meta_cfg, seed,
                     output_width=m, columns=columns, width=features.dims + m * k)
     return GateModel(tuple(p.model_id for p in base_preds_val), gate, cfg.routing,
@@ -476,8 +472,8 @@ def gate_scores_many(g: GateModel, indptr, indices, data, stack: np.ndarray,
         raise LayoutMismatch(f"expert stack shape {stack.shape} does not match gate")
     if forced_uniform:
         return _kernels.softmax(np.zeros((n, m)))
-    rows = _gate_rows(indptr, indices, data, g.dims, stack)
-    return meta_predict_many(g.gate, _densify(*rows, g.columns))
+    return meta_predict_many(g.gate, _gate_input(indptr, indices, data, g.dims, stack,
+                                                 g.columns))
 
 
 def gate_scores(g: GateModel, fv: FeatureVector, base_rows: np.ndarray,

@@ -167,7 +167,7 @@ def load_dataset(path, schema: str) -> Dataset:
             if sid in seen:
                 raise DuplicateId(f"duplicate id {sid!r} at line {line_no}")
             seen.add(sid)
-            if not isinstance(label, int) or label < 0:
+            if type(label) is not int or label < 0:  # true and false are not labels
                 raise UnknownLabel(f"label {label!r} at line {line_no}")
             cwe = rec.get("cwe")
             if schema == "multiclass" and label >= 1:

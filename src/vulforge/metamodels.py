@@ -4,8 +4,8 @@ fit/predict contract.
 
 Hyperparameter defaults are fixed (k=5, trees=100, depth 16, L2=1e-4,
 epochs=200) and echoed into every report.  All four kinds are deterministic
-given (X, y, cfg, seed); forest fitting may parallelize across trees with
-per-tree seed streams, so results are identical for any worker count.
+given (X, y, cfg, seed); the forest fits its trees in tree order, each on
+its own seed stream.
 
 Every param is an ndarray except knn's ``k``, and every predict is a batch
 operation; lr, rf and knn give each row the same bits in a batch of any
@@ -31,7 +31,6 @@ input is all of X.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,8 +94,8 @@ def _check_columns(X, columns, width):
 
 
 def meta_fit(kind: str, X, y, cfg: MetaConfig = MetaConfig(), seed: int = 0,
-             output_width: int | None = None, workers: int = 1,
-             columns=None, width: int | None = None) -> MetaModel:
+             output_width: int | None = None, columns=None,
+             width: int | None = None) -> MetaModel:
     X, y = _check_xy(X, y)
     columns, width = _check_columns(X, columns, width)
     k_out = output_width or int(y.max()) + 1
@@ -105,7 +104,7 @@ def meta_fit(kind: str, X, y, cfg: MetaConfig = MetaConfig(), seed: int = 0,
     elif kind == "svm":
         params = _fit_svm(X, y, k_out, cfg)
     elif kind == "rf":
-        params = _fit_rf(X, y, k_out, cfg, seed, workers, columns, width)
+        params = _fit_rf(X, y, k_out, cfg, seed, columns, width)
     elif kind == "knn":
         params = {"rows": X.copy(), "labels": y, "k": min(cfg.knn_k, X.shape[0])}
     else:
@@ -170,20 +169,15 @@ def _fit_svm(X, y, k_out, cfg):
 # random forest (Gini trees, bootstrap rows, sqrt-width feature subsampling)
 # ---------------------------------------------------------------------------
 
-def _fit_rf(X, y, k_out, cfg, seed, workers, columns, width):
-    def build(t):
+def _fit_rf(X, y, k_out, cfg, seed, columns, width):
+    trees = []
+    for t in range(cfg.trees):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x43E57, t]))
         rows = rng.integers(0, X.shape[0], size=X.shape[0])
         nodes = []
         _build_tree(X[rows], y[rows], 0, rng, k_out, cfg.max_depth, columns,
                     width, nodes)
-        return nodes
-
-    if workers <= 1:
-        trees = [build(t) for t in range(cfg.trees)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trees = list(pool.map(build, range(cfg.trees)))
+        trees.append(nodes)
     offsets = np.cumsum([0] + [len(nodes) for nodes in trees])
     rows = ((f, thr, lo + off, hi + off, v)  # node indices shifted to forest-wide
             for nodes, off in zip(trees, offsets) for f, thr, lo, hi, v in nodes)

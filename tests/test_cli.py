@@ -322,8 +322,10 @@ class TestExitCodes:
         (b'{"probs": [0.5, 0.5]}', "line {n}: expected an object"),
         (b'{"id": 7, "probs": [0.5, 0.5]}', "line {n}: expected an object"),
         (b'{"id": "\xff", "probs": [0.5, 0.5]}', "not UTF-8 text"),
+        (b'{"id": "%s", "probs": [true, false]}', "not a non-empty list of numbers"),
+        (b'{"id": "%s", "probs": ["0.5", "0.5"]}', "not a non-empty list of numbers"),
     ], ids=["not-json", "no-probs", "not-object", "no-id", "non-string-id",
-            "not-utf8"])
+            "not-utf8", "bool-probs", "string-probs"])
     def test_malformed_prediction_file_is_5(self, bad_line, needle, tmp_path,
                                              capsys):
         data = tmp_path / "d.jsonl"
@@ -416,6 +418,45 @@ _BAD_INPUTS = {
     "diverging-config": (["train-base", "--model-id", "m"], {"learning_rate": 1e308},
                          5, "non-finite model parameters"),
 }
+
+
+@pytest.mark.parametrize("argv,parses", [
+    (["dgs", "--epochs", "30"], False),
+    (["split", "--l2", "0.1"], False),
+    (["verify", "--workers", "2"], False),
+    (["bag", "--workers", "2"], True),
+    (["train-base", "--model-id", "m", "--epochs", "3"], True),
+])
+def test_learner_flags_only_on_commands_that_read_them(argv, parses, capsys):
+    parser = cli.build_parser()
+    if parses:
+        parser.parse_args(argv)
+        return
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_bag_workers_write_the_same_members_and_predictions(workspace, tmp_path):
+    """``--workers`` is checked and hashed, but members are fit in order for
+    any value: the weights and predictions are byte-identical."""
+    ws = workspace
+    written = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}"
+        out.mkdir()
+        shutil.copy(ws / "out" / "splits.json", out)
+        shutil.copytree(ws / "out" / "features", out / "features")
+        assert cli.main(["bag", "--dataset", str(ws / "dataset.jsonl"), "--out", str(out),
+                         "--seed", "3", *LEARN, "--mode", "soft", "--members", "3",
+                         "--workers", workers]) == 0
+        params = out / "ensembles" / "bagging_soft" / "params"
+        written.append({**{p.name: p.read_bytes() for p in params.glob("*.npy")},
+                        "test.jsonl": (out / "preds" / "bagging_soft" / "test.jsonl")
+                        .read_bytes()})
+    assert len(written[0]) > 3
+    assert written[0] == written[1]
 
 
 @pytest.fixture(scope="module")

@@ -98,6 +98,12 @@ class TestPredictionSet:
         with pytest.raises(ValueError):
             p.probs[0, 0] = 9.0
 
+    @pytest.mark.parametrize("bad", [[True, False], ["0.5", "0.5"], [0.5, None]])
+    def test_non_number_probs_rejected(self, bad):
+        with pytest.raises(InvalidProbVector, match="not a non-empty list") as exc:
+            make_prediction_set("m", "test", {"a": [0.5, 0.5], "b": bad})
+        assert exc.value.row == 1
+
     def test_inconsistent_widths(self):
         with pytest.raises(InvalidProbVector):
             make_prediction_set("m", "val",

@@ -17,8 +17,7 @@ from vulforge.ensembles import (
     BaseLearnerSpec,
     BoostConfig,
     _boost_step,
-    _densify,
-    _gate_rows,
+    _gate_input,
     _route,
     adaboost_fit,
     adaboost_fit_external,
@@ -404,26 +403,8 @@ class TestGate:
         assert np.allclose(out.probs.sum(1), 1.0)
 
 
-# Test-local copies of the per-row gate-input builders and the per-sample
-# gate scorer that _gate_rows and gate_scores_many replaced.
-
-def _ref_augmented_features(features, ids, stacked):
-    m, n, k = stacked.shape
-    if n == 0:  # the row loop had nothing to concatenate
-        return np.zeros(1, np.int64), np.empty(0, np.int64), np.empty(0)
-    flat = np.transpose(stacked, (1, 0, 2)).reshape(n, m * k)
-    indptr, indices, data = features.rows_for(ids)
-    n_extra = m * k
-    new_indptr = np.zeros(n + 1, dtype=np.int64)
-    chunks_i, chunks_d = [], []
-    extra_cols = features.dims + np.arange(n_extra, dtype=np.int64)
-    for i in range(n):
-        lo, hi = indptr[i], indptr[i + 1]
-        chunks_i += [indices[lo:hi], extra_cols]
-        chunks_d += [data[lo:hi], flat[i]]
-        new_indptr[i + 1] = new_indptr[i] + (hi - lo) + n_extra
-    return new_indptr, np.concatenate(chunks_i), np.concatenate(chunks_d)
-
+# Test-local copies of the per-row gate-input builder and the per-sample
+# gate scorer that _gate_input and gate_scores_many replaced.
 
 def _ref_dense_gate_input(features, ids, stacked):
     m, n, k = stacked.shape
@@ -463,12 +444,15 @@ def test_gate_rows_bit_identical_to_row_loops(n_rows, seed, m, k, data):
     n = data.draw(st.integers(0, min(20, n_rows)))
     ids = tuple(fm.ids[i] for i in rng.permutation(n_rows)[:n])
     stack = rng.random((m, n, k))
-    rows = _gate_rows(*fm.rows_for(ids), fm.dims, stack)
-    for got, ref in zip(rows, _ref_augmented_features(fm, ids, stack)):
-        assert got.dtype == ref.dtype
-        assert np.array_equal(got, ref)
-    assert np.array_equal(_densify(*rows, np.arange(fm.dims + m * k)),
-                          _ref_dense_gate_input(fm, ids, stack))
+    ref = _ref_dense_gate_input(fm, ids, stack)
+    rows = fm.rows_for(ids)
+    # every column, and the columns a gate fit on these rows keeps; integer
+    # counts, which features/data.npy may hold, must not round the probs
+    for columns in (np.arange(fm.dims + m * k),
+                    np.union1d(rows[1], fm.dims + np.arange(m * k))):
+        for vals in (rows[2], rows[2].astype(np.int64)):
+            assert np.array_equal(_gate_input(*rows[:2], vals, fm.dims, stack, columns),
+                                  ref[:, columns])
 
 
 def _fit_gate(d, feats, kind, routing="hard", n_val=30, n_test=40, m=3, k=2,
@@ -540,8 +524,9 @@ def _full_width_gate(kind, bases, val, labels, feats, meta_cfg, seed=0):
     """The dense gate fit on every column of the densified gate input."""
     stack = np.stack([p.reindexed(val) for p in bases])
     m, _, k = stack.shape
-    rows = _gate_rows(*feats.rows_for(val), feats.dims, stack)
-    return meta_fit(kind, _densify(*rows, np.arange(feats.dims + m * k)),
+    dense = _gate_input(*feats.rows_for(val), feats.dims, stack,
+                        np.arange(feats.dims + m * k))
+    return meta_fit(kind, dense,
                     gate_targets(stack, labels).argmax(axis=1), meta_cfg, seed,
                     output_width=m)
 

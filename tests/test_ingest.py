@@ -80,6 +80,15 @@ class TestLoadDataset:
         with pytest.raises(UnknownLabel):
             load_dataset(p, "binary")
 
+    @pytest.mark.parametrize("label", [True, False])
+    def test_boolean_label_is_not_a_label(self, tmp_path, label):
+        p = tmp_path / "d.jsonl"
+        recs = _records(4)
+        recs[2]["label"] = label
+        _write_jsonl(p, recs)
+        with pytest.raises(UnknownLabel, match="at line 3"):
+            load_dataset(p, "binary")
+
     def test_multiclass_requires_cwe(self, tmp_path):
         p = tmp_path / "d.jsonl"
         recs = _records(4)

@@ -461,3 +461,7 @@ def test_probs_fault_precedence(tmp_path):
     assert not isinstance(exc.value, MalformedProbVector)
     with pytest.raises(MalformedProbVector, match="sample 'a'"):
         ingest({"c": [0.9, 0.9], "a": [0.5, 0.6], "b": [0.5, 0.5]})
+    # a bool or a string is not a number: a row-shape fault, named by sample
+    for bad in ([True, False], ["0.5", "0.5"]):
+        with pytest.raises(MalformedProbVector, match="sample 'b'.*non-empty"):
+            ingest({"a": [-1.0, 2.0], "b": bad, "c": [0.2, 0.3, 0.5]})

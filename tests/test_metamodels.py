@@ -265,14 +265,6 @@ def _ref_knn_predict(m, X):
 
 
 class TestForest:
-    def test_workers_bit_identical(self):
-        X, y = _blobs(60, seed=4)
-        cfg = MetaConfig(trees=15)
-        m1 = meta_fit("rf", X, y, cfg, seed=2, workers=1)
-        m4 = meta_fit("rf", X, y, cfg, seed=2, workers=4)
-        assert m1.params.keys() == m4.params.keys()
-        assert all(np.array_equal(m1.params[k], m4.params[k]) for k in m1.params)
-
     def test_output_width_override(self):
         X, y = _blobs(30)
         m = meta_fit("rf", X, y, MetaConfig(trees=5), output_width=4)
@@ -360,14 +352,12 @@ class TestColumns:
     """meta_fit on the nonzero columns of a wider input is the fit on the
     full-width input, restricted to those columns."""
 
-    @pytest.mark.parametrize("kind,workers", [("svm", 1), ("rf", 1), ("rf", 2),
-                                              ("knn", 1)])
-    def test_matches_full_width_fit(self, kind, workers):
+    @pytest.mark.parametrize("kind", ["svm", "rf", "knn"])
+    def test_matches_full_width_fit(self, kind):
         X, full, y, columns = _wide()
         cfg = MetaConfig(trees=20, epochs=50)
-        got = meta_fit(kind, X, y, cfg, seed=3, workers=workers,
-                       columns=columns, width=full.shape[1])
-        ref = meta_fit(kind, full, y, cfg, seed=3, workers=workers)
+        got = meta_fit(kind, X, y, cfg, seed=3, columns=columns, width=full.shape[1])
+        ref = meta_fit(kind, full, y, cfg, seed=3)
         assert ref.input_width == full.shape[1]
         assert_compact_of(got, ref, columns)
         if kind == "svm":  # sums over fewer columns may round differently
