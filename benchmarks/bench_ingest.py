@@ -1,22 +1,30 @@
-"""Time prediction-file ingest per row.
+"""Time prediction-file and dataset ingest per row.
 
 Writes a seeded prediction file of 10k rows with K = 9 classes to a
 temporary directory, one ``{"id": ..., "probs": [...]}`` object per line
 with softmax-normalized rows (the layout external models and the
-end-to-end benchmark write), then prints the best of three timings, in
+end-to-end benchmark write), and a ``paired_cwe_corpus`` dataset of
+8 CWEs x 800 pairs (12,800 samples, the size of e2ebench's
+external-multiclass workload).  Then prints the best of three timings, in
 microseconds per row, for:
 
 - ``ingest_predictions``: parse, id checks and validation of the file;
+  then the same read through ``ingest.Snapshots``, as a first read (parse
+  and store the snapshot) and as a snapshot hit (rebuild the raw matrix
+  from the snapshot, then validate it);
 - ``make_prediction_set``: validation of the same rows from an id -> list
-  mapping, without the file.
+  mapping, without the file;
+- ``load_dataset``: the parse of the dataset file, a first read through
+  ``Snapshots`` and a snapshot hit.
 
 Usage:
-    PYTHONPATH=src python benchmarks/bench_ingest.py [--rows N] [--seed S]
+    PYTHONPATH=src python benchmarks/bench_ingest.py [--rows N] [--pairs P] [--seed S]
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import tempfile
 import time
@@ -24,10 +32,13 @@ from pathlib import Path
 
 import numpy as np
 
+from vulforge import synth
 from vulforge.core import make_prediction_set
+from vulforge.ingest import Snapshots, load_dataset
 from vulforge.learners import ingest_predictions
 
 K = 9
+CWES = 8
 REPEATS = 3
 
 
@@ -49,25 +60,56 @@ def _best_us_per_row(fn, n: int) -> float:
     return best / n * 1e6
 
 
+def _snapshot_timings(read, root: Path, n: int) -> tuple[float, float]:
+    """Per-row times of ``read(snapshots)`` as a first read, each repeat into
+    an empty snapshot directory, and as a snapshot hit."""
+    fresh = (Snapshots(root / f"first_{i}") for i in itertools.count())
+    first = _best_us_per_row(lambda: read(next(fresh)), n)
+    warm = Snapshots(root / "warm")
+    read(warm)
+    return first, _best_us_per_row(lambda: read(warm), n)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--rows", type=int, default=10_000)
+    ap.add_argument("--pairs", type=int, default=800, help="pairs per CWE in the dataset")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     rows = _rows(args.rows, args.seed)
     ids = list(rows)
+    d = synth.paired_cwe_corpus({f"CWE-{100 + 7 * i}": args.pairs for i in range(CWES)},
+                                seed=args.seed)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "preds" / "ext" / "val.jsonl"
+        tmp = Path(tmp)
+        path = tmp / "preds" / "ext" / "val.jsonl"
         path.parent.mkdir(parents=True)
         path.write_text("\n".join(json.dumps({"id": s, "probs": rows[s]})
                                   for s in ids) + "\n", encoding="utf-8")
         ingest = _best_us_per_row(
             lambda: ingest_predictions(tmp, "ext", "val", ids), args.rows)
+        pred_first, pred_hit = _snapshot_timings(
+            lambda snaps: ingest_predictions(tmp, "ext", "val", ids, snapshots=snaps),
+            tmp / "pred_snapshots", args.rows)
+        data = tmp / "data.jsonl"
+        data.write_text("".join(json.dumps({"id": s.id, "code": s.code, "label": s.label,
+                                            "cwe": s.cwe, "pair_id": s.pair_id}) + "\n"
+                                for s in d.samples), encoding="utf-8")
+        parse = _best_us_per_row(lambda: load_dataset(data, "multiclass"), len(d))
+        data_first, data_hit = _snapshot_timings(
+            lambda snaps: load_dataset(data, "multiclass", snapshots=snaps),
+            tmp / "data_snapshots", len(d))
     make = _best_us_per_row(
         lambda: make_prediction_set("ext", "val", rows), args.rows)
     print(f"rows={args.rows} K={K} seed={args.seed} best of {REPEATS}")
-    print(f"ingest_predictions   {ingest:7.2f} us/row")
-    print(f"make_prediction_set  {make:7.2f} us/row")
+    print(f"ingest_predictions              {ingest:7.2f} us/row")
+    print(f"  first read through snapshots  {pred_first:7.2f} us/row")
+    print(f"  snapshot hit                  {pred_hit:7.2f} us/row")
+    print(f"make_prediction_set             {make:7.2f} us/row")
+    print(f"load_dataset, paired_cwe_corpus {len(d)} samples")
+    print(f"  parse                         {parse:7.2f} us/row")
+    print(f"  first read through snapshots  {data_first:7.2f} us/row")
+    print(f"  snapshot hit                  {data_hit:7.2f} us/row")
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ from .errors import ConfigError, IoError, ProtocolOrderError, UnsafeName, Vulfor
 
 if TYPE_CHECKING:
     from .core import PredictionSet
-    from .ingest import Dataset, SplitIndices
+    from .ingest import Dataset, Snapshots, SplitIndices
     from .learners import FeatureMatrix, LearnerConfig
 
 EXIT_CONFIG, EXIT_IO, EXIT_PROTOCOL, EXIT_OTHER = 2, 3, 4, 5
@@ -185,7 +185,9 @@ class _Run:
     out/manifest.json under the config hash.
 
     Inputs load in pipeline order (dataset, splits, features), so a missing
-    one is reported before any input built from it."""
+    one is reported before any input built from it.  The dataset and the
+    prediction files are read through the snapshots in out/ingest/, so each
+    file's bytes are parsed once per --out."""
 
     def __init__(self, args: argparse.Namespace):
         from .store import config_hash
@@ -196,6 +198,12 @@ class _Run:
         self.config_hash = config_hash(self.echo)
 
     @cached_property
+    def snapshots(self) -> Snapshots:
+        from .ingest import Snapshots
+
+        return Snapshots(self.out / "ingest", write=self.emit)
+
+    @cached_property
     def dataset(self) -> Dataset:
         from .ingest import load_dataset
 
@@ -204,7 +212,7 @@ class _Run:
         path = Path(self.cfg["dataset"])
         if not path.exists():
             raise IoError(f"dataset file {path} does not exist")
-        return load_dataset(path, self.cfg["schema"])
+        return load_dataset(path, self.cfg["schema"], snapshots=self.snapshots)
 
     @cached_property
     def splits(self) -> SplitIndices:
@@ -274,7 +282,8 @@ class _Run:
 
         root = Path(self.cfg["external"] or self.out)
         ids = self.splits.for_split(split)
-        return [ingest_predictions(root, mid, split, ids) for mid in model_ids]
+        return [ingest_predictions(root, mid, split, ids, snapshots=self.snapshots)
+                for mid in model_ids]
 
     def emit(self, path: Path, blob: bytes) -> None:
         """Write ``blob`` to ``path`` atomically and record its digest."""

@@ -1,9 +1,18 @@
-"""Corpus loading, stratified 8:1:1 splits, bootstrap plans, CWE subsets.
+"""Corpus loading, stratified 8:1:1 splits, bootstrap plans, CWE subsets,
+and ingest snapshots.
 
 File formats:
   dataset.jsonl  one record per line:
       {"id": str, "code": str, "label": int, "cwe": str|null, "pair_id": str|null}
   splits.json    {"seed": int, "train": [ids], "val": [ids], "test": [ids]}
+
+A ``Snapshots`` directory keeps what a reader parsed from an input file,
+named by the sha256 of the file's bytes, so a later command that reads the
+same bytes rebuilds the result without parsing them again.  A dataset
+snapshot is two files: ``<sha256>.<schema>.code`` holds the code strings
+as one UTF-8 blob (lone surrogates kept by ``surrogatepass``), and
+``<sha256>.<schema>.json`` holds K, the ids, labels, cwe and pair_id
+fields, and each code string's length in bytes, as compact JSON.
 
 numpy is imported inside the functions that use it, so a command that only
 reads and writes JSON (``verify``) runs without it.
@@ -11,12 +20,14 @@ reads and writes JSON (``verify``) runs without it.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import (
     ClassTooSmall,
@@ -35,8 +46,7 @@ log = logging.getLogger(__name__)
 MIN_CLASS_SIZE = 10
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     id: str
     code: str
     label: int
@@ -104,6 +114,35 @@ def _atomic_write(path: Path, blob: bytes) -> None:
     tmp.replace(path)
 
 
+@dataclass(frozen=True)
+class Snapshots:
+    """Where readers keep what they parsed: the directory ``root``, one
+    snapshot per input file's sha256, each file stored through
+    ``write(path, blob)``, by default the atomic writer.
+
+    A reader given a ``Snapshots`` rebuilds its result from a snapshot of
+    its input's bytes when it has a usable one.  Otherwise it parses the
+    input as it would without one and, once the read has succeeded, stores
+    a snapshot.  A snapshot that is missing, unreadable or does not fit the
+    read counts as absent, so a read gives the same result or fault either
+    way."""
+
+    root: Path
+    write: Callable[[Path, bytes], None] = _atomic_write
+
+    def key(self, fh, *tags: str) -> str:
+        """The sha256 of the bytes of the binary file ``fh``, read in 1 MiB
+        chunks, then ``tags``, joined by dots; ``fh`` is left at its start."""
+        h = hashlib.sha256()
+        while chunk := fh.read(1 << 20):
+            h.update(chunk)
+        fh.seek(0)
+        return ".".join((h.hexdigest(), *tags))
+
+    def path(self, key: str, suffix: str) -> Path:
+        return self.root / f"{key}{suffix}"
+
+
 def _read_json(path, what: str, check):
     """The JSON value in ``path``, which ``check`` must accept; IoError names
     the file when it is not JSON or does not hold ``what``."""
@@ -141,41 +180,41 @@ def _utf8_lines(fh, path: Path):
                               f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def load_dataset(path, schema: str) -> Dataset:
-    """Load a dataset.jsonl file; K is 2 (binary) or 1 + distinct CWE count."""
-    if schema not in ("binary", "multiclass"):
-        raise ValueError(f"unknown schema {schema!r}")
-    path = Path(path)
+def _parse_dataset(fh, path: Path, schema: str) -> tuple[tuple[Sample, ...], int]:
+    """The samples of the dataset text file ``fh``, read from ``path``, and
+    their K under ``schema``; a bad record raises naming its line."""
     samples: list[Sample] = []
     seen: set[str] = set()
     cwes: list[str] = []
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(_utf8_lines(fh, path), start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                sid = rec["id"]
-                code = rec["code"]
-                label = rec["label"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise MalformedRecord(line_no, str(exc)) from exc
-            if not isinstance(sid, str) or not sid:
-                raise MalformedRecord(line_no, "id must be a non-empty string")
-            if not isinstance(code, str):
-                raise MalformedRecord(line_no, "code must be a string")
-            if sid in seen:
-                raise DuplicateId(f"duplicate id {sid!r} at line {line_no}")
-            seen.add(sid)
-            if type(label) is not int or label < 0:  # true and false are not labels
-                raise UnknownLabel(f"label {label!r} at line {line_no}")
-            cwe = rec.get("cwe")
-            if schema == "multiclass" and label >= 1:
-                if not cwe:
-                    raise MalformedRecord(line_no, "multiclass vulnerable sample without cwe")
-                if cwe not in cwes:
-                    cwes.append(cwe)
-            samples.append(Sample(sid, code, label, cwe, rec.get("pair_id")))
+    for line_no, line in enumerate(_utf8_lines(fh, path), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            sid = rec["id"]
+            code = rec["code"]
+            label = rec["label"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise MalformedRecord(line_no, str(exc)) from exc
+        if not isinstance(sid, str) or not sid:
+            raise MalformedRecord(line_no, "id must be a non-empty string")
+        if not isinstance(code, str):
+            raise MalformedRecord(line_no, "code must be a string")
+        if sid in seen:
+            raise DuplicateId(f"duplicate id {sid!r} at line {line_no}")
+        seen.add(sid)
+        if type(label) is not int or label < 0:  # true and false are not labels
+            raise UnknownLabel(f"label {label!r} at line {line_no}")
+        cwe, pair_id = rec.get("cwe"), rec.get("pair_id")
+        for name, value in (("cwe", cwe), ("pair_id", pair_id)):
+            if value is not None and not isinstance(value, str):
+                raise MalformedRecord(line_no, f"{name} must be a string or null")
+        if schema == "multiclass" and label >= 1:
+            if not cwe:
+                raise MalformedRecord(line_no, "multiclass vulnerable sample without cwe")
+            if cwe not in cwes:
+                cwes.append(cwe)
+        samples.append(Sample(sid, code, label, cwe, pair_id))
     if schema == "binary":
         k = 2
         for s in samples:
@@ -186,7 +225,70 @@ def load_dataset(path, schema: str) -> Dataset:
         for s in samples:
             if s.label >= k:
                 raise UnknownLabel(f"label {s.label} >= inferred K={k}")
-    ds = Dataset(tuple(samples), k, path.stem)
+    return tuple(samples), k
+
+
+def _write_dataset_snapshot(snapshots: Snapshots, key: str,
+                            samples: tuple[Sample, ...], k: int) -> None:
+    """Store ``samples`` and ``k`` under ``key``: the code blob, then the
+    JSON that indexes it, so a reader that finds the JSON finds the blob.
+    Each distinct CWE tag is written once; a sample's ``cwe`` is its index
+    in ``cwe_tags``."""
+    codes = [s.code.encode("utf-8", "surrogatepass") for s in samples]
+    snapshots.write(snapshots.path(key, ".code"), b"".join(codes))
+    tags: dict[str, int] = {}
+    meta = {"k": k, "ids": [s.id for s in samples], "labels": [s.label for s in samples],
+            "cwe": [None if s.cwe is None else tags.setdefault(s.cwe, len(tags))
+                    for s in samples],
+            "cwe_tags": list(tags), "pair_id": [s.pair_id for s in samples],
+            "code_bytes": [len(c) for c in codes]}
+    snapshots.write(snapshots.path(key, ".json"),
+                    json.dumps(meta, separators=(",", ":")).encode("ascii"))
+
+
+def _read_dataset_snapshot(snapshots: Snapshots,
+                           key: str) -> tuple[tuple[Sample, ...], int] | None:
+    """The samples and K stored under ``key``, or None when the snapshot is
+    missing or is not what ``_write_dataset_snapshot`` writes.  Each code
+    string is decoded from its own slice of the blob as it is read, so the
+    whole blob is never held next to the strings, and samples of one CWE
+    share one tag string."""
+    try:
+        meta = json.loads(snapshots.path(key, ".json").read_bytes())
+        ids, labels, pair_ids, lengths = (meta["ids"], meta["labels"], meta["pair_id"],
+                                          meta["code_bytes"])
+        tags = meta["cwe_tags"]
+        cwes = [None if i is None else tags[i] for i in meta["cwe"]]
+        if (type(meta["k"]) is not int or min(lengths, default=0) < 0
+                or not len(ids) == len(labels) == len(cwes) == len(pair_ids) == len(lengths)):
+            return None
+        with snapshots.path(key, ".code").open("rb") as fh:
+            if os.fstat(fh.fileno()).st_size != sum(lengths):
+                return None
+            codes = (fh.read(n).decode("utf-8", "surrogatepass") for n in lengths)
+            return tuple(map(Sample, ids, codes, labels, cwes, pair_ids)), meta["k"]
+    except (OSError, ValueError, LookupError, TypeError):
+        return None
+
+
+def load_dataset(path, schema: str, *, snapshots: Snapshots | None = None) -> Dataset:
+    """Load a dataset.jsonl file; K is 2 (binary) or 1 + distinct CWE count.
+
+    With ``snapshots``, a snapshot of the file's bytes under ``schema``
+    stands in for the parse; a parse that succeeds stores one."""
+    if schema not in ("binary", "multiclass"):
+        raise ValueError(f"unknown schema {schema!r}")
+    path = Path(path)
+    with path.open("rb") as raw:
+        key = None if snapshots is None else snapshots.key(raw, schema)
+        loaded = None if key is None else _read_dataset_snapshot(snapshots, key)
+        if loaded is None:
+            with io.TextIOWrapper(raw, encoding="utf-8") as fh:
+                loaded = _parse_dataset(fh, path, schema)
+            if key is not None:
+                _write_dataset_snapshot(snapshots, key, *loaded)
+    samples, k = loaded
+    ds = Dataset(samples, k, path.stem)
     if not samples:
         log.warning("loaded empty dataset from %s", path)
     else:

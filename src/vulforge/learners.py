@@ -14,20 +14,29 @@ prediction files:
   boost/round_<t>/weights.jsonl           {"id": str, "weight": float}
   boost/round_<t>/preds_<split>.jsonl     same row schema as preds
 
+Given ``ingest.Snapshots``, ``ingest_predictions`` keeps the raw probs
+matrix of each file it reads successfully, in split order, as
+``<sha256>.probs.npy`` next to ``<sha256>.ids.json``, and a later read of
+the same bytes against the same ids takes the matrix from there instead of
+parsing the file.  The value checks and both renormalization passes run on
+every read.
+
 The featurizer and the numeric kernels are imported by the functions that
 use them, so a process that only reads prediction files loads neither.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import PredictionSet, make_prediction_set, validate_prob_matrix
+from .core import PredictionSet, _stack_rows, make_prediction_set, validate_prob_matrix
 from .errors import (
     DimensionMismatch,
     DuplicateId,
@@ -40,7 +49,7 @@ from .errors import (
     UnknownSample,
     WeightCoverageMismatch,
 )
-from .ingest import Dataset, _atomic_write
+from .ingest import Dataset, Snapshots, _atomic_write
 
 if TYPE_CHECKING:
     from .codefeat import FeaturizerConfig, FeatureVector
@@ -56,6 +65,8 @@ class SampleWeights:
     def __post_init__(self):
         if len(self.ids) != len(self.weights):
             raise WeightCoverageMismatch("ids and weights differ in length")
+        if not np.isfinite(self.weights).all():  # NaN passes both checks below
+            raise WeightCoverageMismatch("non-finite sample weight")
         if np.any(self.weights < 0):
             raise WeightCoverageMismatch("negative sample weight")
         total = float(self.weights.sum())
@@ -281,15 +292,34 @@ def predict_builtin(m: LinearModel, f: FeatureVector) -> np.ndarray:
 # external-model file protocol
 # ---------------------------------------------------------------------------
 
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    """``x`` as ``json.dumps`` writes it: its repr, or NaN or +-Infinity."""
+    text = float.__repr__(x)
+    return _JSON_NON_FINITE.get(text, text)
+
+
+def _float_text(values: np.ndarray):
+    """The float-to-text function for the numbers of ``values``:
+    ``float.__repr__`` when all are finite, which is what ``json.dumps``
+    writes for them, else ``_json_float``."""
+    return float.__repr__ if np.isfinite(values).all() else _json_float
+
+
 def emit_round_weights(root, t: int, w: SampleWeights) -> Path:
-    """Write boost/round_<t>/weights.jsonl; rounds must be emitted in order."""
+    """Write boost/round_<t>/weights.jsonl; rounds must be emitted in order.
+    Each line has the bytes ``json.dumps({"id": ..., "weight": ...})``
+    gives, built without it."""
     root = Path(root)
     if t < 1:
         raise ProtocolOrderError(f"round index must be >= 1, got {t}")
     if t > 1 and not (root / "boost" / f"round_{t - 1}" / "weights.jsonl").exists():
         raise ProtocolOrderError(f"round {t} emitted before round {t - 1}")
-    lines = [json.dumps({"id": s, "weight": float(x)})
-             for s, x in zip(w.ids, w.weights)]
+    num = _float_text(w.weights)
+    lines = [f'{{"id": {encode_basestring_ascii(s)}, "weight": {num(x)}}}'
+             for s, x in zip(w.ids, w.weights.tolist())]
     path = root / "boost" / f"round_{t}" / "weights.jsonl"
     _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
     return path
@@ -297,41 +327,45 @@ def emit_round_weights(root, t: int, w: SampleWeights) -> Path:
 
 def write_predictions(root, p: PredictionSet, write=_atomic_write) -> Path:
     """Write preds/<model_id>/<split>.jsonl under ``root`` through
-    ``write(path, blob)``, by default the atomic writer."""
-    lines = [json.dumps({"id": s, "probs": p.row(s).tolist()}) for s in p.ids]
+    ``write(path, blob)``, by default the atomic writer.  Each line has the
+    bytes ``json.dumps({"id": ..., "probs": [...]})`` gives, built without
+    it."""
+    num = _float_text(p.probs)
+    lines = [f'{{"id": {encode_basestring_ascii(s)}, "probs": [{", ".join(map(num, row))}]}}'
+             for s, row in zip(p.ids, p.probs.tolist())]
     path = Path(root) / "preds" / p.model_id / f"{p.split}.jsonl"
     write(path, ("\n".join(lines) + "\n").encode("utf-8"))
     return path
 
 
-def _parse_pred_lines(path: Path, expected: set) -> dict:
-    """Sample id -> raw ``probs`` of each line of a prediction file.
+def _parse_pred_lines(fh, path: Path, expected: set) -> dict:
+    """Sample id -> raw ``probs`` of each line of the prediction text file
+    ``fh``, read from ``path``.
 
     Lines are parsed one at a time, so a bad line is named by its number and
     memory holds one list per row.
     """
     rows = {}
     try:
-        with path.open(encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedProbVector(f"{path} line {line_no}: not JSON: {exc}") from exc
-                sid = rec.get("id") if isinstance(rec, dict) else None
-                if not isinstance(sid, str):
-                    raise MalformedProbVector(f"{path} line {line_no}: expected an object "
-                                              f"with a string \"id\"")
-                if sid not in expected:
-                    raise UnknownSample(f"{path} line {line_no}: sample {sid!r} not in split")
-                if sid in rows:
-                    raise DuplicateId(f"{path} line {line_no}: sample {sid!r} appears twice")
-                if "probs" not in rec:
-                    raise MalformedProbVector(f"{path} line {line_no}: sample {sid!r} "
-                                              f"has no \"probs\"")
-                rows[sid] = rec["probs"]
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedProbVector(f"{path} line {line_no}: not JSON: {exc}") from exc
+            sid = rec.get("id") if isinstance(rec, dict) else None
+            if not isinstance(sid, str):
+                raise MalformedProbVector(f"{path} line {line_no}: expected an object "
+                                          f"with a string \"id\"")
+            if sid not in expected:
+                raise UnknownSample(f"{path} line {line_no}: sample {sid!r} not in split")
+            if sid in rows:
+                raise DuplicateId(f"{path} line {line_no}: sample {sid!r} appears twice")
+            if "probs" not in rec:
+                raise MalformedProbVector(f"{path} line {line_no}: sample {sid!r} "
+                                          f"has no \"probs\"")
+            rows[sid] = rec["probs"]
     except UnicodeDecodeError as exc:
         raise MalformedProbVector(f"{path}: not UTF-8 text: {exc}") from exc
     missing = expected - rows.keys()
@@ -341,9 +375,29 @@ def _parse_pred_lines(path: Path, expected: set) -> dict:
     return rows
 
 
-def _ingest(path: Path, model_id: str, split: str, expected_ids) -> PredictionSet:
+def _read_probs_snapshot(snapshots: Snapshots, key: str, ids: tuple) -> np.ndarray | None:
+    """The raw probs stored under ``key``, rows in the order of ``ids``, or
+    None when the snapshot is missing, unreadable, or its ids are not
+    exactly ``ids`` or its matrix is not one float64 row per id."""
+    try:
+        stored = json.loads(snapshots.path(key, ".ids.json").read_bytes())
+        raw = np.load(snapshots.path(key, ".probs.npy"), allow_pickle=False)
+        index = {s: i for i, s in enumerate(stored)}
+    except (OSError, ValueError, EOFError, TypeError):
+        return None
+    if (not isinstance(stored, list) or len(index) != len(stored)
+            or index.keys() != set(ids) or raw.dtype != np.float64
+            or raw.ndim != 2 or raw.shape[0] != len(ids) or not raw.shape[1]):
+        return None
+    return raw[[index[s] for s in ids]]
+
+
+def _ingest(path: Path, model_id: str, split: str, expected_ids,
+            snapshots: Snapshots | None = None) -> PredictionSet:
     """Read one prediction file: the distinct ``expected_ids`` in that order,
-    their probs validated as one matrix.
+    their probs validated as one matrix.  With ``snapshots``, the raw matrix
+    of a snapshot of the file's bytes for exactly these ids stands in for
+    the parse; a read that succeeds stores one.
 
     Line and id faults anywhere in the file are raised before any probs
     fault; see the README's table of malformed inputs.
@@ -351,25 +405,41 @@ def _ingest(path: Path, model_id: str, split: str, expected_ids) -> PredictionSe
     if not path.exists():
         raise MissingSample(f"prediction file {path} does not exist")
     ids = tuple(dict.fromkeys(expected_ids))
-    rows = _parse_pred_lines(path, set(ids))
+    with path.open("rb") as fh:
+        key = None if snapshots is None or not ids else snapshots.key(fh)
+        raw = None if key is None else _read_probs_snapshot(snapshots, key, ids)
+        if raw is None:
+            with io.TextIOWrapper(fh, encoding="utf-8") as text:
+                rows = _parse_pred_lines(text, path, set(ids))
+    if not ids:
+        return make_prediction_set(model_id, split, rows)
+    fresh = raw is None
     try:
-        first = make_prediction_set(model_id, split, {s: rows[s] for s in ids})
+        if fresh:
+            raw = _stack_rows([rows[s] for s in ids])
+        first = validate_prob_matrix(raw)
     except InvalidProbVector as exc:
         if exc.row is None:
             raise InvalidProbVector(f"{path}: {exc}") from exc
         raise MalformedProbVector(f"{path}: sample {ids[exc.row]!r}: {exc}") from exc
-    if not ids:
-        return first
+    if fresh and key is not None:
+        from .store import _npy_bytes
+
+        snapshots.write(snapshots.path(key, ".probs.npy"), _npy_bytes(raw))
+        snapshots.write(snapshots.path(key, ".ids.json"),
+                        json.dumps(ids, separators=(",", ":")).encode("ascii"))
     # Ingest has always renormalized each row twice; the second pass
     # changes the last bit of some rows, so dropping it changes results.
     return PredictionSet(model_id=model_id, split=split, ids=ids,
-                         probs=validate_prob_matrix(first.probs))
+                         probs=validate_prob_matrix(first))
 
 
-def ingest_predictions(root, model_id: str, split: str, expected_ids) -> PredictionSet:
-    """Read and validate preds/<model_id>/<split>.jsonl against a split."""
+def ingest_predictions(root, model_id: str, split: str, expected_ids, *,
+                       snapshots: Snapshots | None = None) -> PredictionSet:
+    """Read and validate preds/<model_id>/<split>.jsonl against a split,
+    through ``snapshots`` when given (see ``_ingest``)."""
     path = Path(root) / "preds" / model_id / f"{split}.jsonl"
-    return _ingest(path, model_id, split, expected_ids)
+    return _ingest(path, model_id, split, expected_ids, snapshots)
 
 
 def ingest_round_predictions(root, t: int, split: str, expected_ids) -> PredictionSet:

@@ -1,5 +1,6 @@
 """End-to-end CLI pipeline, artifact integrity, and exit-code mapping."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -132,6 +133,21 @@ class TestPipeline:
         files = {str(f.relative_to(out)) for f in out.rglob("*") if f.is_file()}
         assert files - tracked == set()
 
+    def test_each_input_file_has_one_snapshot_named_by_its_digest(self, workspace):
+        """out/ingest/ holds one snapshot of the dataset and one of each
+        prediction file the commands read (m1 and m2 on val and test), and
+        nothing else.  Files with the same bytes share one snapshot."""
+        out = workspace / "out"
+
+        def sha(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        expected = {f"{sha(workspace / 'dataset.jsonl')}.binary.{ext}" for ext in ("code", "json")}
+        expected |= {f"{sha(out / 'preds' / mid / f'{split}.jsonl')}.{ext}"
+                     for mid in ("m1", "m2") for split in ("val", "test")
+                     for ext in ("ids.json", "probs.npy")}
+        assert {p.name for p in (out / "ingest").iterdir()} == expected
+
     def test_dense_gate_columns_tracked(self, workspace):
         out = workspace / "out"
         base = ["--dataset", str(workspace / "dataset.jsonl"), "--out", str(out),
@@ -229,6 +245,26 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "cmd_verify", fit_nan)
         assert cli.main(["verify", "--out", str(tmp_path)]) == 5
+
+    @pytest.mark.parametrize("command", ["split", "cwe-subsets"])
+    @pytest.mark.parametrize("field,value", [("cwe", ["CWE-1"]), ("pair_id", 7)])
+    def test_cwe_or_pair_id_not_a_string_is_5(self, tmp_path, capsys, command, field, value):
+        # 20 vulnerable records and their 20 fixed versions: a list cwe
+        # passed split and crashed cwe-subsets in top_cwes with a traceback
+        data = tmp_path / "d.jsonl"
+        recs = []
+        for i in range(20):
+            recs += [{"id": f"v{i}", "code": "int v;", "label": 1, "cwe": "CWE-1",
+                      "pair_id": f"f{i}", field: value},
+                     {"id": f"f{i}", "code": "int f;", "label": 0, "cwe": None,
+                      "pair_id": f"v{i}"}]
+        data.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        capsys.readouterr()
+        assert cli.main([command, "--dataset", str(data), "--schema", "multiclass",
+                         "--out", str(tmp_path / "out")]) == 5
+        err = capsys.readouterr().err
+        assert f"line 1: {field} must be a string or null" in err
+        assert "Traceback" not in err
 
     def test_other_vulforge_error_is_5(self, tmp_path):
         # eval with no pipeline artifacts under out: missing prediction file

@@ -97,6 +97,19 @@ class TestLoadDataset:
         with pytest.raises(MalformedRecord):
             load_dataset(p, "multiclass")
 
+    @pytest.mark.parametrize("field,value", [("cwe", ["CWE-1"]), ("cwe", 7), ("cwe", True),
+                                             ("pair_id", 7), ("pair_id", {"id": "s1"})])
+    @pytest.mark.parametrize("schema", ["binary", "multiclass"])
+    def test_cwe_and_pair_id_are_strings_or_null(self, tmp_path, field, value, schema):
+        p = tmp_path / "d.jsonl"
+        recs = _records(4)
+        recs[1].update(label=1, cwe="CWE-1")
+        recs[2][field] = value
+        _write_jsonl(p, recs)
+        with pytest.raises(MalformedRecord, match=f"{field} must be a string or null") as exc:
+            load_dataset(p, schema)
+        assert exc.value.line_no == 3
+
     def test_multiclass_k_inference(self, tmp_path):
         p = tmp_path / "d.jsonl"
         recs = []

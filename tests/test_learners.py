@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import TEST_FEATURIZER, random_feature_matrix
 from vulforge import synth
+from vulforge.core import PredictionSet
 from vulforge.core import (
     INGEST_SUM_TOL,
     make_prediction_set,
@@ -59,6 +60,18 @@ class TestSampleWeights:
     def test_sum_enforced(self):
         with pytest.raises(WeightCoverageMismatch):
             SampleWeights(("a", "b"), np.array([0.5, 0.6]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN passes both the sign and the sum check; a weights.jsonl line
+        # holding it would not be JSON
+        with pytest.raises(WeightCoverageMismatch, match="non-finite"):
+            SampleWeights(("a", "b"), np.array([bad, 1.0]))
+
+    def test_all_zero_raw_weights_rejected(self):
+        with np.errstate(invalid="ignore"), pytest.raises(WeightCoverageMismatch,
+                                                          match="non-finite"):
+            SampleWeights.normalized(["a", "b"], [0.0, 0.0])  # 0 / 0 is NaN
 
 
 class TestUnitRows:
@@ -221,6 +234,62 @@ class TestFileProtocol:
         (tmp_path / "boost" / "round_1" / "preds_train.jsonl").write_text(rows)
         p = ingest_round_predictions(tmp_path, 1, "train", ids)
         assert p.model_id == "round_1" and p.ids == ("a", "b")
+
+
+# ---------------------------------------------------------------------------
+# the JSONL writers against json.dumps, the bytes they always wrote
+# ---------------------------------------------------------------------------
+
+_JSON_IDS = st.one_of(st.text(max_size=8),
+                      st.sampled_from(["\ud800", 'a"b\\c', "\x00\x1f\x7f", "é\u2028",
+                                       "\U0001d11e", "/"]))
+_ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, 1e308, 0.1, 1 / 3,
+                                                     1e16, 1e-7]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.lists(_JSON_IDS, min_size=1, max_size=8, unique=True), st.data())
+def test_write_predictions_bytes_are_json_dumps(k, ids, data):
+    # NaN and +-inf included: a PredictionSet does not check its values
+    probs = np.array(data.draw(st.lists(st.lists(_ANY_FLOAT, min_size=k, max_size=k),
+                                        min_size=len(ids), max_size=len(ids))),
+                     dtype=np.float64).reshape(len(ids), k)
+    p = PredictionSet("m", "test", tuple(ids), probs)
+    blobs = []
+    write_predictions("root", p, write=lambda path, blob: blobs.append(blob))
+    ref = "".join(json.dumps({"id": s, "probs": p.row(s).tolist()}) + "\n" for s in ids)
+    assert blobs == [ref.encode("utf-8")]
+
+
+def _weights_reference(w: SampleWeights) -> bytes:
+    return ("\n".join(json.dumps({"id": s, "weight": float(x)})
+                       for s, x in zip(w.ids, w.weights)) + "\n").encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_JSON_IDS, st.floats(0.0, 1e300)), min_size=1, max_size=8,
+                unique_by=lambda row: row[0]))
+def test_round_weights_bytes_are_json_dumps(rows):
+    raw = [x for _, x in rows]
+    assume(sum(raw) > 0)
+    w = SampleWeights.normalized([s for s, _ in rows], raw)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert emit_round_weights(tmp, 1, w).read_bytes() == _weights_reference(w)
+
+
+def test_boosting_round_weights_file_is_json_dumps_bytes(tmp_path):
+    """A 10,240-row weights file after four SAMME updates at K = 9, the size
+    of an external boosting round: the bytes json.dumps gives."""
+    from vulforge.ensembles import _boost_step
+
+    rng = np.random.default_rng(1)
+    n = 10_240
+    w = np.full(n, 1.0 / n)
+    ids = tuple(f"s{i:06d}" for i in range(n))
+    for t in range(1, 5):
+        path = emit_round_weights(tmp_path, t, SampleWeights(ids, w.copy()))
+        assert path.read_bytes() == _weights_reference(SampleWeights(ids, w.copy()))
+        w = _boost_step(w, rng.random(n) < 0.3, 9)[2]
 
 
 # ---------------------------------------------------------------------------
