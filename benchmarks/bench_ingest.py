@@ -17,6 +17,12 @@ microseconds per row, for:
 - ``load_dataset``: the parse of the dataset file, a first read through
   ``Snapshots`` and a snapshot hit.
 
+Last, for ``paired_cwe_corpus`` datasets of 12,800 and 128,000 samples,
+a snapshot hit as a label-only command reads
+it (ids and labels; the code stays in the snapshot) and as a full read
+(the same, then ``.samples``): best-of-three milliseconds, and the
+megabytes the result holds under ``tracemalloc``.
+
 Usage:
     PYTHONPATH=src python benchmarks/bench_ingest.py [--rows N] [--pairs P] [--seed S]
 """
@@ -28,6 +34,7 @@ import itertools
 import json
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +47,8 @@ from vulforge.learners import ingest_predictions
 K = 9
 CWES = 8
 REPEATS = 3
+#: pairs per CWE of the label-only and full reads: 12,800 and 128,000 samples
+LABEL_ONLY_PAIRS = (800, 8000)
 
 
 def _rows(n: int, seed: int) -> dict[str, list[float]]:
@@ -70,6 +79,48 @@ def _snapshot_timings(read, root: Path, n: int) -> tuple[float, float]:
     return first, _best_us_per_row(lambda: read(warm), n)
 
 
+def _write_corpus(path: Path, d) -> None:
+    path.write_text("".join(json.dumps({"id": s.id, "code": s.code, "label": s.label,
+                                        "cwe": s.cwe, "pair_id": s.pair_id}) + "\n"
+                            for s in d.samples), encoding="utf-8")
+
+
+def _ms_and_held_mb(fn) -> tuple[float, float]:
+    """Best-of-REPEATS milliseconds of ``fn()``, then the megabytes its
+    result holds, traced on one more call."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    tracemalloc.start()
+    try:
+        result = fn()  # noqa: F841 - held while the memory is read
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return best * 1e3, held / 1e6
+
+
+def _label_only_and_full(pairs: int, seed: int) -> tuple[int, tuple, tuple]:
+    """(samples, label-only (ms, MB), full (ms, MB)) for a snapshot hit of a
+    ``paired_cwe_corpus`` with ``pairs`` pairs per CWE."""
+    d = synth.paired_cwe_corpus({f"CWE-{100 + 7 * i}": pairs for i in range(CWES)},
+                                seed=seed)
+    n = len(d)
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data.jsonl"
+        _write_corpus(data, d)
+        del d
+        snaps = Snapshots(Path(tmp) / "snapshots")
+        load_dataset(data, "multiclass", snapshots=snaps)
+        label_only = _ms_and_held_mb(
+            lambda: load_dataset(data, "multiclass", snapshots=snaps))
+        full = _ms_and_held_mb(lambda: (lambda x: (x, x.samples))(
+            load_dataset(data, "multiclass", snapshots=snaps)))
+    return n, label_only, full
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--rows", type=int, default=10_000)
@@ -92,9 +143,7 @@ def main() -> None:
             lambda snaps: ingest_predictions(tmp, "ext", "val", ids, snapshots=snaps),
             tmp / "pred_snapshots", args.rows)
         data = tmp / "data.jsonl"
-        data.write_text("".join(json.dumps({"id": s.id, "code": s.code, "label": s.label,
-                                            "cwe": s.cwe, "pair_id": s.pair_id}) + "\n"
-                                for s in d.samples), encoding="utf-8")
+        _write_corpus(data, d)
         parse = _best_us_per_row(lambda: load_dataset(data, "multiclass"), len(d))
         data_first, data_hit = _snapshot_timings(
             lambda snaps: load_dataset(data, "multiclass", snapshots=snaps),
@@ -110,6 +159,11 @@ def main() -> None:
     print(f"  parse                         {parse:7.2f} us/row")
     print(f"  first read through snapshots  {data_first:7.2f} us/row")
     print(f"  snapshot hit                  {data_hit:7.2f} us/row")
+    print("snapshot hit, label-only against full (ms, MB held)")
+    for pairs in LABEL_ONLY_PAIRS:
+        n, (lo_ms, lo_mb), (full_ms, full_mb) = _label_only_and_full(pairs, args.seed)
+        print(f"  {n:7d} samples  label-only {lo_ms:7.1f} ms {lo_mb:6.1f} MB"
+              f"   full {full_ms:7.1f} ms {full_mb:6.1f} MB")
 
 
 if __name__ == "__main__":

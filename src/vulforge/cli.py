@@ -223,7 +223,8 @@ class _Run:
         if not path.exists():
             raise IoError(f"{path} missing; run `vulforge split` first")
         s = load_splits(path)
-        if not {*s.train, *s.val, *s.test} <= set(self.dataset.ids):
+        d = self.dataset
+        if not all(sid in d for sid in (*s.train, *s.val, *s.test)):
             raise IoError(f"{path} names samples that are not in the dataset")
         return s
 
@@ -754,5 +755,19 @@ def main(argv=None) -> int:
         return EXIT_OTHER
 
 
+def run() -> None:
+    """Run ``main`` as the whole process: the ``vulforge`` script and
+    ``python -m vulforge.cli``.  Once it returns, flush the standard streams
+    and the logging handlers, then leave through ``os._exit`` without
+    tearing the interpreter down; nothing a command writes is left in a
+    buffer.  An uncaught exception exits as Python does, with its
+    traceback and code 1."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    logging.shutdown()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -453,7 +453,11 @@ def dgs_fit(base_preds_val: list[PredictionSet], val_ids, labels: np.ndarray,
     stacked = _member_stack(base_preds_val, val_ids)
     m, _, k = stacked.shape
     indptr, indices, data = features.rows_for(val_ids)
-    columns = np.concatenate([np.unique(indices), features.dims + np.arange(m * k)],
+    # the distinct indices, sorted: a bare np.unique would load numpy.ma
+    touched = np.sort(indices)
+    first = np.ones(len(touched), dtype=bool)
+    np.not_equal(touched[1:], touched[:-1], out=first[1:])
+    columns = np.concatenate([touched[first], features.dims + np.arange(m * k)],
                              dtype=indices.dtype)
     gate = meta_fit(cfg.gate_kind,
                     _gate_input(indptr, indices, data, features.dims, stacked, columns),

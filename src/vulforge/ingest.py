@@ -12,7 +12,9 @@ same bytes rebuilds the result without parsing them again.  A dataset
 snapshot is two files: ``<sha256>.<schema>.code`` holds the code strings
 as one UTF-8 blob (lone surrogates kept by ``surrogatepass``), and
 ``<sha256>.<schema>.json`` holds K, the ids, labels, cwe and pair_id
-fields, and each code string's length in bytes, as compact JSON.
+fields, and each code string's length in bytes, as compact JSON.  A
+dataset read from its snapshot takes its columns from the JSON and leaves
+its code in the blob until code is asked for.
 
 numpy is imported inside the functions that use it, so a command that only
 reads and writes JSON (``verify``) runs without it.
@@ -20,12 +22,16 @@ reads and writes JSON (``verify``) runs without it.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import io
 import json
 import logging
+import mmap
 import os
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -54,36 +60,122 @@ class Sample(NamedTuple):
     pair_id: str | None = None
 
 
-@dataclass(frozen=True)
-class Dataset:
-    samples: tuple[Sample, ...]
-    class_count: int
-    name: str
-    _index: dict = field(default=None, repr=False, compare=False)
+class _CodeBlob:
+    """The code column of a dataset snapshot: its ``.code`` file, mapped
+    read-only, and each string's byte offsets.  Iterating decodes each
+    string from its own slice of the map; until then none of the file's
+    pages is read into the process."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {s.id: s for s in self.samples})
+    def __init__(self, blob, offsets: np.ndarray):
+        self._blob = blob
+        self._offsets = offsets
+
+    @classmethod
+    def open(cls, path: Path, offsets: np.ndarray) -> _CodeBlob | None:
+        """The blob in ``path``, or None unless the file is as long as
+        ``offsets`` says, is UTF-8 (lone surrogates allowed) and each string
+        starts on a character.  The check reads the file in 1 MiB chunks and
+        keeps no decoded text."""
+        import numpy as np
+
+        size = int(offsets[-1])
+        starts = offsets[:-1][offsets[:-1] < size]
+        utf8 = codecs.getincrementaldecoder("utf-8")("surrogatepass")
+        with path.open("rb") as fh:
+            if os.fstat(fh.fileno()).st_size != size:
+                return None
+            pos = 0
+            while chunk := fh.read(1 << 20):
+                lo, hi = np.searchsorted(starts, (pos, pos + len(chunk)))
+                lead = np.frombuffer(chunk, np.uint8)[starts[lo:hi] - pos]
+                if ((lead & 0xC0) == 0x80).any():  # a string starts mid-character
+                    return None
+                pos += len(chunk)
+                utf8.decode(chunk)  # raises on bytes that are not UTF-8
+            utf8.decode(b"", final=True)
+            # an empty file cannot be mapped
+            return cls(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b"",
+                       offsets)
+
+    def __iter__(self):
+        blob, bounds = self._blob, self._offsets.tolist()
+        return (blob[start:end].decode("utf-8", "surrogatepass")
+                for start, end in zip(bounds, bounds[1:]))
+
+
+class Dataset:
+    """A corpus as columns, one entry per sample in file order: ``ids``,
+    ``labels``, ``cwes``, ``pair_ids``, and the code.  The code is either
+    the strings or a snapshot's code file, decoded when code is first asked
+    for (``codes``, ``samples``, ``by_id``), so a command that reads only
+    ids and labels never holds the source text.
+
+    ``Dataset(samples, class_count, name)`` builds the columns from
+    ``Sample`` rows; ``samples`` gives them back."""
+
+    def __init__(self, samples, class_count: int, name: str):
+        self._fill(class_count, name, *(tuple(zip(*samples)) or ((),) * 5))
+
+    @classmethod
+    def from_columns(cls, class_count: int, name: str, ids, code, labels, cwes,
+                     pair_ids) -> Dataset:
+        d = cls.__new__(cls)
+        d._fill(class_count, name, ids, code, labels, cwes, pair_ids)
+        return d
+
+    def _fill(self, class_count, name, ids, code, labels, cwes, pair_ids) -> None:
+        self.class_count, self.name = class_count, name
+        self.ids: tuple[str, ...] = tuple(ids)
+        self.labels: tuple[int, ...] = tuple(labels)
+        self.cwes: tuple[str | None, ...] = tuple(cwes)
+        self.pair_ids: tuple[str | None, ...] = tuple(pair_ids)
+        self._code = code if isinstance(code, _CodeBlob) else tuple(code)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return ((self.class_count, self.name, self.ids, self.labels, self.cwes,
+                 self.pair_ids, self.codes)
+                == (other.class_count, other.name, other.ids, other.labels, other.cwes,
+                    other.pair_ids, other.codes))
+
+    def __repr__(self) -> str:
+        return f"Dataset({self.name!r}, {len(self)} samples, K={self.class_count})"
+
+    @cached_property
+    def _rows(self) -> dict[str, int]:
+        return dict(zip(self.ids, range(len(self.ids))))
+
+    def __contains__(self, sample_id) -> bool:
+        return sample_id in self._rows
 
     @property
-    def ids(self) -> list[str]:
-        return [s.id for s in self.samples]
+    def codes(self) -> tuple[str, ...]:
+        if isinstance(self._code, _CodeBlob):
+            self._code = tuple(self._code)
+        return self._code
+
+    @property
+    def samples(self) -> tuple[Sample, ...]:
+        return tuple(map(Sample, self.ids, self.codes, self.labels, self.cwes,
+                         self.pair_ids))
 
     def by_id(self, sample_id: str) -> Sample:
-        return self._index[sample_id]
+        r = self._rows[sample_id]
+        return Sample(self.ids[r], self.codes[r], self.labels[r], self.cwes[r],
+                      self.pair_ids[r])
 
     def labels_for(self, ids) -> np.ndarray:
         import numpy as np
 
-        return np.array([self._index[i].label for i in ids], dtype=np.int64)
+        rows, labels = self._rows, self.labels
+        return np.array([labels[rows[i]] for i in ids], dtype=np.int64)
 
     def class_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for s in self.samples:
-            counts[s.label] = counts.get(s.label, 0) + 1
-        return counts
+        return dict(Counter(self.labels))
 
 
 @dataclass(frozen=True)
@@ -180,12 +272,16 @@ def _utf8_lines(fh, path: Path):
                               f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _parse_dataset(fh, path: Path, schema: str) -> tuple[tuple[Sample, ...], int]:
-    """The samples of the dataset text file ``fh``, read from ``path``, and
-    their K under ``schema``; a bad record raises naming its line."""
-    samples: list[Sample] = []
+def _parse_dataset(fh, path: Path, schema: str) -> Dataset:
+    """The dataset in the text file ``fh``, read from ``path``, with its K
+    under ``schema``; a bad record raises naming its line."""
+    ids: list[str] = []
+    codes: list[str] = []
+    labels: list[int] = []
+    cwes: list[str | None] = []
+    pair_ids: list[str | None] = []
     seen: set[str] = set()
-    cwes: list[str] = []
+    tags: list[str] = []
     for line_no, line in enumerate(_utf8_lines(fh, path), start=1):
         if not line.strip():
             continue
@@ -212,62 +308,65 @@ def _parse_dataset(fh, path: Path, schema: str) -> tuple[tuple[Sample, ...], int
         if schema == "multiclass" and label >= 1:
             if not cwe:
                 raise MalformedRecord(line_no, "multiclass vulnerable sample without cwe")
-            if cwe not in cwes:
-                cwes.append(cwe)
-        samples.append(Sample(sid, code, label, cwe, pair_id))
+            if cwe not in tags:
+                tags.append(cwe)
+        ids.append(sid)
+        codes.append(code)
+        labels.append(label)
+        cwes.append(cwe)
+        pair_ids.append(pair_id)
     if schema == "binary":
         k = 2
-        for s in samples:
-            if s.label >= k:
-                raise UnknownLabel(f"label {s.label} out of range for binary schema")
+        for label in labels:
+            if label >= k:
+                raise UnknownLabel(f"label {label} out of range for binary schema")
     else:
-        k = 1 + len(cwes)
-        for s in samples:
-            if s.label >= k:
-                raise UnknownLabel(f"label {s.label} >= inferred K={k}")
-    return tuple(samples), k
+        k = 1 + len(tags)
+        for label in labels:
+            if label >= k:
+                raise UnknownLabel(f"label {label} >= inferred K={k}")
+    return Dataset.from_columns(k, path.stem, ids, codes, labels, cwes, pair_ids)
 
 
-def _write_dataset_snapshot(snapshots: Snapshots, key: str,
-                            samples: tuple[Sample, ...], k: int) -> None:
-    """Store ``samples`` and ``k`` under ``key``: the code blob, then the
-    JSON that indexes it, so a reader that finds the JSON finds the blob.
-    Each distinct CWE tag is written once; a sample's ``cwe`` is its index
-    in ``cwe_tags``."""
-    codes = [s.code.encode("utf-8", "surrogatepass") for s in samples]
+def _write_dataset_snapshot(snapshots: Snapshots, key: str, d: Dataset) -> None:
+    """Store ``d`` under ``key``: the code blob, then the JSON that indexes
+    it, so a reader that finds the JSON finds the blob.  Each distinct CWE
+    tag is written once; a sample's ``cwe`` is its index in ``cwe_tags``."""
+    codes = [c.encode("utf-8", "surrogatepass") for c in d.codes]
     snapshots.write(snapshots.path(key, ".code"), b"".join(codes))
     tags: dict[str, int] = {}
-    meta = {"k": k, "ids": [s.id for s in samples], "labels": [s.label for s in samples],
-            "cwe": [None if s.cwe is None else tags.setdefault(s.cwe, len(tags))
-                    for s in samples],
-            "cwe_tags": list(tags), "pair_id": [s.pair_id for s in samples],
+    meta = {"k": d.class_count, "ids": d.ids, "labels": d.labels,
+            "cwe": [None if c is None else tags.setdefault(c, len(tags)) for c in d.cwes],
+            "cwe_tags": list(tags), "pair_id": d.pair_ids,
             "code_bytes": [len(c) for c in codes]}
     snapshots.write(snapshots.path(key, ".json"),
                     json.dumps(meta, separators=(",", ":")).encode("ascii"))
 
 
-def _read_dataset_snapshot(snapshots: Snapshots,
-                           key: str) -> tuple[tuple[Sample, ...], int] | None:
-    """The samples and K stored under ``key``, or None when the snapshot is
-    missing or is not what ``_write_dataset_snapshot`` writes.  Each code
-    string is decoded from its own slice of the blob as it is read, so the
-    whole blob is never held next to the strings, and samples of one CWE
-    share one tag string."""
+def _read_dataset_snapshot(snapshots: Snapshots, key: str, name: str) -> Dataset | None:
+    """The dataset stored under ``key``, named ``name``, or None when the
+    snapshot is missing or is not what ``_write_dataset_snapshot`` writes.
+    The columns come from the JSON; the code file is checked, then mapped
+    and decoded only when code is asked for.  Samples of one CWE share
+    one tag string."""
+    import numpy as np
+
     try:
         meta = json.loads(snapshots.path(key, ".json").read_bytes())
-        ids, labels, pair_ids, lengths = (meta["ids"], meta["labels"], meta["pair_id"],
-                                          meta["code_bytes"])
+        ids, labels, pair_ids = meta["ids"], meta["labels"], meta["pair_id"]
         tags = meta["cwe_tags"]
         cwes = [None if i is None else tags[i] for i in meta["cwe"]]
-        if (type(meta["k"]) is not int or min(lengths, default=0) < 0
+        lengths = np.array(meta["code_bytes"], dtype=np.int64)
+        if (type(meta["k"]) is not int or lengths.ndim != 1 or (lengths < 0).any()
                 or not len(ids) == len(labels) == len(cwes) == len(pair_ids) == len(lengths)):
             return None
-        with snapshots.path(key, ".code").open("rb") as fh:
-            if os.fstat(fh.fileno()).st_size != sum(lengths):
-                return None
-            codes = (fh.read(n).decode("utf-8", "surrogatepass") for n in lengths)
-            return tuple(map(Sample, ids, codes, labels, cwes, pair_ids)), meta["k"]
-    except (OSError, ValueError, LookupError, TypeError):
+        offsets = np.zeros(len(lengths) + 1, np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        code = _CodeBlob.open(snapshots.path(key, ".code"), offsets)
+        if code is None:
+            return None
+        return Dataset.from_columns(meta["k"], name, ids, code, labels, cwes, pair_ids)
+    except (OSError, ValueError, LookupError, TypeError, OverflowError):
         return None
 
 
@@ -275,26 +374,25 @@ def load_dataset(path, schema: str, *, snapshots: Snapshots | None = None) -> Da
     """Load a dataset.jsonl file; K is 2 (binary) or 1 + distinct CWE count.
 
     With ``snapshots``, a snapshot of the file's bytes under ``schema``
-    stands in for the parse; a parse that succeeds stores one."""
+    stands in for the parse, and its code stays in the snapshot until it is
+    asked for; a parse that succeeds stores one."""
     if schema not in ("binary", "multiclass"):
         raise ValueError(f"unknown schema {schema!r}")
     path = Path(path)
     with path.open("rb") as raw:
         key = None if snapshots is None else snapshots.key(raw, schema)
-        loaded = None if key is None else _read_dataset_snapshot(snapshots, key)
-        if loaded is None:
+        ds = None if key is None else _read_dataset_snapshot(snapshots, key, path.stem)
+        if ds is None:
             with io.TextIOWrapper(raw, encoding="utf-8") as fh:
-                loaded = _parse_dataset(fh, path, schema)
+                ds = _parse_dataset(fh, path, schema)
             if key is not None:
-                _write_dataset_snapshot(snapshots, key, *loaded)
-    samples, k = loaded
-    ds = Dataset(samples, k, path.stem)
-    if not samples:
+                _write_dataset_snapshot(snapshots, key, ds)
+    if not len(ds):
         log.warning("loaded empty dataset from %s", path)
     else:
         counts = ds.class_counts()
-        log.info("loaded %s: %d samples, K=%d, per-class %s", ds.name, len(ds), k,
-                 {c: counts[c] for c in sorted(counts)})
+        log.info("loaded %s: %d samples, K=%d, per-class %s", ds.name, len(ds),
+                 ds.class_count, {c: counts[c] for c in sorted(counts)})
     return ds
 
 
@@ -305,8 +403,8 @@ def stratified_split(d: Dataset, seed: int) -> SplitIndices:
     val floor(0.1 n_c), test the remainder.  Deterministic given seed.
     """
     by_class: dict[int, list[str]] = {}
-    for s in d.samples:
-        by_class.setdefault(s.label, []).append(s.id)
+    for sid, label in zip(d.ids, d.labels):
+        by_class.setdefault(label, []).append(sid)
     for c, ids in sorted(by_class.items()):
         if len(ids) < MIN_CLASS_SIZE:
             raise ClassTooSmall(c, len(ids), MIN_CLASS_SIZE)
@@ -340,8 +438,8 @@ def bootstrap(d: Dataset, s: SplitIndices, m: int, seed: int) -> BootstrapPlan:
     import numpy as np
 
     by_class: dict[int, list[str]] = {}
-    for sid in s.train:
-        by_class.setdefault(d.by_id(sid).label, []).append(sid)
+    for sid, label in zip(s.train, d.labels_for(s.train).tolist()):
+        by_class.setdefault(label, []).append(sid)
     draws: list[tuple[str, ...]] = []
     for member in range(m):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xb007, member]))
@@ -355,26 +453,33 @@ def bootstrap(d: Dataset, s: SplitIndices, m: int, seed: int) -> BootstrapPlan:
 
 
 def cwe_subset(d: Dataset, cwe: str) -> Dataset:
-    """Binary 1:1 dataset: all samples of ``cwe`` plus their paired fixed versions."""
-    vuln = [s for s in d.samples if s.cwe == cwe and s.label >= 1]
-    if not vuln:
+    """Binary 1:1 dataset: all samples of ``cwe`` plus their paired fixed
+    versions.  A vulnerable sample whose ``pair_id`` is null or names no
+    sample raises UnknownCwe."""
+    pairs: list[tuple[int, int]] = []
+    for r, (label, tag) in enumerate(zip(d.labels, d.cwes)):
+        if tag != cwe or label < 1:
+            continue
+        sid, pair_id = d.ids[r], d.pair_ids[r]
+        if pair_id is None:
+            raise UnknownCwe(f"sample {sid!r} has no pair_id; paired corpus required")
+        if pair_id not in d:
+            raise UnknownCwe(f"sample {sid!r} names pair_id {pair_id!r}, which is "
+                             "not in the dataset")
+        pairs.append((r, d._rows[pair_id]))
+    if not pairs:
         raise UnknownCwe(f"no samples with cwe {cwe!r}")
+    codes, ids = d.codes, d.ids
     out: list[Sample] = []
-    for s in vuln:
-        if s.pair_id is None:
-            raise UnknownCwe(f"sample {s.id!r} has no pair_id; paired corpus required")
-        pair = d.by_id(s.pair_id)
-        out.append(Sample(s.id, s.code, 1, s.cwe, s.pair_id))
-        out.append(Sample(pair.id, pair.code, 0, None, s.id))
-    return Dataset(tuple(out), 2, f"{d.name}-{cwe}")
+    for r, p in pairs:
+        out.append(Sample(ids[r], codes[r], 1, cwe, ids[p]))
+        out.append(Sample(ids[p], codes[p], 0, None, ids[r]))
+    return Dataset(out, 2, f"{d.name}-{cwe}")
 
 
 def top_cwes(d: Dataset, n: int = 10) -> list[str]:
     """Most frequent CWE tags among vulnerable samples (count desc, tag asc)."""
-    counts: dict[str, int] = {}
-    for s in d.samples:
-        if s.label >= 1 and s.cwe:
-            counts[s.cwe] = counts.get(s.cwe, 0) + 1
+    counts = Counter(tag for label, tag in zip(d.labels, d.cwes) if label >= 1 and tag)
     return sorted(counts, key=lambda c: (-counts[c], c))[:n]
 
 

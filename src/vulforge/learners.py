@@ -167,8 +167,7 @@ def featurize_dataset(d: Dataset, config: FeaturizerConfig | None = None) -> Fea
     from .codefeat import FeaturizerConfig, featurize_many
 
     config = FeaturizerConfig() if config is None else config
-    return FeatureMatrix(tuple(d.ids), *featurize_many([s.code for s in d.samples], config),
-                         config.dims)
+    return FeatureMatrix(d.ids, *featurize_many(d.codes, config), config.dims)
 
 
 def unit_rows(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:

@@ -107,10 +107,10 @@ def complementary_predsets(d: Dataset, bits: dict[str, int], ids, split: str,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC1]))
     ids = tuple(ids)
     out = []
+    labels = d.labels_for(ids).tolist()
     for expert, good_bit in (("expert_a", 1), ("expert_b", 0)):
         probs = np.empty((len(ids), 2))
-        for i, sid in enumerate(ids):
-            y = d.by_id(sid).label
+        for i, (sid, y) in enumerate(zip(ids, labels)):
             jitter = float(rng.uniform(-0.02, 0.02))
             if bits[sid] == good_bit:
                 p_true = 0.9 + jitter
@@ -149,10 +149,10 @@ def sentinel_predsets(d: Dataset, owner: dict[str, int], ids, split: str,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7A1]))
     ids = tuple(ids)
     out = []
+    labels = d.labels_for(ids).tolist()
     for j in range(experts):
         probs = np.empty((len(ids), 2))
-        for i, sid in enumerate(ids):
-            y = d.by_id(sid).label
+        for i, (sid, y) in enumerate(zip(ids, labels)):
             jitter = float(rng.uniform(-0.02, 0.02))
             p_true = 0.9 + jitter if owner[sid] == j else 0.25 + jitter
             probs[i, y] = p_true

@@ -38,10 +38,11 @@ def workspace(tmp_path_factory):
 
     assert cli.main(["split", *base]) == 0
     assert cli.main(["featurize", *base, "--dims", "4096"]) == 0
-    for mid in ("m1", "m2"):
-        assert cli.main(["train-base", *base, *LEARN,
-                         "--model-id", mid,
-                         "--seed", "3" if mid == "m1" else "4"]) == 0
+    # one full-batch step from zero is the same model at any seed: m2 takes
+    # ten shuffled minibatch steps, so the ensembles combine two models
+    assert cli.main(["train-base", *base, *LEARN, "--model-id", "m1"]) == 0
+    assert cli.main(["train-base", *base, *LEARN, "--model-id", "m2", "--seed", "4",
+                     "--batch-size", "16"]) == 0
     assert cli.main(["bag", *base, *LEARN, "--mode", "soft",
                      "--members", "3"]) == 0
     assert cli.main(["boost", *base, *LEARN, "--rounds", "3"]) == 0
@@ -65,6 +66,12 @@ class TestPipeline:
                     "report_boosting.json", "boost_weights_round_1.csv",
                     "overlap.csv", "divergence.csv", "manifest.json"):
             assert (out / rel).exists(), rel
+
+    def test_base_models_differ(self, workspace):
+        preds = workspace / "out" / "preds"
+        for split in ("val", "test"):
+            assert ((preds / "m1" / f"{split}.jsonl").read_bytes()
+                    != (preds / "m2" / f"{split}.jsonl").read_bytes())
 
     def test_reports_carry_config_hash(self, workspace):
         out = workspace / "out"
@@ -265,6 +272,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"line 1: {field} must be a string or null" in err
         assert "Traceback" not in err
+
+    def test_pair_id_naming_no_record_is_5(self, tmp_path, capsys):
+        # split passed; cwe-subsets died in cwe_subset with a KeyError
+        data = tmp_path / "d.jsonl"
+        recs = []
+        for i in range(20):
+            recs += [{"id": f"v{i}", "code": "int v;", "label": 1, "cwe": "CWE-1",
+                      "pair_id": "missing" if i == 7 else f"f{i}"},
+                     {"id": f"f{i}", "code": "int f;", "label": 0, "cwe": None,
+                      "pair_id": f"v{i}"}]
+        data.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        base = ["--dataset", str(data), "--schema", "multiclass",
+                "--out", str(tmp_path / "out")]
+        assert cli.main(["split", *base]) == 0
+        capsys.readouterr()
+        assert cli.main(["cwe-subsets", *base]) == 5
+        err = capsys.readouterr().err
+        assert "sample 'v7' names pair_id 'missing', which is not in the dataset" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "subsets").exists()
 
     def test_other_vulforge_error_is_5(self, tmp_path):
         # eval with no pipeline artifacts under out: missing prediction file
@@ -730,6 +757,14 @@ def test_split_process_loads_no_model_module(tmp_path):
     assert not heavy & loaded, sorted(heavy & loaded)
 
 
+def test_dgs_process_loads_no_masked_arrays(workspace):
+    loaded = _imports("-m", "vulforge.cli", "dgs", "--dataset",
+                      str(workspace / "dataset.jsonl"), "--out", str(workspace / "out"),
+                      "--seed", "3", "--routing", "hard", "--gate", "lr", "--base", "m1,m2")
+    assert "vulforge.ensembles" in loaded and "numpy" in loaded
+    assert "numpy.ma" not in loaded
+
+
 def test_eval_process_loads_no_featurizer_or_kernels(workspace):
     loaded = _imports("-m", "vulforge.cli", "eval", "--dataset",
                       str(workspace / "dataset.jsonl"), "--out", str(workspace / "out"),
@@ -738,6 +773,51 @@ def test_eval_process_loads_no_featurizer_or_kernels(workspace):
     heavy = {"vulforge.codefeat", "vulforge._kernels", "vulforge.ensembles",
              "vulforge.metamodels"}
     assert not heavy & loaded, sorted(heavy & loaded)
+
+
+def _dangling_pair(d):
+    """``d``'s records, with the last CWE-787 sample's pair_id naming no record."""
+    recs = [{"id": s.id, "code": s.code, "label": s.label, "cwe": s.cwe,
+             "pair_id": s.pair_id} for s in d.samples]
+    victim = [r for r in recs if r["cwe"] == "CWE-787"][-1]
+    victim["pair_id"] = "missing"
+    return recs
+
+
+@pytest.mark.parametrize("case,code", [("ok", 0), ("verify_fails", 2),
+                                       ("no_dataset", 3), ("dangling_pair", 5)])
+def test_process_exits_with_its_code_and_every_line(case, code, tmp_path, capsys):
+    """``python -m vulforge.cli`` leaves through ``os._exit``: with its output
+    piped, and so block-buffered, it keeps the code and every line that
+    ``main`` printed, and the log lines."""
+    d = synth.paired_cwe_corpus({"CWE-119": 12, "CWE-787": 11})
+    data, out = tmp_path / "d.jsonl", tmp_path / "out"
+    if case == "dangling_pair":
+        data.write_text("".join(json.dumps(r) + "\n" for r in _dangling_pair(d)))
+    else:
+        _write_dataset(data, d)
+    base = ["--dataset", str(data), "--schema", "multiclass", "--out", str(out)]
+    argv = ["cwe-subsets", *base, "--top", "2"]
+    if case == "verify_fails":
+        assert cli.main(argv) == 0
+        (out / "subsets" / "CWE-787.jsonl").write_text("{}\n")
+        argv = ["verify", "--out", str(out)]
+    elif case == "no_dataset":
+        argv = ["split", *base[2:], "--dataset", str(tmp_path / "nope.jsonl")]
+    capsys.readouterr()
+    assert cli.main(argv) == code
+    printed = capsys.readouterr()
+    assert printed.out or code == 3  # a line on stdout to lose
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-m", "vulforge.cli", *argv],
+                          capture_output=True, text=True, env={**env, "PYTHONPATH": src})
+    assert proc.returncode == code
+    assert proc.stdout == printed.out
+    assert set(printed.err.splitlines()) <= set(proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
+    if case != "no_dataset" and argv[0] != "verify":
+        assert "INFO loaded d: 46 samples, K=3" in proc.stderr
 
 
 # Runs a CLI command in a process that has not loaded numpy, then prints the

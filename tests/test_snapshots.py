@@ -14,7 +14,18 @@ from hypothesis import strategies as st
 
 from vulforge import cli, synth
 from vulforge.errors import MalformedRecord
-from vulforge.ingest import Dataset, Snapshots, _atomic_write, load_dataset
+from vulforge.ingest import (
+    Dataset,
+    Snapshots,
+    SplitIndices,
+    _atomic_write,
+    _CodeBlob,
+    bootstrap,
+    cwe_subset,
+    load_dataset,
+    stratified_split,
+    top_cwes,
+)
 from vulforge.learners import ingest_predictions
 
 
@@ -50,17 +61,20 @@ def _dataset_files(draw):
     """A schema and the bytes of a dataset file: non-ASCII and empty code,
     lone surrogates, null cwe and pair_id, blank lines; written with
     ``\\u`` escapes or, now and then, as raw UTF-8 (a lone surrogate then
-    makes the file not UTF-8, which both readers must report alike)."""
+    makes the file not UTF-8, which both readers must report alike).  Now
+    and then there are enough records to split, and a pair_id names another
+    record."""
     schema = draw(st.sampled_from(["binary", "multiclass"]))
+    n = draw(st.one_of(st.integers(0, 12), st.integers(20, 40)))
+    ids = [f"s{i}{draw(st.sampled_from(['', 'é', chr(0xD800)]))}" for i in range(n)]
     records = []
-    for i in range(draw(st.integers(0, 12))):
+    for sid in ids:
         label = int(draw(st.booleans()))
         cwe = draw(_tag)
         if schema == "multiclass" and label and not cwe:
             cwe = "CWE-1"
-        records.append({"id": f"s{i}{draw(st.sampled_from(['', 'é', chr(0xD800)]))}",
-                        "code": draw(_code), "label": label, "cwe": cwe,
-                        "pair_id": draw(_tag)})
+        records.append({"id": sid, "code": draw(_code), "label": label, "cwe": cwe,
+                        "pair_id": draw(st.one_of(_tag, st.sampled_from(ids)))})
     ascii_only = draw(st.booleans()) or draw(st.booleans())
     lines = [json.dumps(r, ensure_ascii=ascii_only) for r in records]
     for pos in draw(st.lists(st.integers(0, len(lines)), max_size=3)):
@@ -88,6 +102,41 @@ def test_dataset_from_snapshot_equals_the_parse(case):
         assert written == stored  # the second read was a hit
     else:
         assert written == []  # a failed read stores nothing
+
+
+def _label_views(d: Dataset, seed: int) -> dict:
+    """What the readers of ids and labels make of ``d``: each result, or
+    the error it raised."""
+    split = _outcome(lambda: stratified_split(d, seed))
+    return {"ids": d.ids, "len": len(d), "class_count": d.class_count,
+            "labels_for": d.labels_for(d.ids[::-1]).tolist(),
+            "class_counts": d.class_counts(), "top_cwes": top_cwes(d, 3), "split": split,
+            "bootstrap": _outcome(lambda: bootstrap(d, split, 2, seed))
+            if isinstance(split, SplitIndices) else None}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dataset_files(), st.integers(0, 3))
+def test_label_readers_see_the_snapshot_as_the_parse(case, seed):
+    """Read through a snapshot, a dataset gives every label-only reader what
+    the parsed one gives, without decoding its code; ``cwe_subset``, which
+    reads code, gives the same subsets and faults."""
+    schema, blob = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.jsonl"
+        path.write_bytes(blob)
+        parsed = _outcome(lambda: load_dataset(path, schema))
+        if not isinstance(parsed, Dataset):
+            return
+        snaps = Snapshots(Path(tmp) / "ingest")
+        load_dataset(path, schema, snapshots=snaps)
+        hit = load_dataset(path, schema, snapshots=snaps)
+    assert isinstance(hit._code, _CodeBlob)
+    assert _label_views(hit, seed) == _label_views(parsed, seed)
+    assert isinstance(hit._code, _CodeBlob)  # no label reader decoded code
+    for cwe in (*top_cwes(parsed), "CWE-1", "CWE-404"):
+        assert _outcome(lambda: cwe_subset(hit, cwe)) == _outcome(
+            lambda: cwe_subset(parsed, cwe))
 
 
 def _corpus_file(tmp_path, cwes=("CWE-119", "CWE-787")):
@@ -132,7 +181,15 @@ _DATASET_TAMPERS = {
         js, labels=json.loads(js.read_text())["labels"][1:]),
     "k_not_an_int": lambda js, code: _edit_json(js, k="3"),
     "code_not_utf8": lambda js, code: code.write_bytes(b"\xff" * len(code.read_bytes())),
+    "string_starts_mid_character": lambda js, code: code.write_bytes(
+        _straddle(code.read_bytes(), json.loads(js.read_text())["code_bytes"][0])),
 }
+
+
+def _straddle(blob: bytes, at: int) -> bytes:
+    """``blob`` with a two-byte character over offset ``at``: still UTF-8
+    and as long, but the string starting at ``at`` starts mid-character."""
+    return blob[:at - 1] + "é".encode("utf-8") + blob[at + 1:]
 
 
 @pytest.mark.parametrize("tamper", sorted(_DATASET_TAMPERS))
@@ -185,6 +242,35 @@ def test_snapshot_read_peaks_no_higher_than_the_parse(tmp_path):
     snap_peak, rebuilt = peak(lambda: load_dataset(path, "multiclass", snapshots=snaps))
     assert len(parsed) == 16000 and rebuilt == parsed
     assert snap_peak <= parse_peak, (snap_peak, parse_peak)
+
+
+def test_label_only_read_holds_under_half_of_the_full_read(tmp_path):
+    """16k samples read through a snapshot: ids and labels without the code
+    hold at most half of what the same read holds once ``samples`` has
+    decoded it."""
+    d = synth.paired_cwe_corpus({f"CWE-{100 + i}": 1000 for i in range(8)}, seed=4)
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(json.dumps({"id": s.id, "code": s.code, "label": s.label,
+                                        "cwe": s.cwe, "pair_id": s.pair_id}) + "\n"
+                            for s in d.samples), encoding="utf-8")
+    snaps = Snapshots(tmp_path / "ingest")
+    load_dataset(path, "multiclass", snapshots=snaps)
+
+    def held(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return tracemalloc.get_traced_memory()[0], result
+        finally:
+            tracemalloc.stop()
+
+    label_only, ds = held(lambda: load_dataset(path, "multiclass", snapshots=snaps))
+    assert len(ds) == 16000
+    del ds
+    full, (ds, samples) = held(lambda: (lambda x: (x, x.samples))(
+        load_dataset(path, "multiclass", snapshots=snaps)))
+    assert samples == d.samples
+    assert label_only <= full / 2, (label_only, full)
 
 
 # ---------------------------------------------------------------------------
