@@ -21,7 +21,8 @@ Last, for ``paired_cwe_corpus`` datasets of 12,800 and 128,000 samples,
 a snapshot hit as a label-only command reads
 it (ids and labels; the code stays in the snapshot) and as a full read
 (the same, then ``.samples``): best-of-three milliseconds, and the
-megabytes the result holds under ``tracemalloc``.
+megabytes the result holds and the read's peak, both under
+``tracemalloc``.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_ingest.py [--rows N] [--pairs P] [--seed S]
@@ -85,9 +86,9 @@ def _write_corpus(path: Path, d) -> None:
                             for s in d.samples), encoding="utf-8")
 
 
-def _ms_and_held_mb(fn) -> tuple[float, float]:
+def _ms_held_and_peak_mb(fn) -> tuple[float, float, float]:
     """Best-of-REPEATS milliseconds of ``fn()``, then the megabytes its
-    result holds, traced on one more call."""
+    result holds and the call's peak megabytes, traced on one more call."""
     best = float("inf")
     for _ in range(REPEATS):
         t0 = time.perf_counter()
@@ -96,15 +97,15 @@ def _ms_and_held_mb(fn) -> tuple[float, float]:
     tracemalloc.start()
     try:
         result = fn()  # noqa: F841 - held while the memory is read
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return best * 1e3, held / 1e6
+    return best * 1e3, held / 1e6, peak / 1e6
 
 
 def _label_only_and_full(pairs: int, seed: int) -> tuple[int, tuple, tuple]:
-    """(samples, label-only (ms, MB), full (ms, MB)) for a snapshot hit of a
-    ``paired_cwe_corpus`` with ``pairs`` pairs per CWE."""
+    """(samples, label-only (ms, MB held, MB peak), full (the same)) for a
+    snapshot hit of a ``paired_cwe_corpus`` with ``pairs`` pairs per CWE."""
     d = synth.paired_cwe_corpus({f"CWE-{100 + 7 * i}": pairs for i in range(CWES)},
                                 seed=seed)
     n = len(d)
@@ -114,9 +115,9 @@ def _label_only_and_full(pairs: int, seed: int) -> tuple[int, tuple, tuple]:
         del d
         snaps = Snapshots(Path(tmp) / "snapshots")
         load_dataset(data, "multiclass", snapshots=snaps)
-        label_only = _ms_and_held_mb(
+        label_only = _ms_held_and_peak_mb(
             lambda: load_dataset(data, "multiclass", snapshots=snaps))
-        full = _ms_and_held_mb(lambda: (lambda x: (x, x.samples))(
+        full = _ms_held_and_peak_mb(lambda: (lambda x: (x, x.samples))(
             load_dataset(data, "multiclass", snapshots=snaps)))
     return n, label_only, full
 
@@ -159,11 +160,12 @@ def main() -> None:
     print(f"  parse                         {parse:7.2f} us/row")
     print(f"  first read through snapshots  {data_first:7.2f} us/row")
     print(f"  snapshot hit                  {data_hit:7.2f} us/row")
-    print("snapshot hit, label-only against full (ms, MB held)")
+    print("snapshot hit, label-only against full (ms, MB held / MB peak)")
     for pairs in LABEL_ONLY_PAIRS:
-        n, (lo_ms, lo_mb), (full_ms, full_mb) = _label_only_and_full(pairs, args.seed)
-        print(f"  {n:7d} samples  label-only {lo_ms:7.1f} ms {lo_mb:6.1f} MB"
-              f"   full {full_ms:7.1f} ms {full_mb:6.1f} MB")
+        n, (lo_ms, lo_mb, lo_peak), (full_ms, full_mb, full_peak) = \
+            _label_only_and_full(pairs, args.seed)
+        print(f"  {n:7d} samples  label-only {lo_ms:7.1f} ms {lo_mb:6.1f} / {lo_peak:6.1f} MB"
+              f"   full {full_ms:7.1f} ms {full_mb:6.1f} / {full_peak:6.1f} MB")
 
 
 if __name__ == "__main__":

@@ -16,6 +16,14 @@ positions of the ``W`` they are given, which can be narrower than the hash
 width.  The built-in learner passes its rows remapped onto their sorted
 active columns and a W of that many columns; a column that ``indices``
 never names is never read or written, except by the epoch's weight decay.
+``indices`` may be int32 or int64; the values are the same either way.
+
+Every nnz-long index array these kernels build is int32 (int64 only for
+positions past 2^31 - 1), and the batch row of each regrouped nonzero is
+one byte for batches of up to 256 rows.  An epoch's regrouped nonzeros
+live only inside ``_softmax_epoch``, so the next epoch builds its own
+after they are freed: beside its inputs, the trainer holds about 17 bytes
+a nonzero at most (position, column, value and batch row).
 """
 
 from __future__ import annotations
@@ -50,42 +58,69 @@ def _logits(rows, cols, vals, n, W, b):
     return np.ascontiguousarray(zT.T)
 
 
-def csr_logits(indptr, indices, data, W, b):
+def _ranges_index(starts, lens):
+    """The positions ``starts[i] .. starts[i] + lens[i] - 1`` of each range in
+    turn, as one array: int32 when every position fits, else int64.  The
+    arange is added in place, so no int64 array this long is built."""
+    heads = np.cumsum(lens) - lens  # where each range begins in the result
+    total = int(heads[-1] + lens[-1]) if len(lens) else 0
+    fits = max(total, int((starts + lens).max(initial=0))) <= np.iinfo(np.int32).max
+    dtype = np.int32 if fits else np.int64
+    index = np.repeat((starts - heads).astype(dtype), lens)
+    index += np.arange(total, dtype=dtype)
+    return index
+
+
+def _row_ids(indptr):
+    """The row of each nonzero of a CSR, int32 (int64 past 2^31 - 1 rows)."""
     n = len(indptr) - 1
-    return _logits(np.repeat(np.arange(n), np.diff(indptr)), indices, data, n, W, b)
+    dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    return np.repeat(np.arange(n, dtype=dtype), np.diff(indptr))
+
+
+def csr_logits(indptr, indices, data, W, b):
+    return _logits(_row_ids(indptr), indices, data, len(indptr) - 1, W, b)
+
+
+def _softmax_epoch(indptr, indices, data, targets, coefs, W, b, perm,
+                   batch_size, lr):
+    """One epoch of mini-batch steps in the order ``perm``.  Its nonzeros
+    are regrouped here, so they are freed when it returns."""
+    n = targets.shape[0]
+    pos = np.empty(n, dtype=np.int64)
+    pos[perm] = np.arange(n)
+    # Rows grouped by batch, ascending row id within a batch (the stable
+    # sort keeps the arange order), then expanded to their nonzeros: each
+    # batch becomes one contiguous slice, in ascending nonzero order.
+    rows = np.argsort(pos // batch_size, kind="stable")
+    lens = np.diff(indptr)[rows]
+    offsets = np.concatenate(([0], np.cumsum(lens)))
+    eidx = _ranges_index(indptr[rows], lens)
+    cols_e = indices[eidx]
+    vals_e = data[eidx]
+    del eidx
+    brow_type = np.min_scalar_type(batch_size - 1)
+    brows_e = np.repeat((pos[rows] % batch_size).astype(brow_type), lens)
+    for start in range(0, n, batch_size):
+        batch = perm[start:start + batch_size]
+        bs = len(batch)
+        lo, hi = offsets[start], offsets[start + bs]
+        # one batch widened to intp, which numpy indexes without a cast
+        cols = cols_e[lo:hi].astype(np.intp)
+        vals = vals_e[lo:hi]
+        brows = brows_e[lo:hi].astype(np.intp)
+        p = softmax(_logits(brows, cols, vals, bs, W, b))
+        g = (p - targets[batch]) * (coefs[batch] / bs)[:, None]  # (bs, K)
+        b -= lr * g.sum(axis=0)
+        for k in range(W.shape[0]):
+            np.subtract.at(W[k], cols, g[brows, k] * vals * lr)
 
 
 def csr_softmax_fit(indptr, indices, data, targets, coefs, W, b, order,
                         batch_size, lr, decay):
-    n = targets.shape[0]
-    row_len = np.diff(indptr)
-    for e in range(order.shape[0]):
-        perm = order[e]
-        pos = np.empty(n, dtype=np.int64)
-        pos[perm] = np.arange(n)
-        # Rows grouped by batch, ascending row id within a batch (the stable
-        # sort keeps the arange order), then expanded to their nonzeros: each
-        # batch becomes one contiguous slice, in ascending nonzero order.
-        rows = np.argsort(pos // batch_size, kind="stable")
-        lens = row_len[rows]
-        offsets = np.concatenate(([0], np.cumsum(lens)))
-        eidx = (np.repeat(indptr[rows] - offsets[:-1], lens)
-                + np.arange(offsets[-1]))
-        cols_e = indices[eidx]
-        vals_e = data[eidx]
-        brows_e = np.repeat(pos[rows] % batch_size, lens)
-        for start in range(0, n, batch_size):
-            batch = perm[start:start + batch_size]
-            bs = len(batch)
-            lo, hi = offsets[start], offsets[start + bs]
-            cols = cols_e[lo:hi]
-            vals = vals_e[lo:hi]
-            brows = brows_e[lo:hi]
-            p = softmax(_logits(brows, cols, vals, bs, W, b))
-            g = (p - targets[batch]) * (coefs[batch] / bs)[:, None]  # (bs, K)
-            b -= lr * g.sum(axis=0)
-            for k in range(W.shape[0]):
-                np.subtract.at(W[k], cols, g[brows, k] * vals * lr)
+    for perm in order:
+        _softmax_epoch(indptr, indices, data, targets, coefs, W, b, perm,
+                       batch_size, lr)
         if decay != 1.0:
             W *= decay
     return W, b

@@ -56,6 +56,7 @@ from .learners import (
     FeatureMatrix,
     SampleWeights,
     _column_positions,
+    _touched_columns,
     emit_round_weights,
     fit_builtin,
     ingest_round_predictions,
@@ -421,11 +422,10 @@ def gate_targets(stacked: np.ndarray, labels: np.ndarray) -> np.ndarray:
 def _densify(indptr, indices, data, columns: np.ndarray) -> np.ndarray:
     """Dense (N, len(columns)) rows of a CSR on the sorted column set
     ``columns``; entries in any other column are dropped."""
-    n = len(indptr) - 1
     pos = _column_positions(columns, indices)
     keep = pos < len(columns)
-    dense = np.zeros((n, len(columns)))
-    dense[np.repeat(np.arange(n), np.diff(indptr))[keep], pos[keep]] = data[keep]
+    dense = np.zeros((len(indptr) - 1, len(columns)))
+    dense[_kernels._row_ids(indptr)[keep], pos[keep]] = data[keep]
     return dense
 
 
@@ -453,12 +453,8 @@ def dgs_fit(base_preds_val: list[PredictionSet], val_ids, labels: np.ndarray,
     stacked = _member_stack(base_preds_val, val_ids)
     m, _, k = stacked.shape
     indptr, indices, data = features.rows_for(val_ids)
-    # the distinct indices, sorted: a bare np.unique would load numpy.ma
-    touched = np.sort(indices)
-    first = np.ones(len(touched), dtype=bool)
-    np.not_equal(touched[1:], touched[:-1], out=first[1:])
-    columns = np.concatenate([touched[first], features.dims + np.arange(m * k)],
-                             dtype=indices.dtype)
+    columns = np.concatenate([_touched_columns(indices, features.dims),
+                              features.dims + np.arange(m * k)], dtype=indices.dtype)
     gate = meta_fit(cfg.gate_kind,
                     _gate_input(indptr, indices, data, features.dims, stacked, columns),
                     gate_targets(stacked, labels).argmax(axis=1), meta_cfg, seed,

@@ -74,8 +74,9 @@ class _CodeBlob:
     def open(cls, path: Path, offsets: np.ndarray) -> _CodeBlob | None:
         """The blob in ``path``, or None unless the file is as long as
         ``offsets`` says, is UTF-8 (lone surrogates allowed) and each string
-        starts on a character.  The check reads the file in 1 MiB chunks and
-        keeps no decoded text."""
+        starts on a character.  The check reads the file in 64 KiB chunks
+        and keeps no decoded text, so it adds little to the peak of a
+        label-only read."""
         import numpy as np
 
         size = int(offsets[-1])
@@ -85,7 +86,7 @@ class _CodeBlob:
             if os.fstat(fh.fileno()).st_size != size:
                 return None
             pos = 0
-            while chunk := fh.read(1 << 20):
+            while chunk := fh.read(1 << 16):
                 lo, hi = np.searchsorted(starts, (pos, pos + len(chunk)))
                 lead = np.frombuffer(chunk, np.uint8)[starts[lo:hi] - pos]
                 if ((lead & 0xC0) == 0x80).any():  # a string starts mid-character
@@ -199,10 +200,18 @@ class BootstrapPlan:
 def _atomic_write(path: Path, blob: bytes) -> None:
     """Write ``blob`` to ``path`` through a temp file and a rename, creating
     the parent directory; readers never see a partial file."""
+    _atomic_write_chunks(path, (blob,))
+
+
+def _atomic_write_chunks(path: Path, chunks) -> None:
+    """``_atomic_write`` of the bytes-like ``chunks``, written in turn, so
+    the file's bytes are never all held at once."""
     path.parent.mkdir(parents=True, exist_ok=True)
     # a temp name per process: concurrent writers never share one temp file
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_bytes(blob)
+    with tmp.open("wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
     tmp.replace(path)
 
 
@@ -346,17 +355,20 @@ def _write_dataset_snapshot(snapshots: Snapshots, key: str, d: Dataset) -> None:
 def _read_dataset_snapshot(snapshots: Snapshots, key: str, name: str) -> Dataset | None:
     """The dataset stored under ``key``, named ``name``, or None when the
     snapshot is missing or is not what ``_write_dataset_snapshot`` writes.
-    The columns come from the JSON; the code file is checked, then mapped
-    and decoded only when code is asked for.  Samples of one CWE share
-    one tag string."""
+    The columns come from the JSON, each built as its list is dropped, so
+    no two copies of a column are held; the code file is checked, then
+    mapped and decoded only when code is asked for.  Samples of one CWE
+    share one tag string."""
     import numpy as np
 
     try:
         meta = json.loads(snapshots.path(key, ".json").read_bytes())
-        ids, labels, pair_ids = meta["ids"], meta["labels"], meta["pair_id"]
+        lengths = np.array(meta.pop("code_bytes"), dtype=np.int64)
+        ids = tuple(meta.pop("ids"))
+        labels = tuple(meta.pop("labels"))
+        pair_ids = tuple(meta.pop("pair_id"))
         tags = meta["cwe_tags"]
-        cwes = [None if i is None else tags[i] for i in meta["cwe"]]
-        lengths = np.array(meta["code_bytes"], dtype=np.int64)
+        cwes = tuple([None if i is None else tags[i] for i in meta.pop("cwe")])
         if (type(meta["k"]) is not int or lengths.ndim != 1 or (lengths < 0).any()
                 or not len(ids) == len(labels) == len(cwes) == len(pair_ids) == len(lengths)):
             return None
@@ -366,7 +378,8 @@ def _read_dataset_snapshot(snapshots: Snapshots, key: str, name: str) -> Dataset
         if code is None:
             return None
         return Dataset.from_columns(meta["k"], name, ids, code, labels, cwes, pair_ids)
-    except (OSError, ValueError, LookupError, TypeError, OverflowError):
+    except (OSError, ValueError, LookupError, TypeError, AttributeError,
+            OverflowError):
         return None
 
 

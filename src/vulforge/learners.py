@@ -142,13 +142,16 @@ class FeatureMatrix:
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.ids)})
 
     def rows_for(self, ids):
-        """Sub-CSR in the order of ``ids``, gathered by row offsets."""
+        """Sub-CSR in the order of ``ids``, gathered by row offsets through
+        one int32 index."""
+        from ._kernels import _ranges_index
+
         rows = np.fromiter(map(self._index.__getitem__, ids), dtype=np.int64)
         starts = self.indptr[rows]
         lens = self.indptr[rows + 1] - starts
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(lens, out=indptr[1:])
-        gather = np.repeat(starts - indptr[:-1], lens) + np.arange(indptr[-1])
+        gather = _ranges_index(starts, lens)
         return indptr, self.indices[gather], self.data[gather]
 
     def vector_for(self, sample_id: str) -> FeatureVector:
@@ -175,17 +178,20 @@ def unit_rows(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
 
     The built-in learner trains and predicts on unit-norm rows so token-count
     magnitudes cannot destabilize gradient steps; per-sample positive scaling
-    leaves every argmax decision unchanged.
+    leaves every argmax decision unchanged.  The row ids are int32 and the
+    division runs in place on the gathered norms.
     """
+    from ._kernels import _row_ids
+
     if len(data) == 0:
         return data.copy()
-    n = len(indptr) - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    sq = np.zeros(n)
+    rows = _row_ids(indptr)
+    sq = np.zeros(len(indptr) - 1)
     np.add.at(sq, rows, data * data)
     norms = np.sqrt(sq)
     norms[norms == 0.0] = 1.0
-    return data / norms[rows]
+    out = norms[rows]
+    return np.divide(data, out, out=out)
 
 
 def _column_positions(columns: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -195,11 +201,20 @@ def _column_positions(columns: np.ndarray, indices: np.ndarray) -> np.ndarray:
     One lookup table as wide as the largest index, O(width + nnz), in the
     narrowest dtype that holds ``len(columns)`` (one byte per hashed column
     for up to 255 columns); a ``searchsorted`` of the unsorted indices was
-    25 times slower on 690k indices."""
+    25 times slower on 690k indices.  The positions are int32."""
     width = 1 + max(columns[-1] if len(columns) else -1, indices.max(initial=-1))
     lookup = np.full(width, len(columns), dtype=np.min_scalar_type(len(columns)))
     lookup[columns] = np.arange(len(columns))
-    return lookup[indices].astype(np.intp)
+    return lookup[indices].astype(np.int32)
+
+
+def _touched_columns(indices: np.ndarray, dims: int) -> np.ndarray:
+    """``np.unique(indices)`` for indices in [0, ``dims``), from a dims-wide
+    bool mask; ``np.unique`` sorts an nnz-long copy (and, with
+    ``return_inverse``, holds about five nnz-long int64 arrays)."""
+    touched = np.zeros(dims, dtype=bool)
+    touched[indices] = True
+    return np.flatnonzero(touched)
 
 
 def _check_indices(indices: np.ndarray, dims: int) -> None:
@@ -224,9 +239,10 @@ def fit_builtin(d: Dataset, ids, w: SampleWeights, cfg: LearnerConfig,
     every step and every ``W *= decay``, and each touched entry sees the
     same products in the same order, so the model is the full-width one
     restricted to ``columns``.  (A negative decay turns +0.0 into -0.0 on
-    an odd epoch count; that one case trains at full width.)  ``np.unique``
-    holds about five nnz-long arrays for a moment; a dims-wide lookup table
-    per fit peaked higher in ``bag``, at e2ebench size and at n = 16k."""
+    an odd epoch count; that one case trains at full width.)  The columns
+    come from ``_touched_columns`` and the rows' int32 positions among them
+    from ``_column_positions``: no nnz-long index array the fit builds is
+    wider than 32 bits."""
     from . import _kernels
 
     ids = tuple(ids)
@@ -248,7 +264,8 @@ def fit_builtin(d: Dataset, ids, w: SampleWeights, cfg: LearnerConfig,
     if decay < 0.0 and cfg.epochs % 2:
         columns = np.arange(features.dims)
     else:
-        columns, indices = np.unique(indices, return_inverse=True)
+        columns = _touched_columns(indices, features.dims)
+        indices = _column_positions(columns, indices)
     k = d.class_count
     targets = np.zeros((n, k))
     targets[np.arange(n), d.labels_for(ids)] = 1.0

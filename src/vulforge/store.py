@@ -6,10 +6,11 @@ forest arrays, knn ``rows``/``labels``) is a digested sidecar named
 ``{prefix}_{name}.npy``, as are linear-model weights and prediction-set
 probabilities; scalars such as knn ``k`` stay in the JSON.  A built-in
 linear model holds only its active columns (``LinearModel.columns``), but
-its ``W`` sidecar is the full-width (K, dims) array it always was: the
-active columns are written into a zeroed buffer whose untouched pages
-never become resident, and loading compacts ``W`` onto its columns that
-are not all +0.0.  Every DGS
+its ``W`` sidecar is the full-width (K, dims) array it always was: it is
+written and digested in chunks of at most ``_W_CHUNK`` columns of one
+class, each a zeroed block holding the active columns in its range, so
+no K x dims buffer is ever built; loading compacts ``W`` onto its
+columns that are not all +0.0.  Every DGS
 gate is a meta-model; its input columns are the ``gate_columns`` sidecar,
 and its ``input_width`` is their count (schema 3; a schema-2 gate was full
 width).  A dgs payload whose gate is not a meta-model or that has no
@@ -18,9 +19,10 @@ columns is refused.
 The manifest records the variant tag, per-member/round records (epsilon,
 alpha, Z), base-model order, the config echo and its hash, and sha256
 digests of every sidecar so ``verify`` can detect corruption.  Each
-sidecar is written and digested as it is encoded, so no more than one
-encoded array is held at a time.  All writes are atomic (temp file +
-rename) and byte-identical across reruns of the same inputs.
+sidecar is written and digested as it is encoded, its header and then
+the array's own buffer, so no encoded copy of an array is held.  All
+writes are atomic (temp file + rename) and byte-identical across reruns
+of the same inputs.
 
 numpy and the model modules are imported inside the encode and decode
 paths, so ``config_hash`` and ``verify_ensemble`` load neither.
@@ -36,7 +38,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import IoError
-from .ingest import _atomic_write
+from .ingest import _atomic_write, _atomic_write_chunks
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,6 +48,10 @@ if TYPE_CHECKING:
     from .metamodels import MetaModel
 
 SCHEMA_VERSION = 3
+
+#: columns per chunk of a streamed ``W`` sidecar: 64 KB, which glibc serves
+#: from the heap, so writing one never moves its mmap threshold
+_W_CHUNK = 1 << 13
 
 
 def config_hash(echo: dict) -> str:
@@ -74,20 +80,21 @@ def _npy_bytes(arr: np.ndarray) -> bytes:
     return b"".join((_npy_header(arr.shape, arr.dtype), arr.reshape(-1).view(np.uint8)))
 
 
-def _full_width_npy(m: LinearModel) -> np.ndarray:
-    """The ``np.save`` bytes of ``m``'s full-width (K, dims) weights, as
-    one uint8 buffer.  The buffer comes from ``np.zeros``, which the
-    allocator backs with calloc, so only the pages of the header and of
-    ``m.columns`` are written; the untouched zero pages never become
-    resident, even while the buffer is digested and written out."""
+def _full_width_chunks(m: LinearModel):
+    """The ``np.save`` bytes of ``m``'s full-width (K, dims) weights in
+    C order: the header, then each class's row in zeroed blocks of at most
+    ``_W_CHUNK`` columns that hold the active columns in their range."""
     import numpy as np
 
-    head = _npy_header((m.class_count, m.dims), np.float64)
-    buf = np.zeros(len(head) + 8 * m.class_count * m.dims, dtype=np.uint8)
-    buf[:len(head)] = np.frombuffer(head, dtype=np.uint8)
-    W = buf[len(head):].view(np.float64).reshape(m.class_count, m.dims)
-    W[:, m.columns] = m.W
-    return buf
+    yield _npy_header((m.class_count, m.dims), np.float64)
+    bounds = range(0, m.dims, _W_CHUNK)
+    cuts = np.searchsorted(m.columns, [*bounds, m.dims])
+    for k in range(m.class_count):
+        for i, lo in enumerate(bounds):
+            block = np.zeros(min(_W_CHUNK, m.dims - lo))
+            a, z = cuts[i], cuts[i + 1]
+            block[m.columns[a:z] - lo] = m.W[k, a:z]
+            yield block
 
 
 class _ArrayStore:
@@ -100,14 +107,25 @@ class _ArrayStore:
         self.manifest: dict[str, dict] = {}
 
     def put(self, name: str, arr: np.ndarray) -> str:
-        return self.write(name, _npy_bytes(arr))
+        import numpy as np
 
-    def write(self, name: str, blob) -> str:
-        """Write the ``.npy`` bytes ``blob`` as the sidecar ``name``."""
-        _atomic_write(self.params_dir / f"{name}.npy", blob)
+        arr = np.ascontiguousarray(arr)
+        return self.write(name, (_npy_header(arr.shape, arr.dtype), arr))
+
+    def write(self, name: str, chunks) -> str:
+        """Write the ``.npy`` bytes ``chunks`` yield, digesting each in
+        turn, as the sidecar ``name``."""
+        digest = hashlib.sha256()
+
+        def digested():
+            for chunk in chunks:
+                digest.update(chunk)
+                yield chunk
+
+        _atomic_write_chunks(self.params_dir / f"{name}.npy", digested())
         self.manifest[name] = {
             "file": f"params/{name}.npy",
-            "sha256": hashlib.sha256(blob).hexdigest(),
+            "sha256": digest.hexdigest(),
         }
         return name
 
@@ -122,7 +140,7 @@ def _enc_linear(m: LinearModel, store: _ArrayStore, prefix: str) -> dict:
         "dims": m.dims,
         "class_count": m.class_count,
         "config": asdict(m.config),
-        "W": store.write(f"{prefix}_W", _full_width_npy(m)),
+        "W": store.write(f"{prefix}_W", _full_width_chunks(m)),
         "b": store.put(f"{prefix}_b", m.b),
     }
 

@@ -218,3 +218,92 @@ def test_dense_softmax_fit_bit_identical(n, d, k, epochs, decay, fortran, seed):
     kernels.dense_softmax_fit(X, targets, W, b, epochs, 0.5, decay)
     assert np.array_equal(W, Wr)
     assert np.array_equal(b, br)
+
+
+# ---------------------------------------------------------------------------
+# narrow index arrays: the same bits as the int64 formulation
+# ---------------------------------------------------------------------------
+
+def _ranges_problem(n=600, d=50, k=3, seed=5):
+    """A CSR training problem with about a fifth of its rows empty."""
+    rng = np.random.default_rng(seed)
+    lens = rng.integers(1, 6, size=n)
+    lens[rng.random(n) < 0.2] = 0
+    indptr = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
+    nnz = int(indptr[-1])
+    indices = rng.integers(0, d, size=nnz).astype(np.int64)
+    data = rng.uniform(-1.0, 2.0, size=nnz)
+    targets = np.eye(k)[rng.integers(0, k, size=n)]
+    coefs = rng.uniform(0.05, 4.0, size=n)
+    order = np.vstack([rng.permutation(n) for _ in range(2)]).astype(np.int64)
+    W, b = rng.normal(size=(k, d)), rng.normal(size=k)
+    return indptr, indices, data, targets, coefs, W, b, order
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("batch_size", [1, 255, 256, 257, 600, 605])
+def test_csr_softmax_fit_narrow_batch_rows_bit_identical(batch_size, dtype):
+    # 256 is the widest batch whose row fits a byte; 257 takes two
+    assert np.min_scalar_type(batch_size - 1) == (np.uint8 if batch_size <= 256
+                                                  else np.uint16)
+    indptr, indices, data, targets, coefs, W0, b0, order = _ranges_problem()
+    Wr, br = W0.copy(), b0.copy()
+    _ref_csr_softmax_fit(indptr, indices, data, targets, coefs, Wr, br, order,
+                         batch_size, 0.5, 0.999)
+    W, b = W0.copy(), b0.copy()
+    kernels.csr_softmax_fit(indptr, indices.astype(dtype), data, targets, coefs,
+                            W, b, order, batch_size, 0.5, 0.999)
+    assert W.tobytes() == Wr.tobytes() and b.tobytes() == br.tobytes()
+
+
+def test_ranges_index_is_the_int64_gather():
+    rng = np.random.default_rng(2)
+    lens = rng.integers(0, 5, size=300)
+    lens[:3] = 0  # leading empty ranges
+    starts = rng.integers(0, 1000, size=300)
+    offsets = np.concatenate(([0], np.cumsum(lens)))
+    want = np.repeat(starts - offsets[:-1], lens) + np.arange(offsets[-1])
+    got = kernels._ranges_index(starts, lens)
+    assert got.dtype == np.int32 and np.array_equal(got, want)
+    assert kernels._ranges_index(starts, np.zeros_like(lens)).size == 0
+    # positions past 2^31 - 1 take int64
+    big = kernels._ranges_index(np.array([2**31 - 2, 5]), np.array([3, 2]))
+    assert big.dtype == np.int64
+    assert big.tolist() == [2**31 - 2, 2**31 - 1, 2**31, 5, 6]
+
+
+def _int64_unit_rows(indptr, data):
+    """``learners.unit_rows`` as it was: int64 row ids and a fresh quotient."""
+    n = len(indptr) - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    sq = np.zeros(n)
+    np.add.at(sq, rows, data * data)
+    norms = np.sqrt(sq)
+    norms[norms == 0.0] = 1.0
+    return data / norms[rows]
+
+
+def test_fit_builtin_full_width_branch_bit_identical():
+    # decay = 1 - lr * l2 = -1 and an odd epoch count: fit_builtin trains
+    # at full width on the rows' own int64 indices
+    from conftest import random_feature_matrix
+    from vulforge.ingest import Dataset, Sample
+    from vulforge.learners import (LearnerConfig, SampleWeights, _epoch_orders,
+                                   fit_builtin, unit_rows)
+
+    fm = random_feature_matrix(np.random.default_rng(6), 90, dims=64)
+    d = Dataset(tuple(Sample(s, "", i % 3) for i, s in enumerate(fm.ids)), 3, "r")
+    ids = fm.ids[::-1]
+    cfg = LearnerConfig(epochs=3, learning_rate=0.5, l2=4.0, batch_size=16, seed=4)
+    w = SampleWeights.normalized(ids, np.arange(1, len(ids) + 1))
+    m = fit_builtin(d, ids, w, cfg, fm)
+    assert np.array_equal(m.columns, np.arange(fm.dims))
+    indptr, indices, data = fm.rows_for(ids)
+    assert unit_rows(indptr, data).tobytes() == _int64_unit_rows(indptr, data).tobytes()
+    n = len(ids)
+    W, b = np.zeros((3, fm.dims)), np.zeros(3)
+    _ref_csr_softmax_fit(indptr, indices, _int64_unit_rows(indptr, data),
+                         np.eye(3)[d.labels_for(ids)], w.weights * n, W, b,
+                         _epoch_orders(n, cfg.epochs, cfg.seed), 16, 0.5, -1.0)
+    assert np.signbit(W).any()
+    assert m.W.tobytes() == W.tobytes() and m.b.tobytes() == b.tobytes()

@@ -1,7 +1,9 @@
 """Persistence roundtrips, digest verification, config hashing."""
 
+import hashlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from conftest import make_predset
 from vulforge import store, synth
 from vulforge.ensembles import (
+    BaggingEnsemble,
     BaseLearnerSpec,
     BoostConfig,
     DgsConfig,
@@ -24,7 +27,7 @@ from vulforge.ensembles import (
 )
 from vulforge.errors import IoError
 from vulforge.ingest import bootstrap, stratified_split
-from vulforge.learners import LearnerConfig, featurize_dataset
+from vulforge.learners import LearnerConfig, LinearModel, featurize_dataset
 from vulforge.metamodels import MetaConfig
 from vulforge.store import config_hash, load_ensemble, save_ensemble, verify_ensemble
 
@@ -248,3 +251,64 @@ class TestVerification:
         save_ensemble(d2, e, {"x": 1})
         assert (d1 / "ensemble.json").read_bytes() == \
             (d2 / "ensemble.json").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the full-width W sidecar, written in chunks
+# ---------------------------------------------------------------------------
+
+_DIMS = 3 * store._W_CHUNK + 5  # the last chunk of a row is 5 columns wide
+
+
+def _model_on(columns, k, dims=_DIMS, seed=0):
+    rng = np.random.default_rng(seed)
+    columns = np.asarray(columns, dtype=np.int64)
+    W = rng.normal(size=(k, len(columns)))
+    if W.size:
+        W[0, 0] = -0.0  # a signed zero keeps its column and its bits
+    return LinearModel(W, rng.normal(size=k), dims, k, LearnerConfig(), columns)
+
+
+_W_CASES = {
+    # every chunk, both sides of each chunk boundary
+    "across_chunks": lambda: np.unique(np.concatenate([
+        np.random.default_rng(1).choice(_DIMS, 300, replace=False),
+        [store._W_CHUNK - 1, store._W_CHUNK, 2 * store._W_CHUNK]])),
+    "no_columns": lambda: [],
+    "first_and_last": lambda: [0, _DIMS - 1],
+}
+
+
+@pytest.mark.parametrize("k", [2, 9])
+@pytest.mark.parametrize("case", sorted(_W_CASES))
+def test_w_sidecar_is_np_save_of_the_dense_w(case, k, tmp_path):
+    m = _model_on(_W_CASES[case](), k)
+    save_ensemble(tmp_path, BaggingEnsemble("soft", (m,), k))
+    dense = np.zeros((k, _DIMS))
+    dense[:, m.columns] = m.W
+    want = io.BytesIO()
+    np.save(want, dense)
+    blob = (tmp_path / "params" / "member_0_W.npy").read_bytes()
+    assert blob == want.getvalue()
+    payload = json.loads((tmp_path / "ensemble.json").read_text())
+    assert payload["params"]["member_0_W"]["sha256"] == hashlib.sha256(blob).hexdigest()
+    assert verify_ensemble(tmp_path)
+    loaded, = load_ensemble(tmp_path).members
+    assert np.array_equal(loaded.columns, m.columns)
+    assert loaded.W.tobytes() == m.W.tobytes() and loaded.b.tobytes() == m.b.tobytes()
+    assert (loaded.dims, loaded.class_count) == (_DIMS, k)
+
+
+def test_saving_a_wide_model_peaks_below_two_mb(tmp_path):
+    # the full-width W of K = 9 at 2^18 dims is 18.9 MB
+    dims = 1 << 18
+    m = _model_on(np.sort(np.random.default_rng(2).choice(dims, 5000, replace=False)),
+                  9, dims=dims)
+    tracemalloc.start()
+    try:
+        save_ensemble(tmp_path, BaggingEnsemble("soft", (m,), 9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+    assert (tmp_path / "params" / "member_0_W.npy").stat().st_size > 9 * dims * 8
