@@ -11,7 +11,10 @@ tree's ``src/`` into the checkout and runs the same command again, from the
 same path (artifacts embed the paths they were given, so the two runs must
 share one).  Both runs use the revision's ``e2ebench/``.  It prints, per
 workload and seed, the files whose bytes differ or that only one run
-wrote, and the failed operations of each run.  It exits 0 only when every
+wrote, and the failed operations of each run.  A differing ``.json`` file
+that parses on both sides as an object is followed by the top-level keys
+whose values differ (``report_m1.json: schema_version``), so a declared
+artifact change shows which fields moved.  It exits 0 only when every
 tree is identical and no operation failed.  Nothing is written inside the
 repository: the checkout and the kept trees live in a temporary directory
 that is removed at the end.
@@ -68,6 +71,22 @@ def differing(a: Path, b: Path) -> list[str]:
                           and filecmp.cmp(a / f, b / f, shallow=False)))
 
 
+def differing_keys(a: Path, b: Path) -> str:
+    """``": key, ..."``, the top-level keys whose values differ between the
+    JSON objects in ``a`` and ``b``; empty unless both are such objects."""
+    if a.suffix != ".json" or not (a.is_file() and b.is_file()):
+        return ""
+    try:
+        x, y = (json.loads(p.read_text(encoding="utf-8")) for p in (a, b))
+    except ValueError:
+        return ""
+    if not (isinstance(x, dict) and isinstance(y, dict)):
+        return ""
+    absent = object()
+    keys = sorted(k for k in x.keys() | y.keys() if x.get(k, absent) != y.get(k, absent))
+    return ": " + ", ".join(keys)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", default="HEAD", help="git revision to compare against")
@@ -102,7 +121,7 @@ def main() -> int:
                 print(f"{w} seed {seed}: {count} files, "
                       + ("identical" if not diff else f"{len(diff)} differ"))
                 for rel in diff:
-                    print(f"  {rel}")
+                    print(f"  {rel}{differing_keys(a / rel, b / rel)}")
                 ok &= not diff
     return 0 if ok else 1
 

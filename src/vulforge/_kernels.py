@@ -13,8 +13,8 @@ times the trainer at n and 4n rows.
 
 The CSR kernels index ``W`` by column: ``indices`` must be column
 positions of the ``W`` they are given, which can be narrower than the hash
-width.  The built-in learner passes its rows remapped onto their sorted
-active columns and a W of that many columns; a column that ``indices``
+width.  The built-in learner always passes its rows remapped onto their
+sorted active columns and a W of that many columns; a column ``indices``
 never names is never read or written, except by the epoch's weight decay.
 ``indices`` may be int32 or int64; the values are the same either way.
 

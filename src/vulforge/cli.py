@@ -103,7 +103,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file {path} does not exist")
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise ConfigError(f"config file {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
@@ -505,50 +505,54 @@ def cmd_eval(args) -> int:
 def cmd_rank(args) -> int:
     import csv
 
-    import numpy as np
-
     from . import metrics
 
     run = _Run(args)
     path = Path(args.scores)
     if not path.exists():
         raise IoError(f"scores file {path} does not exist")
-    reader = csv.DictReader(
-        line for line in path.read_text(encoding="utf-8").splitlines()
-        if not line.startswith("#"))
+    blob = path.read_bytes()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = blob.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"scores file {path} line {line_no} is not UTF-8") from exc
+    reader = csv.DictReader(line for line in text.splitlines()
+                            if not line.startswith("#"))
     missing = [c for c in ("method", "instance", "metric", "score")
                if c not in (reader.fieldnames or ())]
     if missing:
         raise ConfigError(f"scores file {path} has no column(s) {', '.join(missing)}")
-    rows = list(reader)
-    if not rows:
-        raise ConfigError(f"scores file {path} has no data rows")
-    for i, r in enumerate(rows, start=1):
+    cells = {}  # (method, instance, metric) -> score
+    for i, r in enumerate(reader, start=1):
         if None in r.values():
             raise ConfigError(f"scores row {i} has fewer fields than the header")
-    methods = sorted({r["method"] for r in rows})
-    instances = sorted({r["instance"] for r in rows})
-    mets = sorted({r["metric"] for r in rows})
-    scores = np.full((len(methods), len(instances), len(mets)), np.nan)
-    for i, r in enumerate(rows, start=1):
+        cell = (r["method"], r["instance"], r["metric"])
+        row = f"scores row {i} ({','.join(cell)})"
         try:
             score = float(r["score"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"scores row {i} ({r['method']},{r['instance']},"
-                              f"{r['metric']}): score {r['score']!r} is not a number") from exc
-        scores[methods.index(r["method"]), instances.index(r["instance"]),
-               mets.index(r["metric"])] = score
-    if np.isnan(scores).any():
+        except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
+            raise ConfigError(f"{row}: score {r['score']!r} is not a finite number")
+        if cell in cells:
+            raise ConfigError(f"{row} repeats an earlier row")
+        cells[cell] = score
+    if not cells:
+        raise ConfigError(f"scores file {path} has no data rows")
+    methods, instances, mets = (sorted({cell[j] for cell in cells}) for j in range(3))
+    if len(cells) != len(methods) * len(instances) * len(mets):
         raise ConfigError("scores file does not cover the full method x "
                           "instance x metric grid")
-    table = metrics.average_rank(scores, methods, instances, mets,
-                                 tie_rule=args.tie_rule)
+    table = metrics.average_rank(
+        [[[cells[m, i, t] for t in mets] for i in instances] for m in methods],
+        methods, instances, mets, tie_rule=args.tie_rule)
     metrics.write_ranks_csv(run.out / "ranks.csv", table, write=run.emit_csv)
     run.emit_json(run.out / "ranks.json", table.to_dict())
     for i, m in enumerate(methods):
-        cells = "  ".join(f"{met}={table.averages[i, j]:.2f}"
-                          for j, met in enumerate(mets))
-        print(f"rank {m}: {cells}")
+        averages = "  ".join(f"{met}={table.averages[i, j]:.2f}"
+                             for j, met in enumerate(mets))
+        print(f"rank {m}: {averages}")
     return 0
 
 
@@ -608,7 +612,7 @@ def cmd_cwe_subsets(args) -> int:
 
 def cmd_verify(args) -> int:
     from .ingest import _read_json
-    from .store import verify_ensemble
+    from .store import ensemble_fault
 
     out = _Run(args).out
     manifest_path = out / "manifest.json"
@@ -624,8 +628,9 @@ def cmd_verify(args) -> int:
         if hashlib.sha256(path.read_bytes()).hexdigest() != rec["sha256"]:
             failures.append(f"{rel}: content digest mismatch")
     for edir in sorted(out.glob("ensembles/*")):
-        if (edir / "ensemble.json").exists() and not verify_ensemble(edir):
-            failures.append(f"{edir.name}: ensemble.json malformed or hash mismatch")
+        fault = (edir / "ensemble.json").exists() and ensemble_fault(edir)
+        if fault:
+            failures.append(f"{edir.name}: {fault}")
     if failures:
         for f in failures:
             print(f"FAIL {f}")

@@ -500,5 +500,12 @@ def load_splits(path) -> SplitIndices:
     payload = _read_json(path, "an integer seed and train, val and test id lists",
                          lambda p: isinstance(p, dict) and isinstance(p.get("seed"), int)
                          and all(_is_id_list(p.get(k)) for k in ("train", "val", "test")))
+    seen = {}
+    for split in ("train", "val", "test"):
+        for sid in payload[split]:
+            if sid in seen:
+                raise IoError(f"{path}: sample id {sid!r} is in {seen[sid]} "
+                              f"and again in {split}")
+            seen[sid] = split
     return SplitIndices(tuple(payload["train"]), tuple(payload["val"]),
                         tuple(payload["test"]), int(payload["seed"]))

@@ -102,8 +102,8 @@ class LearnerConfig:
 class LinearModel:
     """Trained softmax regression over ``dims`` hashed columns: K biases and
     the (K, len(columns)) weights of the sorted ``columns`` it holds.  Every
-    other column's weight is +0.0, so ``W`` is the full-width K x D matrix
-    restricted to ``columns``; the store saves it at full width."""
+    other column's weight is zero, so ``W`` is the full-width K x D matrix
+    restricted to ``columns``; the store saves all three as held."""
 
     W: np.ndarray
     b: np.ndarray
@@ -235,11 +235,11 @@ def fit_builtin(d: Dataset, ids, w: SampleWeights, cfg: LearnerConfig,
     is a meta-model (see ensembles.dgs_fit).
 
     The rows are remapped onto their sorted active columns and W holds only
-    those.  A column no training row touches would keep its +0.0 through
-    every step and every ``W *= decay``, and each touched entry sees the
-    same products in the same order, so the model is the full-width one
-    restricted to ``columns``.  (A negative decay turns +0.0 into -0.0 on
-    an odd epoch count; that one case trains at full width.)  The columns
+    those.  A column no training row touches is never read, and every
+    ``W *= decay`` leaves it a zero (-0.0 under a negative decay, which
+    gives the same probabilities as +0.0); each touched entry sees the same
+    products in the same order.  So the model is the full-width one
+    restricted to ``columns`` and predicts the same bits.  The columns
     come from ``_touched_columns`` and the rows' int32 positions among them
     from ``_column_positions``: no nnz-long index array the fit builds is
     wider than 32 bits."""
@@ -260,12 +260,8 @@ def fit_builtin(d: Dataset, ids, w: SampleWeights, cfg: LearnerConfig,
     indptr, indices, data = features.rows_for(ids)
     _check_indices(indices, features.dims)
     data = unit_rows(indptr, data)
-    decay = 1.0 - cfg.learning_rate * cfg.l2
-    if decay < 0.0 and cfg.epochs % 2:
-        columns = np.arange(features.dims)
-    else:
-        columns = _touched_columns(indices, features.dims)
-        indices = _column_positions(columns, indices)
+    columns = _touched_columns(indices, features.dims)
+    indices = _column_positions(columns, indices)
     k = d.class_count
     targets = np.zeros((n, k))
     targets[np.arange(n), d.labels_for(ids)] = 1.0
@@ -275,7 +271,8 @@ def fit_builtin(d: Dataset, ids, w: SampleWeights, cfg: LearnerConfig,
     order = _epoch_orders(n, cfg.epochs, cfg.seed)
     batch = min(cfg.batch_size, n)
     _kernels.csr_softmax_fit(indptr, indices, data, targets, coefs, W, b,
-                             order, batch, cfg.learning_rate, decay)
+                             order, batch, cfg.learning_rate,
+                             1.0 - cfg.learning_rate * cfg.l2)
     return LinearModel(W, b, features.dims, k, cfg, columns)
 
 

@@ -1,31 +1,23 @@
 """Ensemble persistence: a versioned ``ensemble.json`` manifest plus
-deterministic ``.npy`` sidecars for the parameter arrays.
+deterministic ``.npy`` sidecars, one per parameter array.
 
-Every meta-model param that is an ndarray (lr/svm ``W``/``b``, the rf
-forest arrays, knn ``rows``/``labels``) is a digested sidecar named
-``{prefix}_{name}.npy``, as are linear-model weights and prediction-set
-probabilities; scalars such as knn ``k`` stay in the JSON.  A built-in
-linear model holds only its active columns (``LinearModel.columns``), but
-its ``W`` sidecar is the full-width (K, dims) array it always was: it is
-written and digested in chunks of at most ``_W_CHUNK`` columns of one
-class, each a zeroed block holding the active columns in its range, so
-no K x dims buffer is ever built; loading compacts ``W`` onto its
-columns that are not all +0.0.  Every DGS
-gate is a meta-model; its input columns are the ``gate_columns`` sidecar,
-and its ``input_width`` is their count (schema 3; a schema-2 gate was full
-width).  A dgs payload whose gate is not a meta-model or that has no
-columns is refused.
+Every ndarray a model holds is a digested sidecar ``{prefix}_{name}.npy``:
+meta-model params (lr/svm ``W``/``b``, the rf forest arrays, knn
+``rows``/``labels``), prediction-set probabilities, and a built-in linear
+model's ``W``, ``b`` and ``columns`` as it holds them (schema 4; a
+schema-3 ``W`` was full width).  A DGS gate is a meta-model whose input
+columns are the ``gate_columns`` sidecar.  Scalars such as knn ``k`` stay
+in the JSON.  ``_column_set`` checks both column sidecars on load, and any
+payload that is not the one ``save_ensemble`` writes raises ``IoError``.
 
 The manifest records the variant tag, per-member/round records (epsilon,
-alpha, Z), base-model order, the config echo and its hash, and sha256
-digests of every sidecar so ``verify`` can detect corruption.  Each
-sidecar is written and digested as it is encoded, its header and then
-the array's own buffer, so no encoded copy of an array is held.  All
-writes are atomic (temp file + rename) and byte-identical across reruns
-of the same inputs.
+alpha, Z), base-model order, the config echo and its hash, and the sha256
+of every sidecar, so ``verify`` detects corruption.  A sidecar is written
+and digested as its header and then the array's own buffer, with no
+encoded copy.  All writes are atomic and byte-identical across reruns.
 
 numpy and the model modules are imported inside the encode and decode
-paths, so ``config_hash`` and ``verify_ensemble`` load neither.
+paths, so ``config_hash`` and ``ensemble_fault`` load neither.
 """
 
 from __future__ import annotations
@@ -47,11 +39,7 @@ if TYPE_CHECKING:
     from .learners import LinearModel
     from .metamodels import MetaModel
 
-SCHEMA_VERSION = 3
-
-#: columns per chunk of a streamed ``W`` sidecar: 64 KB, which glibc serves
-#: from the heap, so writing one never moves its mmap threshold
-_W_CHUNK = 1 << 13
+SCHEMA_VERSION = 4
 
 
 def config_hash(echo: dict) -> str:
@@ -80,23 +68,6 @@ def _npy_bytes(arr: np.ndarray) -> bytes:
     return b"".join((_npy_header(arr.shape, arr.dtype), arr.reshape(-1).view(np.uint8)))
 
 
-def _full_width_chunks(m: LinearModel):
-    """The ``np.save`` bytes of ``m``'s full-width (K, dims) weights in
-    C order: the header, then each class's row in zeroed blocks of at most
-    ``_W_CHUNK`` columns that hold the active columns in their range."""
-    import numpy as np
-
-    yield _npy_header((m.class_count, m.dims), np.float64)
-    bounds = range(0, m.dims, _W_CHUNK)
-    cuts = np.searchsorted(m.columns, [*bounds, m.dims])
-    for k in range(m.class_count):
-        for i, lo in enumerate(bounds):
-            block = np.zeros(min(_W_CHUNK, m.dims - lo))
-            a, z = cuts[i], cuts[i + 1]
-            block[m.columns[a:z] - lo] = m.W[k, a:z]
-            yield block
-
-
 class _ArrayStore:
     """Writes each named array as a sidecar under ``params_dir`` as it is
     encoded, and keeps the sidecars' manifest: file and sha256 by name."""
@@ -107,22 +78,14 @@ class _ArrayStore:
         self.manifest: dict[str, dict] = {}
 
     def put(self, name: str, arr: np.ndarray) -> str:
+        """Write and digest ``arr``'s ``np.save`` bytes as the sidecar ``name``."""
         import numpy as np
 
         arr = np.ascontiguousarray(arr)
-        return self.write(name, (_npy_header(arr.shape, arr.dtype), arr))
-
-    def write(self, name: str, chunks) -> str:
-        """Write the ``.npy`` bytes ``chunks`` yield, digesting each in
-        turn, as the sidecar ``name``."""
-        digest = hashlib.sha256()
-
-        def digested():
-            for chunk in chunks:
-                digest.update(chunk)
-                yield chunk
-
-        _atomic_write_chunks(self.params_dir / f"{name}.npy", digested())
+        header = _npy_header(arr.shape, arr.dtype)
+        digest = hashlib.sha256(header)
+        digest.update(arr)
+        _atomic_write_chunks(self.params_dir / f"{name}.npy", (header, arr))
         self.manifest[name] = {
             "file": f"params/{name}.npy",
             "sha256": digest.hexdigest(),
@@ -140,23 +103,32 @@ def _enc_linear(m: LinearModel, store: _ArrayStore, prefix: str) -> dict:
         "dims": m.dims,
         "class_count": m.class_count,
         "config": asdict(m.config),
-        "W": store.write(f"{prefix}_W", _full_width_chunks(m)),
+        "W": store.put(f"{prefix}_W", m.W),
         "b": store.put(f"{prefix}_b", m.b),
+        "columns": store.put(f"{prefix}_columns", m.columns),
     }
 
 
-def _dec_linear(rec: dict, arrays: dict) -> LinearModel:
-    """The saved model on the columns whose weights are not all +0.0 (the
-    one float64 whose bits are all zero), the columns it can hold."""
-    import numpy as np
+def _column_set(arrays: dict, name: str, width: int, count: int) -> np.ndarray:
+    """The sidecar ``name``: the columns of a linear model's or a gate's
+    weights, ``count`` strictly increasing integers in [0, ``width``)."""
+    cols = arrays[name]
+    if not (cols.ndim == 1 and cols.dtype.kind in "iu" and len(cols) == count
+            and (cols[1:] > cols[:-1]).all()
+            and (not count or (cols[0] >= 0 and cols[-1] < width))):
+        raise IoError(f"sidecar {name} is not {count} strictly increasing "
+                      f"integer columns in [0, {width})")
+    return cols
 
+
+def _dec_linear(rec: dict, arrays: dict) -> LinearModel:
     from .learners import LearnerConfig, LinearModel
 
-    W = np.ascontiguousarray(arrays[rec["W"]], dtype=np.float64)
-    columns = np.flatnonzero(W.view(np.uint64).any(axis=0))
-    return LinearModel(W[:, columns], arrays[rec["b"]].copy(),
-                       rec["dims"], rec["class_count"],
-                       LearnerConfig(**rec["config"]), columns)
+    W, b, k = arrays[rec["W"]], arrays[rec["b"]], rec["class_count"]
+    if W.ndim != 2 or W.shape[0] != k or b.shape != (k,):
+        raise IoError(f"sidecars {rec['W']} and {rec['b']} do not hold {k} classes")
+    columns = _column_set(arrays, rec["columns"], rec["dims"], W.shape[1])
+    return LinearModel(W, b, rec["dims"], k, LearnerConfig(**rec["config"]), columns)
 
 
 def _enc_predset(p: PredictionSet, store: _ArrayStore, prefix: str) -> dict:
@@ -297,13 +269,11 @@ def _decode(payload: dict, arrays: dict):
                              _dec_component(payload["meta"], arrays),
                              payload["class_count"])
     if variant == "dgs":
-        if payload["gate"].get("type") != "meta" or "columns" not in payload:
-            raise IoError("dgs gate is not a meta-model with input columns; "
-                          "it was saved by an older version")
-        return GateModel(tuple(payload["base_ids"]),
-                         _dec_component(payload["gate"], arrays),
-                         payload["routing"], payload["dims"],
-                         payload["class_count"], arrays[payload["columns"]])
+        base_ids, k = tuple(payload["base_ids"]), payload["class_count"]
+        gate = _dec_meta(payload["gate"], arrays)
+        columns = _column_set(arrays, payload["columns"],
+                              payload["dims"] + len(base_ids) * k, gate.input_width)
+        return GateModel(base_ids, gate, payload["routing"], payload["dims"], k, columns)
     raise IoError(f"unknown ensemble variant {variant!r}")
 
 
@@ -335,37 +305,56 @@ def save_ensemble(out_dir, e, config_echo: dict | None = None,
     return path
 
 
+_MALFORMED = (ValueError, KeyError, TypeError, AttributeError, IndexError)
+
+
+def _read(out_dir: Path) -> tuple[dict, dict]:
+    """The payload of ``out_dir``'s ensemble.json and each listed sidecar's
+    bytes, by name.  IoError for another schema, a config hash or sidecar
+    digest that does not match; OSError for a sidecar it cannot read; one
+    of ``_MALFORMED`` for a payload of the wrong shape."""
+    payload = json.loads((out_dir / "ensemble.json").read_text(encoding="utf-8"))
+    version = payload.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise IoError(f"unsupported schema version {version!r}; this version reads "
+                      f"schema {SCHEMA_VERSION}, so rerun the command that wrote it")
+    if payload["config_hash"] != config_hash(payload["config"]):
+        raise IoError("config hash mismatch")
+    blobs = {}
+    for name, rec in payload["params"].items():
+        blobs[name] = (out_dir / rec["file"]).read_bytes()
+        if hashlib.sha256(blobs[name]).hexdigest() != rec["sha256"]:
+            raise IoError(f"sidecar digest mismatch for {rec['file']}")
+    return payload, blobs
+
+
 def load_ensemble(out_dir):
-    """Load an ensemble saved by save_ensemble, checking sidecar digests."""
-    out_dir = Path(out_dir)
-    path = out_dir / "ensemble.json"
-    if not path.exists():
-        raise IoError(f"missing {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise IoError(f"unsupported schema version {payload.get('schema_version')}")
+    """Load an ensemble saved by save_ensemble.  Anything else, a schema
+    other than ``SCHEMA_VERSION`` included, raises IoError."""
     import numpy as np
 
-    arrays = {}
-    for name, rec in payload.get("params", {}).items():
-        blob = (out_dir / rec["file"]).read_bytes()
-        if hashlib.sha256(blob).hexdigest() != rec["sha256"]:
-            raise IoError(f"sidecar digest mismatch for {rec['file']}")
-        arrays[name] = np.load(io.BytesIO(blob))
-    return _decode(payload, arrays)
+    path = Path(out_dir) / "ensemble.json"
+    try:
+        payload, blobs = _read(path.parent)
+        return _decode(payload, {name: np.load(io.BytesIO(blob))
+                                 for name, blob in blobs.items()})
+    except (*_MALFORMED, OSError) as exc:
+        raise IoError(f"{path} is not an ensemble save_ensemble writes: "
+                      f"{type(exc).__name__}: {exc}") from exc
+
+
+def ensemble_fault(out_dir) -> str | None:
+    """Why the ensemble under ``out_dir`` fails verification, or None when
+    it is intact."""
+    try:
+        _read(Path(out_dir))
+    except (IoError, OSError) as exc:
+        return str(exc)
+    except _MALFORMED:
+        return "ensemble.json malformed"
+    return None
 
 
 def verify_ensemble(out_dir) -> bool:
-    """Recompute the config hash and sidecar digests; True when intact.  An
-    ensemble.json that is not the object save_ensemble writes is not."""
-    out_dir = Path(out_dir)
-    try:
-        payload = json.loads((out_dir / "ensemble.json").read_text(encoding="utf-8"))
-        sidecars = [(out_dir / rec["file"], rec["sha256"])
-                    for rec in payload.get("params", {}).values()]
-        if payload["config_hash"] != config_hash(payload["config"]):
-            return False
-    except (ValueError, KeyError, TypeError, AttributeError):
-        return False
-    return all(path.is_file() and hashlib.sha256(path.read_bytes()).hexdigest() == digest
-               for path, digest in sidecars)
+    """True when ``ensemble_fault`` finds nothing wrong."""
+    return ensemble_fault(out_dir) is None

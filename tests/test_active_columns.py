@@ -1,7 +1,7 @@
 """The built-in learner trains and holds only its active columns: bit
-identity with a full-width reference, the unchanged on-disk format, and
-the memory that no longer grows with members x K x dims nor holds wide
-nnz-long index arrays."""
+identity with a full-width reference, a store that saves and loads the
+model as it is held, and the memory that no longer grows with
+members x K x dims nor holds wide nnz-long index arrays."""
 
 import tracemalloc
 from dataclasses import dataclass, replace
@@ -183,50 +183,72 @@ def test_index_outside_dims_is_refused(bad):
         predict_builtin_many(m, *bad_fm.rows_for(fm.ids))
 
 
-def test_negative_decay_keeps_signed_zero_columns(corpus, tmp_path):
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_negative_decay_predicts_the_full_width_bits(corpus, epochs, tmp_path):
     # decay = 1 - lr * l2 = -1: after an odd number of epochs every
-    # untouched column of the full-width W holds -0.0
+    # untouched column of the full-width W holds -0.0, which the held model
+    # does not keep; its probabilities are still the reference's bits
     d, feats, s = corpus
-    cfg = LearnerConfig(epochs=1, learning_rate=0.5, l2=4.0, batch_size=16)
+    cfg = LearnerConfig(epochs=epochs, learning_rate=0.5, l2=4.0, batch_size=16)
     w = SampleWeights.uniform(s.train)
     m = fit_builtin(d, s.train, w, cfg, feats)
     ref = _ref_fit(d, s.train, w, cfg, feats)
     assert np.signbit(ref.W).any()
-    _assert_same_model(m, ref)
-    e = ensembles.BaggingEnsemble("soft", (m,), d.class_count)
-    save_ensemble(tmp_path, e)
-    assert _same_bits(np.load(tmp_path / "params" / "member_0_W.npy"), ref.W)
-    csr = feats.rows_for(s.test)
+    assert np.array_equal(m.columns, np.unique(feats.rows_for(s.train)[1]))
+    assert _same_bits(m.W, np.ascontiguousarray(ref.W[:, m.columns]))
+    assert _same_bits(m.b, ref.b)
+    save_ensemble(tmp_path, ensembles.BaggingEnsemble("soft", (m,), d.class_count))
     loaded, = load_ensemble(tmp_path).members
-    assert _same_bits(predict_builtin_many(loaded, *csr), _ref_predict(ref, *csr))
+    for split in (s.train, s.val, s.test):
+        csr = feats.rows_for(split)
+        want = _ref_predict(ref, *csr)
+        assert _same_bits(predict_builtin_many(m, *csr), want)
+        assert _same_bits(predict_builtin_many(loaded, *csr), want)
 
 
 def _sidecars(root):
     return {p.name: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_store_keeps_the_full_width_format_and_round_trips(corpus, tmp_path):
+def test_store_round_trips_the_held_model(corpus, tmp_path):
     d, feats, s = corpus
     spec = BaseLearnerSpec("builtin_linear", "bag", LEARN)
     e = bagging_fit(spec, bootstrap(d, s, 2, seed=4), d, "soft", feats)
     first, second = tmp_path / "a", tmp_path / "b"
     save_ensemble(first, e, {"members": 2})
     for i, m in enumerate(e.members):
-        blob = (first / "params" / f"member_{i}_W.npy").read_bytes()
-        assert blob == store._npy_bytes(_lifted(m))
+        for name in ("W", "b", "columns"):
+            blob = (first / "params" / f"member_{i}_{name}.npy").read_bytes()
+            assert blob == store._npy_bytes(getattr(m, name)), name
     loaded = load_ensemble(first)
     save_ensemble(second, loaded, {"members": 2})
     assert _sidecars(first) == _sidecars(second)
     for m, q in zip(e.members, loaded.members):
-        assert _same_bits(_lifted(m), _lifted(q)) and _same_bits(m.b, q.b)
-        assert set(q.columns) <= set(m.columns)
+        for name in ("W", "b", "columns"):
+            assert _same_bits(getattr(q, name), getattr(m, name)), name
     assert _same_bits(bagging_predict_set(loaded, s.test, feats, "test").probs,
                       bagging_predict_set(e, s.test, feats, "test").probs)
 
 
+def test_round_trip_keeps_columns_trained_to_zero(tmp_path):
+    # a row of weight 0 trains the columns only it touches to exactly +0.0;
+    # the model holds them, and so does the model loaded back
+    fm = FeatureMatrix(("z", "a", "b", "c"), np.array([0, 2, 4, 6, 8]),
+                       np.array([1, 2, 3, 5, 3, 5, 3, 6]), np.ones(8), 64)
+    d = Dataset(tuple(Sample(s, "", i % 2) for i, s in enumerate(fm.ids)), 2, "r")
+    w = SampleWeights.normalized(fm.ids, [0.0, 1.0, 1.0, 1.0])
+    m = fit_builtin(d, fm.ids, w, LEARN, fm)
+    assert m.columns.tolist() == [1, 2, 3, 5, 6]
+    assert not m.W[:, :2].view(np.uint64).any() and m.W[:, 2:].all()
+    save_ensemble(tmp_path, ensembles.BaggingEnsemble("soft", (m,), 2))
+    loaded, = load_ensemble(tmp_path).members
+    for name in ("W", "b", "columns"):
+        assert _same_bits(getattr(loaded, name), getattr(m, name)), name
+
+
 def test_bagging_memory_does_not_hold_full_width_members(tmp_path):
-    # a member holds K x (active columns); the store writes one full-width
-    # W at a time, so eight members at 2^18 dims stay below two full W
+    # a member holds K x (active columns), and so does its W sidecar, so
+    # eight members at 2^18 dims stay below two full-width W
     d = synth.imbalanced_corpus(200, seed=1, pos_fraction=0.3)
     feats = featurize_dataset(d, FeaturizerConfig(dims=1 << 18))
     s = stratified_split(d, 0)

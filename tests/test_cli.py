@@ -233,6 +233,14 @@ class TestExitCodes:
         cfgfile.write_text('{"no_such_key": 1}')
         assert cli.main(["split", "--config", str(cfgfile)]) == 2
 
+    def test_config_not_utf8_is_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_bytes(b"\xff\xfe{}")
+        assert cli.main(["split", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file {cfgfile}: 'utf-8' codec")
+        assert "Traceback" not in err
+
     def test_missing_dataset_is_3(self, tmp_path):
         assert cli.main(["split", "--dataset", str(tmp_path / "nope.jsonl"),
                          "--out", str(tmp_path / "out")]) == 3
@@ -342,15 +350,29 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("text,needle", [
+        (b"method,instance,metric,score\na,i,f1,60\nb,\xff,f1,61\n",
+         "scores.csv line 3 is not UTF-8"),
+        ("method,instance,metric,score\na,i1,f1,0.5\na,i1,f1,0.9\n",
+         "scores row 2 (a,i1,f1) repeats an earlier row"),
+        ("method,instance,metric,score\na,i,f1,60\nb,i,f1,nan\n",
+         "scores row 2 (b,i,f1): score 'nan' is not a finite number"),
+        ("method,instance,metric,score\na,i,f1,inf\nb,i,f1,60\n",
+         "scores row 1 (a,i,f1): score 'inf' is not a finite number"),
+        ("method,instance,metric,score\na,i,f1,60\nb,i,f1,-Infinity\n",
+         "scores row 2 (b,i,f1): score '-Infinity' is not a finite number"),
         ("meth,instance,metric,score\na,i,f1,60\n",
          "scores.csv has no column(s) method"),
         ("method,instance,metric,score\na,i,f1,60\nb,i\n",
          "scores row 2 has fewer fields than the header"),
         ("method,instance,metric,score\n", "scores.csv has no data rows"),
-    ], ids=["missing-column", "short-row", "header-only"])
+    ], ids=["not-utf8", "repeated-row", "nan", "inf", "minus-infinity",
+            "missing-column", "short-row", "header-only"])
     def test_rank_malformed_csv_is_2(self, text, needle, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
-        scores.write_text(text)
+        if isinstance(text, bytes):
+            scores.write_bytes(text)
+        else:
+            scores.write_text(text)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert cli.main(["rank", "--scores", str(scores),
@@ -435,6 +457,31 @@ class TestExitCodes:
         capsys.readouterr()
         assert cli.main(["verify", *base]) == 2
         assert "ensembles/boosting/ensemble.json" in capsys.readouterr().out
+
+    def test_verify_names_the_schema_of_an_older_tree(self, tmp_path, capsys):
+        # an ensemble written at schema 3, its manifest digest intact
+        data = tmp_path / "d.jsonl"
+        _write_dataset(data, synth.separable_corpus(100, seed=0))
+        out = tmp_path / "out"
+        base = ["--dataset", str(data), "--out", str(out)]
+        assert cli.main(["split", *base]) == 0
+        assert cli.main(["featurize", *base, "--dims", "1024"]) == 0
+        assert cli.main(["bag", *base, *LEARN, "--members", "2"]) == 0
+        rel = "ensembles/bagging_soft/ensemble.json"
+        payload = json.loads((out / rel).read_text())
+        payload["schema_version"] = 3
+        blob = (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode()
+        (out / rel).write_bytes(blob)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest[rel]["sha256"] = hashlib.sha256(blob).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert cli.main(["verify", *base]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "FAIL bagging_soft: unsupported schema version 3; this version reads "
+            "schema 4, so rerun the command that wrote it"]
+        assert "Traceback" not in captured.err
 
 
 # Bad values of a setting, each as a flag and as a config-file value where
@@ -671,6 +718,23 @@ def test_unsafe_input_exits_with_its_code(case, trained, tmp_path, capsys):
     assert all(p.is_relative_to(out) for p in written), sorted(map(str, written))
     if case.startswith("cwe"):  # stopped before writing any subset
         assert not (out / "subsets").exists()
+
+
+@pytest.mark.parametrize("edit", ["test-ids-in-train", "repeated-train-id"])
+def test_splits_with_a_repeated_id_exit_3(edit, trained, tmp_path, capsys):
+    data, _, template = trained
+    out = tmp_path / "out"
+    shutil.copytree(template, out)
+    splits = json.loads((out / "splits.json").read_text())
+    extra = splits["test"][:5] if edit == "test-ids-in-train" else splits["train"][:1]
+    splits["train"] += extra
+    (out / "splits.json").write_text(json.dumps(splits))
+    capsys.readouterr()
+    assert cli.main(["train-base", "--dataset", str(data), "--out", str(out), *LEARN,
+                     "--model-id", "m3"]) == 3
+    err = capsys.readouterr().err
+    assert f"sample id {extra[0]!r} is in" in err and "Traceback" not in err
+    assert not (out / "preds" / "m3").exists()
 
 
 def _with(a, i, value):

@@ -8,6 +8,7 @@ from vulforge import cli, synth
 from vulforge.errors import (
     ClassTooSmall,
     DuplicateId,
+    IoError,
     MalformedRecord,
     UnknownCwe,
     UnknownLabel,
@@ -163,6 +164,21 @@ class TestStratifiedSplit:
                          "--seed", "3"]) == 0
         want = stratified_split(load_dataset(p, "binary"), 3)
         assert load_splits(out / "splits.json") == want
+
+    @pytest.mark.parametrize("edit,needle", [
+        (lambda s: s["train"].append(s["train"][0]), "is in train and again in train"),
+        (lambda s: s["train"].extend(s["test"][:5]), "is in train and again in test"),
+        (lambda s: s["test"].insert(0, s["val"][-1]), "is in val and again in test"),
+    ], ids=["repeated-in-train", "test-ids-in-train", "val-id-in-test"])
+    def test_repeated_or_shared_id_is_refused(self, edit, needle, tmp_path):
+        splits = stratified_split(synth.separable_corpus(100, seed=0), 0)
+        payload = {"seed": 0, "train": list(splits.train), "val": list(splits.val),
+                   "test": list(splits.test)}
+        edit(payload)
+        path = tmp_path / "splits.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(IoError, match=needle):
+            load_splits(path)
 
 
 class TestBootstrap:

@@ -283,9 +283,10 @@ def _int64_unit_rows(indptr, data):
     return data / norms[rows]
 
 
-def test_fit_builtin_full_width_branch_bit_identical():
-    # decay = 1 - lr * l2 = -1 and an odd epoch count: fit_builtin trains
-    # at full width on the rows' own int64 indices
+def test_fit_builtin_negative_decay_bit_identical():
+    # decay = 1 - lr * l2 = -1 and an odd epoch count: the full-width
+    # reference leaves -0.0 in every untouched column, and fit_builtin holds
+    # its touched columns, bit for bit
     from conftest import random_feature_matrix
     from vulforge.ingest import Dataset, Sample
     from vulforge.learners import (LearnerConfig, SampleWeights, _epoch_orders,
@@ -297,8 +298,9 @@ def test_fit_builtin_full_width_branch_bit_identical():
     cfg = LearnerConfig(epochs=3, learning_rate=0.5, l2=4.0, batch_size=16, seed=4)
     w = SampleWeights.normalized(ids, np.arange(1, len(ids) + 1))
     m = fit_builtin(d, ids, w, cfg, fm)
-    assert np.array_equal(m.columns, np.arange(fm.dims))
     indptr, indices, data = fm.rows_for(ids)
+    assert np.array_equal(m.columns, np.unique(indices))
+    assert len(m.columns) < fm.dims
     assert unit_rows(indptr, data).tobytes() == _int64_unit_rows(indptr, data).tobytes()
     n = len(ids)
     W, b = np.zeros((3, fm.dims)), np.zeros(3)
@@ -306,4 +308,4 @@ def test_fit_builtin_full_width_branch_bit_identical():
                          np.eye(3)[d.labels_for(ids)], w.weights * n, W, b,
                          _epoch_orders(n, cfg.epochs, cfg.seed), 16, 0.5, -1.0)
     assert np.signbit(W).any()
-    assert m.W.tobytes() == W.tobytes() and m.b.tobytes() == b.tobytes()
+    assert m.W.tobytes() == W[:, m.columns].tobytes() and m.b.tobytes() == b.tobytes()

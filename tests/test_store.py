@@ -214,8 +214,8 @@ class TestVerification:
 
     @pytest.mark.parametrize("layout", ["linear-gate", "no-columns"])
     def test_gate_without_columns_rejected(self, layout, tmp_path, separable):
-        # an lr gate saved by an older version was a full-width linear model
-        # with no gate_columns sidecar
+        # the layout of an lr gate that was a full-width linear model with
+        # no gate_columns sidecar: not the payload save_ensemble writes
         d, feats = separable
         ids = d.ids[:20]
         g = dgs_fit(_bases(ids, None), ids, d.labels_for(ids), feats,
@@ -228,7 +228,7 @@ class TestVerification:
                                "class_count": 2, "config": {"seed": 0},
                                "W": "gate_W", "b": "gate_b"}
         (tmp_path / "ensemble.json").write_text(json.dumps(payload))
-        with pytest.raises(IoError, match="dgs gate"):
+        with pytest.raises(IoError, match="is not an ensemble save_ensemble writes"):
             load_ensemble(tmp_path)
 
     def test_detects_config_tamper(self, tmp_path):
@@ -254,53 +254,61 @@ class TestVerification:
 
 
 # ---------------------------------------------------------------------------
-# the full-width W sidecar, written in chunks
+# a built-in model is saved as it is held: W, b and columns
 # ---------------------------------------------------------------------------
 
-_DIMS = 3 * store._W_CHUNK + 5  # the last chunk of a row is 5 columns wide
+_DIMS = 24_581
 
 
 def _model_on(columns, k, dims=_DIMS, seed=0):
     rng = np.random.default_rng(seed)
     columns = np.asarray(columns, dtype=np.int64)
     W = rng.normal(size=(k, len(columns)))
-    if W.size:
-        W[0, 0] = -0.0  # a signed zero keeps its column and its bits
+    if W.shape[1] >= 2:
+        W[0, 0] = -0.0  # a signed zero keeps its bits
+        W[:, 1] = 0.0  # a held column whose weights are all +0.0 stays held
     return LinearModel(W, rng.normal(size=k), dims, k, LearnerConfig(), columns)
 
 
 _W_CASES = {
-    # every chunk, both sides of each chunk boundary
+    # scattered over the width, with the neighbours 8191 and 8192
     "across_chunks": lambda: np.unique(np.concatenate([
         np.random.default_rng(1).choice(_DIMS, 300, replace=False),
-        [store._W_CHUNK - 1, store._W_CHUNK, 2 * store._W_CHUNK]])),
+        [8191, 8192, 16384]])),
     "no_columns": lambda: [],
     "first_and_last": lambda: [0, _DIMS - 1],
 }
 
 
+def _npy(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("k", [2, 9])
 @pytest.mark.parametrize("case", sorted(_W_CASES))
 def test_w_sidecar_is_np_save_of_the_dense_w(case, k, tmp_path):
+    # the held (K, columns) W, b and columns, each as np.save writes it
     m = _model_on(_W_CASES[case](), k)
     save_ensemble(tmp_path, BaggingEnsemble("soft", (m,), k))
-    dense = np.zeros((k, _DIMS))
-    dense[:, m.columns] = m.W
-    want = io.BytesIO()
-    np.save(want, dense)
-    blob = (tmp_path / "params" / "member_0_W.npy").read_bytes()
-    assert blob == want.getvalue()
     payload = json.loads((tmp_path / "ensemble.json").read_text())
-    assert payload["params"]["member_0_W"]["sha256"] == hashlib.sha256(blob).hexdigest()
+    assert payload["members"][0]["columns"] == "member_0_columns"
+    for name, arr in (("W", m.W), ("b", m.b), ("columns", m.columns)):
+        blob = (tmp_path / "params" / f"member_0_{name}.npy").read_bytes()
+        assert blob == _npy(arr), name
+        assert payload["params"][f"member_0_{name}"]["sha256"] == \
+            hashlib.sha256(blob).hexdigest()
     assert verify_ensemble(tmp_path)
     loaded, = load_ensemble(tmp_path).members
-    assert np.array_equal(loaded.columns, m.columns)
-    assert loaded.W.tobytes() == m.W.tobytes() and loaded.b.tobytes() == m.b.tobytes()
+    for got, want in ((loaded.W, m.W), (loaded.b, m.b), (loaded.columns, m.columns)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
     assert (loaded.dims, loaded.class_count) == (_DIMS, k)
 
 
 def test_saving_a_wide_model_peaks_below_two_mb(tmp_path):
-    # the full-width W of K = 9 at 2^18 dims is 18.9 MB
+    # a full-width W of K = 9 at 2^18 dims would be 18.9 MB
     dims = 1 << 18
     m = _model_on(np.sort(np.random.default_rng(2).choice(dims, 5000, replace=False)),
                   9, dims=dims)
@@ -311,4 +319,119 @@ def test_saving_a_wide_model_peaks_below_two_mb(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000, peak
-    assert (tmp_path / "params" / "member_0_W.npy").stat().st_size > 9 * dims * 8
+    assert (tmp_path / "params" / "member_0_W.npy").stat().st_size == len(_npy(m.W))
+
+
+# ---------------------------------------------------------------------------
+# one refusal for every payload save_ensemble does not write
+# ---------------------------------------------------------------------------
+
+def _rewrite(out, edit):
+    payload = json.loads((out / "ensemble.json").read_text())
+    edit(payload)
+    (out / "ensemble.json").write_text(json.dumps(payload))
+
+
+def _replace_sidecar(out, name, arr):
+    """Save ``arr`` as the sidecar ``name`` with its digest recorded, so
+    only the array itself is wrong."""
+    blob = _npy(arr)
+    (out / "params" / f"{name}.npy").write_bytes(blob)
+    _rewrite(out, lambda p: p["params"][name].update(sha256=hashlib.sha256(blob).hexdigest()))
+
+
+def _saved_linear(out):
+    m = _model_on([3, 8, 40, 41], 2, dims=64)
+    save_ensemble(out, BaggingEnsemble("soft", (m,), 2), {"x": 1})
+    return m
+
+
+def _saved_gate(out, separable):
+    d, feats = separable
+    ids = d.ids[:20]
+    g = dgs_fit(_bases(ids, None), ids, d.labels_for(ids), feats,
+                DgsConfig("hard", "svm"), meta_cfg=MetaConfig(epochs=5))
+    save_ensemble(out, g, {})
+    return g
+
+
+def test_schema_3_payload_is_refused(tmp_path):
+    _saved_linear(tmp_path)
+    _rewrite(tmp_path, lambda p: p.update(schema_version=3))
+    with pytest.raises(IoError, match="unsupported schema version 3; this version "
+                                      "reads schema 4"):
+        load_ensemble(tmp_path)
+    assert store.ensemble_fault(tmp_path).startswith("unsupported schema version 3")
+    assert not verify_ensemble(tmp_path)
+
+
+# a column set that is not strictly increasing integers in [0, width) with
+# one entry per weight column; each case maps the saved columns to a bad one
+_BAD_COLUMNS = {
+    "unsorted": lambda c, w: c[::-1],
+    "repeated": lambda c, w: np.concatenate([c[:1], c[:-1]]),
+    "negative": lambda c, w: np.concatenate([[-1], c[1:]]),
+    "at_width": lambda c, w: np.concatenate([c[:-1], [w]]),
+    "one_short": lambda c, w: c[:-1],
+    "float": lambda c, w: c.astype(np.float64),
+    "two_dim": lambda c, w: c[None, :],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_COLUMNS))
+@pytest.mark.parametrize("owner", ["linear", "gate"])
+def test_malformed_column_sidecar_is_refused(owner, case, tmp_path, separable):
+    if owner == "linear":
+        m = _saved_linear(tmp_path)
+        name, cols, width = "member_0_columns", m.columns, m.dims
+    else:
+        g = _saved_gate(tmp_path, separable)
+        name, cols, width = "gate_columns", g.columns, g.dims + 2 * g.class_count
+    _replace_sidecar(tmp_path, name, _BAD_COLUMNS[case](cols, width))
+    assert verify_ensemble(tmp_path)  # the digests match; the content is wrong
+    with pytest.raises(IoError, match=f"sidecar {name} is not"):
+        load_ensemble(tmp_path)
+
+
+def test_missing_sidecar_is_refused(tmp_path):
+    _saved_linear(tmp_path)
+    (tmp_path / "params" / "member_0_columns.npy").unlink()
+    assert "member_0_columns.npy" in store.ensemble_fault(tmp_path)
+    with pytest.raises(IoError, match="FileNotFoundError: .*member_0_columns.npy"):
+        load_ensemble(tmp_path)
+
+
+def _drop(*keys):
+    def edit(payload):
+        *path, last = keys
+        for key in path:
+            payload = payload[key]
+        del payload[last]
+    return edit
+
+
+# a schema-4 payload with a key missing or of the wrong type
+_BAD_PAYLOADS = {
+    "no-params": ("linear", _drop("params")),
+    "no-variant": ("linear", _drop("variant")),
+    "no-member-columns": ("linear", _drop("members", 0, "columns")),
+    "no-member-config": ("linear", _drop("members", 0, "config")),
+    "unknown-member-type": ("linear", lambda p: p["members"][0].update(type="tree")),
+    "members-not-a-list": ("linear", lambda p: p.update(members=7)),
+    "sidecar-not-listed": ("linear", lambda p: p["members"][0].update(W="member_9_W")),
+    "no-gate-columns": ("gate", _drop("columns")),
+    "gate-kind-missing": ("gate", _drop("gate", "kind")),
+    "dims-a-string": ("gate", lambda p: p.update(dims="64")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_PAYLOADS))
+def test_missing_or_mistyped_key_is_one_io_error(case, tmp_path, separable):
+    owner, edit = _BAD_PAYLOADS[case]
+    if owner == "linear":
+        _saved_linear(tmp_path)
+    else:
+        _saved_gate(tmp_path, separable)
+    _rewrite(tmp_path, edit)
+    with pytest.raises(IoError, match="is not an ensemble save_ensemble writes"):
+        load_ensemble(tmp_path)
