@@ -12,6 +12,13 @@ validation rows and ``gate_scores_many`` on the test rows, and prints:
 
 Every gate kind runs at every size and scores every test row.
 
+After the cost table it prints each gate kind's ``routing`` accuracy on
+``synth.sentinel_corpus(n, experts=5, seed)`` at the same sizes: the
+share of test rows whose top gate score is the expert that owns the row.
+Expert j is right exactly on the rows that carry its sentinel token
+(``synth.sentinel_predsets``; the test rows' jitter is drawn with seed
++ 100), and the gate routes hard at the ``MetaConfig`` defaults.
+
 Usage:
     PYTHONPATH=src python benchmarks/bench_gate.py [--sizes 4000,16000]
         [--kinds lr,svm,rf,knn] [--seed S]
@@ -35,12 +42,18 @@ from vulforge.learners import FeatureMatrix
 EXPERTS = 5
 
 
+def _features(d, split) -> FeatureMatrix:
+    """The validation and test rows hashed at the default 2^18 dims."""
+    ids = split.val + split.test
+    code = {s.id: s.code for s in d.samples}
+    return FeatureMatrix(ids, *featurize_many([code[i] for i in ids]), 1 << 18)
+
+
 def _workload(n: int, seed: int):
     d = synth.imbalanced_corpus(n, seed=seed, pos_fraction=0.3)
     split = stratified_split(d, seed)
     ids = split.val + split.test
-    code = {s.id: s.code for s in d.samples}
-    features = FeatureMatrix(ids, *featurize_many([code[i] for i in ids]), 1 << 18)
+    features = _features(d, split)
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.ones(d.class_count), size=(EXPERTS, len(ids)))
     bases = [PredictionSet(f"e{j}", "val", ids, probs[j]) for j in range(EXPERTS)]
@@ -55,6 +68,25 @@ def _run(kind, d, split, features, bases):
     stack = np.stack([p.reindexed(test) for p in bases])
     gate_scores_many(g, *features.rows_for(test), stack)
     return t1 - t0, time.perf_counter() - t1
+
+
+def _routing(kinds: list[str], n: int, seed: int) -> dict[str, float]:
+    """Per gate kind, the share of the sentinel corpus's test rows routed
+    to their owner."""
+    d, owner = synth.sentinel_corpus(n, experts=EXPERTS, seed=seed)
+    split = stratified_split(d, seed)
+    features = _features(d, split)
+    val = synth.sentinel_predsets(d, owner, split.val, "val", EXPERTS, seed)
+    test = synth.sentinel_predsets(d, owner, split.test, "test", EXPERTS, seed + 100)
+    stack = np.stack([p.probs for p in test])
+    owners = np.array([owner[i] for i in split.test])
+    routed = {}
+    for kind in kinds:
+        g = dgs_fit(val, split.val, d.labels_for(split.val), features,
+                    DgsConfig("hard", kind))
+        scores = gate_scores_many(g, *features.rows_for(split.test), stack)
+        routed[kind] = float((scores.argmax(axis=1) == owners).mean())
+    return routed
 
 
 def main() -> None:
@@ -78,6 +110,10 @@ def main() -> None:
                 tracemalloc.stop()
             print(f"{kind:4} {n:6d} {len(split.val):5d} {len(split.test):6d} {active:6d} "
                   f"{fit_s:8.3f} {score_s:8.3f} {peak / 2**20:8.1f}", flush=True)
+    print(f"\n{'kind':4} {'n':>6} {'routing':>8}")
+    for n in map(int, args.sizes.split(",")):
+        for kind, routed in _routing(args.kinds.split(","), n, args.seed).items():
+            print(f"{kind:4} {n:6d} {routed:8.3f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -65,6 +65,9 @@ def _is_real(val) -> bool:
 _COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
 _PATH = ("a path string", lambda v: isinstance(v, str))
 _PATH_OR_NULL = ("a path string or null", lambda v: v is None or isinstance(v, str))
+# the learners hold dims-wide arrays: at 2^24 a 16 MB mask and a 64 MB lookup
+_DIMS = ("a power of two up to 2**24",
+         lambda v: _is_int(v) and 1 <= v <= 1 << 24 and not v & (v - 1))
 
 #: config key -> (default, rule, check).  A value from a flag or from the
 #: config file must pass ``check`` as given; nothing is coerced, so a valid
@@ -77,8 +80,7 @@ _CONFIG = {
     "rounds": (10, *_COUNT),
     "meta": ("lr", "|".join(META_KINDS), lambda v: v in META_KINDS),
     "routing": ("hard", "hard|soft", lambda v: v in ("hard", "soft")),
-    "dims": (1 << 18, "a power of two",
-             lambda v: _is_int(v) and v >= 1 and not v & (v - 1)),
+    "dims": (1 << 18, *_DIMS),
     "ngram_orders": ([1, 2], "a non-empty list of integers >= 1",
                      lambda v: isinstance(v, list) and len(v) > 0
                      and all(map(_COUNT[1], v))),
@@ -240,9 +242,9 @@ class _Run:
         meta_path = fdir / "meta.json"
         if not meta_path.exists():
             raise IoError(f"{meta_path} missing; run `vulforge featurize` first")
-        meta = _read_json(meta_path, "the feature ids and dims",
+        meta = _read_json(meta_path, f"the feature ids and dims, {_DIMS[0]}",
                           lambda m: isinstance(m, dict) and _is_id_list(m.get("ids"))
-                          and _is_int(m.get("dims")) and m["dims"] >= 1)
+                          and _DIMS[1](m.get("dims")))
         arrays = []
         for name in ("indptr", "indices", "data"):
             try:
@@ -612,7 +614,7 @@ def cmd_cwe_subsets(args) -> int:
 
 def cmd_verify(args) -> int:
     from .ingest import _read_json
-    from .store import ensemble_fault
+    from .store import ensemble_fault, schema_fault
 
     out = _Run(args).out
     manifest_path = out / "manifest.json"
@@ -625,8 +627,19 @@ def cmd_verify(args) -> int:
         if not path.exists():
             failures.append(f"{rel}: missing")
             continue
-        if hashlib.sha256(path.read_bytes()).hexdigest() != rec["sha256"]:
+        blob = path.read_bytes()
+        if hashlib.sha256(blob).hexdigest() != rec["sha256"]:
             failures.append(f"{rel}: content digest mismatch")
+        elif rel.endswith(".json") and not rel.startswith(("ingest/", "ensembles/")):
+            # ingest snapshots carry no schema; ensemble_fault checks ensembles'
+            try:
+                payload = json.loads(blob)
+            except ValueError:
+                payload = None
+            fault = (schema_fault(payload.get("schema_version"))
+                     if isinstance(payload, dict) else "not a JSON object")
+            if fault:
+                failures.append(f"{rel}: {fault}")
     for edir in sorted(out.glob("ensembles/*")):
         fault = (edir / "ensemble.json").exists() and ensemble_fault(edir)
         if fault:

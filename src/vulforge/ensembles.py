@@ -458,7 +458,7 @@ def dgs_fit(base_preds_val: list[PredictionSet], val_ids, labels: np.ndarray,
     gate = meta_fit(cfg.gate_kind,
                     _gate_input(indptr, indices, data, features.dims, stacked, columns),
                     gate_targets(stacked, labels).argmax(axis=1), meta_cfg, seed,
-                    output_width=m, columns=columns, width=features.dims + m * k)
+                    output_width=m)
     return GateModel(tuple(p.model_id for p in base_preds_val), gate, cfg.routing,
                      features.dims, k, columns)
 

@@ -8,25 +8,17 @@ given (X, y, cfg, seed); the forest fits its trees in tree order, each on
 its own seed stream.
 
 Every param is an ndarray except knn's ``k``, and every predict is a batch
-operation; lr, rf and knn give each row the same bits in a batch of any
-size.  Fit and predict both reject an input holding NaN or +-inf
-with ``NonFiniteInput``.  A forest is flat node arrays: ``feature``,
+operation that gives each row the same bits in a batch of any size.  Fit
+and predict both reject an input holding NaN or +-inf with
+``NonFiniteInput``.  A forest is flat node arrays: ``feature``,
 ``threshold``, ``left``, ``right`` and ``value`` (nodes, K) hold the trees'
 nodes, each tree in preorder and the trees joined in tree order, and
 ``roots`` (T,) holds each tree's root.  A leaf is its own left and right child, so
 prediction moves all rows through all trees one depth level per step until
 none moves, then sums the leaf values in tree order.
 
-A fit may see only some columns of a wider input: ``meta_fit(..., columns,
-width)`` takes X as the columns ``columns`` of a ``width``-wide matrix that
-is zero everywhere else.  The model's input is those columns only, so a
-caller scores a row by its entries in ``columns``.  Every DGS gate uses
-this to train and score on the few hashed columns the validation rows
-touch.  lr, svm and knn fit X as it is.  The forest draws its features
-from the full width with the same RNG calls as a full-width fit and skips
-the all-zero ones (they never split), so it is the full-width forest with
-each split feature renumbered onto ``columns``.  Without ``columns`` the
-input is all of X.
+Every kind fits exactly the X it is given: the forest draws sqrt(X.shape[1])
+features a node from X's own columns.
 """
 
 from __future__ import annotations
@@ -78,33 +70,16 @@ def _check_finite(X):
                              "infinity", row=row)
 
 
-def _check_columns(X, columns, width):
-    """Resolve the columns of ``width`` that X holds: all of them if None."""
-    width = X.shape[1] if width is None else int(width)
-    if columns is None:
-        columns = np.arange(width)
-    columns = np.asarray(columns, dtype=np.int64)
-    if columns.shape != (X.shape[1],):
-        raise WidthMismatch(f"columns of shape {columns.shape} for {X.shape[1]} "
-                            "input columns")
-    if len(columns) and (columns[0] < 0 or columns[-1] >= width
-                         or (np.diff(columns) <= 0).any()):
-        raise WidthMismatch(f"columns must be strictly increasing in [0, {width})")
-    return columns, width
-
-
 def meta_fit(kind: str, X, y, cfg: MetaConfig = MetaConfig(), seed: int = 0,
-             output_width: int | None = None, columns=None,
-             width: int | None = None) -> MetaModel:
+             output_width: int | None = None) -> MetaModel:
     X, y = _check_xy(X, y)
-    columns, width = _check_columns(X, columns, width)
     k_out = output_width or int(y.max()) + 1
     if kind == "lr":
         params = _fit_lr(X, y, k_out, cfg, seed)
     elif kind == "svm":
         params = _fit_svm(X, y, k_out, cfg)
     elif kind == "rf":
-        params = _fit_rf(X, y, k_out, cfg, seed, columns, width)
+        params = _fit_rf(X, y, k_out, cfg, seed)
     elif kind == "knn":
         params = {"rows": X.copy(), "labels": y, "k": min(cfg.knn_k, X.shape[0])}
     else:
@@ -121,13 +96,13 @@ def meta_predict_many(m: MetaModel, X) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != m.input_width:
         raise WidthMismatch(f"row width {X.shape[1:]} != model input {m.input_width}")
     _check_finite(X)
-    if m.kind == "lr":
+    if m.kind in ("lr", "svm"):
         # einsum sums each row's logits on their own, so a row scores the same
         # bits in a batch of any size; a matmul of one row takes another path
-        return _kernels.softmax(np.einsum("nd,kd->nk", X, m.params["W"]) + m.params["b"])
-    if m.kind == "svm":
-        W, b = m.params["W"], m.params["b"]
-        squashed = 1.0 / (1.0 + np.exp(-(X @ W.T + b)))  # unit-scale logistic
+        logits = np.einsum("nd,kd->nk", X, m.params["W"]) + m.params["b"]
+        if m.kind == "lr":
+            return _kernels.softmax(logits)
+        squashed = 1.0 / (1.0 + np.exp(-logits))  # unit-scale logistic
         return squashed / squashed.sum(axis=1, keepdims=True)
     if m.kind == "rf":
         return _forest_predict(m.params, X)
@@ -169,14 +144,13 @@ def _fit_svm(X, y, k_out, cfg):
 # random forest (Gini trees, bootstrap rows, sqrt-width feature subsampling)
 # ---------------------------------------------------------------------------
 
-def _fit_rf(X, y, k_out, cfg, seed, columns, width):
+def _fit_rf(X, y, k_out, cfg, seed):
     trees = []
     for t in range(cfg.trees):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x43E57, t]))
         rows = rng.integers(0, X.shape[0], size=X.shape[0])
         nodes = []
-        _build_tree(X[rows], y[rows], 0, rng, k_out, cfg.max_depth, columns,
-                    width, nodes)
+        _build_tree(X[rows], y[rows], 0, rng, k_out, cfg.max_depth, nodes)
         trees.append(nodes)
     offsets = np.cumsum([0] + [len(nodes) for nodes in trees])
     rows = ((f, thr, lo + off, hi + off, v)  # node indices shifted to forest-wide
@@ -186,22 +160,17 @@ def _fit_rf(X, y, k_out, cfg, seed, columns, width):
     return {**forest, "roots": offsets[:-1]}
 
 
-def _build_tree(X, y, depth, rng, k_out, max_depth, columns, width, nodes):
-    """Grow a tree over X, the columns ``columns`` of a ``width``-wide input;
-    append its nodes to ``nodes`` in preorder and return its root's index.
-
-    Features are drawn from the full width; a draw outside ``columns`` is
-    an all-zero column, which never splits, so it is skipped.  A split
-    stores its feature as a column of X."""
+def _build_tree(X, y, depth, rng, k_out, max_depth, nodes):
+    """Grow a tree over X; append its nodes to ``nodes`` in preorder and
+    return its root's index."""
     node = len(nodes)
     counts = np.bincount(y, minlength=k_out).astype(np.float64)
     nodes.append([0, 0.0, node, node, counts / counts.sum()])  # a leaf until split
     if X.shape[0] < 2 or depth >= max_depth or (y == y[0]).all():
         return node
-    m = max(1, int(np.sqrt(width)))
-    feats = rng.choice(width, size=m, replace=False)
+    m = max(1, int(np.sqrt(X.shape[1])))
     best_g, best_c, best_thr = np.inf, -1, 0.0
-    for c in np.searchsorted(columns, feats[np.isin(feats, columns)]):
+    for c in rng.choice(X.shape[1], size=m, replace=False):
         order = np.argsort(X[:, c], kind="stable")
         vals = X[order, c]
         ys = y[order]
@@ -216,9 +185,9 @@ def _build_tree(X, y, depth, rng, k_out, max_depth, columns, width, nodes):
         return node
     nodes[node] = [best_c, best_thr, None, None, np.zeros(k_out)]
     nodes[node][2] = _build_tree(X[left], y[left], depth + 1, rng, k_out,
-                                 max_depth, columns, width, nodes)
+                                 max_depth, nodes)
     nodes[node][3] = _build_tree(X[~left], y[~left], depth + 1, rng, k_out,
-                                 max_depth, columns, width, nodes)
+                                 max_depth, nodes)
     return node
 
 

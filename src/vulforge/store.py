@@ -308,16 +308,24 @@ def save_ensemble(out_dir, e, config_echo: dict | None = None,
 _MALFORMED = (ValueError, KeyError, TypeError, AttributeError, IndexError)
 
 
+def schema_fault(version) -> str | None:
+    """Why an artifact that says ``"schema_version": version`` cannot be
+    read by this version, or None when it can."""
+    if version == SCHEMA_VERSION:
+        return None
+    return (f"unsupported schema version {version!r}; this version reads "
+            f"schema {SCHEMA_VERSION}, so rerun the command that wrote it")
+
+
 def _read(out_dir: Path) -> tuple[dict, dict]:
     """The payload of ``out_dir``'s ensemble.json and each listed sidecar's
     bytes, by name.  IoError for another schema, a config hash or sidecar
     digest that does not match; OSError for a sidecar it cannot read; one
     of ``_MALFORMED`` for a payload of the wrong shape."""
     payload = json.loads((out_dir / "ensemble.json").read_text(encoding="utf-8"))
-    version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise IoError(f"unsupported schema version {version!r}; this version reads "
-                      f"schema {SCHEMA_VERSION}, so rerun the command that wrote it")
+    fault = schema_fault(payload.get("schema_version"))
+    if fault:
+        raise IoError(fault)
     if payload["config_hash"] != config_hash(payload["config"]):
         raise IoError("config hash mismatch")
     blobs = {}

@@ -55,23 +55,16 @@ def random_feature_matrix(rng, n_rows: int, dims: int = 64) -> FeatureMatrix:
 
 
 def assert_compact_of(got, ref, columns) -> None:
-    """Assert that the meta-model ``got`` is the full-width model ``ref``
-    restricted to the sorted ``columns``: svm ``W`` and knn ``rows`` are the
-    columns of ``ref``'s, which is zero elsewhere; an rf split stores the
-    compact column of ``ref``'s feature; every other param is equal."""
+    """Assert that the svm or knn meta-model ``got`` is the full-width model
+    ``ref`` restricted to the sorted ``columns``: svm ``W`` and knn ``rows``
+    are the columns of ``ref``'s, which is zero elsewhere; every other param
+    is equal."""
     p, q = got.params, ref.params
     assert got.input_width == len(columns)
     assert p.keys() == q.keys()
-    if got.kind == "rf":
-        split = q["left"] != np.arange(len(q["left"]))  # a leaf is its own child
-        assert split.any()  # some tree splits, so the feature draws were exercised
-        assert np.array_equal(columns[p["feature"][split]], q["feature"][split])
-        assert np.array_equal(p["feature"][~split], q["feature"][~split])
-        renumbered = "feature"
-    else:
-        renumbered = "W" if got.kind in ("lr", "svm") else "rows"
-        assert np.array_equal(p[renumbered], q[renumbered][:, columns])
-        assert not np.delete(q[renumbered], columns, axis=1).any()
+    renumbered = "W" if got.kind == "svm" else "rows"
+    assert np.array_equal(p[renumbered], q[renumbered][:, columns])
+    assert not np.delete(q[renumbered], columns, axis=1).any()
     for name in q.keys() - {renumbered}:
         assert np.array_equal(p[name], q[name]), name
 

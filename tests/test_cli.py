@@ -181,9 +181,9 @@ for i in range(40):
 """
 
 
-def test_default_lr_gate_routes_planted_experts(tmp_path):
-    """`vulforge dgs --gate lr` at its defaults sends each test sample of the
-    sentinel corpus to the one expert that is right on it."""
+def _sentinel_routing(tmp_path, gate_kind):
+    """Share of the sentinel corpus's test samples that `vulforge dgs --gate
+    gate_kind` at its defaults sends to the one expert that is right on it."""
     from vulforge.ensembles import gate_scores_many
     from vulforge.ingest import load_splits
     from vulforge.learners import FeatureMatrix, write_predictions
@@ -198,8 +198,8 @@ def test_default_lr_gate_routes_planted_experts(tmp_path):
     for p in (*synth.sentinel_predsets(d, owner, s.val, "val", seed=1), *test_preds):
         write_predictions(ext, p)
     assert cli.main(["featurize", *base]) == 0
-    assert cli.main(["dgs", *base, "--external", str(ext), "--gate", "lr", "--base",
-                     ",".join(p.model_id for p in test_preds)]) == 0
+    assert cli.main(["dgs", *base, "--external", str(ext), "--gate", gate_kind,
+                     "--base", ",".join(p.model_id for p in test_preds)]) == 0
 
     gate = store.load_ensemble(out / "ensembles" / "dgs_hard")
     fdir = out / "features"
@@ -208,8 +208,18 @@ def test_default_lr_gate_routes_planted_experts(tmp_path):
                                for name in ("indptr", "indices", "data")), gate.dims)
     scores = gate_scores_many(gate, *features.rows_for(s.test),
                               np.stack([p.probs for p in test_preds]))
-    routed = scores.argmax(axis=1) == np.array([owner[sid] for sid in s.test])
-    assert routed.mean() >= 0.95, f"routing accuracy {routed.mean()}"
+    return (scores.argmax(axis=1) == np.array([owner[sid] for sid in s.test])).mean()
+
+
+def test_default_lr_gate_routes_planted_experts(tmp_path):
+    routed = _sentinel_routing(tmp_path, "lr")
+    assert routed >= 0.95, f"routing accuracy {routed}"
+
+
+def test_rf_gate_routes_planted_experts(tmp_path):
+    # the forest draws its features from the gate input's own columns
+    routed = _sentinel_routing(tmp_path, "rf")
+    assert routed >= 0.95, f"routing accuracy {routed}"
 
 
 def test_concurrent_commands_keep_every_manifest_entry(tmp_path):
@@ -483,6 +493,44 @@ class TestExitCodes:
             "schema 4, so rerun the command that wrote it"]
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("rel,payload", [
+        ("report_bagging_soft.json", 3),
+        ("splits.json", 3),
+        ("features/meta.json", None),
+        ("report_bagging_soft.json", "[4]"),
+    ], ids=["report", "splits", "meta-without-schema", "not-an-object"])
+    def test_verify_names_the_schema_of_every_json_artifact(self, rel, payload,
+                                                             tmp_path, capsys):
+        # a JSON artifact at another schema, its manifest digest intact
+        data = tmp_path / "d.jsonl"
+        _write_dataset(data, synth.separable_corpus(100, seed=0))
+        out = tmp_path / "out"
+        base = ["--dataset", str(data), "--out", str(out)]
+        assert cli.main(["split", *base]) == 0
+        assert cli.main(["featurize", *base, "--dims", "1024"]) == 0
+        assert cli.main(["bag", *base, *LEARN, "--members", "2"]) == 0
+        if isinstance(payload, str):
+            blob = payload.encode()
+        else:
+            loaded = json.loads((out / rel).read_text())
+            if payload is None:
+                del loaded["schema_version"]
+            else:
+                loaded["schema_version"] = payload
+            blob = (json.dumps(loaded, indent=1, sort_keys=True) + "\n").encode()
+        (out / rel).write_bytes(blob)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest[rel]["sha256"] = hashlib.sha256(blob).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert cli.main(["verify", *base]) == 2
+        captured = capsys.readouterr()
+        fault = ("not a JSON object" if isinstance(payload, str) else
+                 f"unsupported schema version {payload!r}; this version reads "
+                 "schema 4, so rerun the command that wrote it")
+        assert captured.out.splitlines() == [f"FAIL {rel}: {fault}"]
+        assert "Traceback" not in captured.err
+
 
 # Bad values of a setting, each as a flag and as a config-file value where
 # both exist: (argv, config, exit code, message).  A config dict is written
@@ -508,6 +556,10 @@ _BAD_INPUTS = {
                          "l2 must be a finite number >= 0"),
     "l2-config-negative": (["train-base", "--model-id", "m"], {"l2": -5}, 2,
                            "l2 must be a finite number >= 0"),
+    "dims-flag-2-25": (["featurize", "--dims", str(1 << 25)], None, 2,
+                       "dims must be a power of two up to 2**24, got 33554432"),
+    "dims-config-2-25": (["featurize"], {"dims": 1 << 25}, 2,
+                         "dims must be a power of two up to 2**24, got 33554432"),
     "dataset-config": (["split"], {"dataset": 5}, 2, "dataset must be a path"),
     "out-config": (["split"], {"out": None}, 2, "out must be a path"),
     "workers-flag": (["bag", "--workers", "0"], None, 2, "workers must be an integer"),
@@ -647,6 +699,10 @@ _UNSAFE_INPUTS = {
                            {"features/meta.json": json.dumps(
                                {"ids": [f"x{i}" for i in range(100)], "dims": 1024})},
                            3, "does not cover"),
+    "features-meta-too-wide": (["train-base", "--model-id", "m"],
+                               {"features/meta.json": json.dumps(
+                                   {"ids": [], "dims": 1 << 25})},
+                               3, "dims, a power of two up to 2**24"),
     "features-meta-empty": (["train-base", "--model-id", "m"],
                             {"features/meta.json": "{}"}, 3, "meta.json"),
     "features-not-npy": (["train-base", "--model-id", "m"],

@@ -60,6 +60,7 @@ from vulforge.metamodels import (
     meta_fit,
     meta_predict_many,
 )
+from vulforge.store import load_ensemble, save_ensemble
 
 
 class TestCombiners:
@@ -495,7 +496,7 @@ class TestGateScoresMany:
         got = gate_scores_many(g, *feats.rows_for(test), stack)
         assert np.array_equal(got, _ref_scores(g, feats, test, stack))
 
-    @pytest.mark.parametrize("kind", ["lr", "rf", "knn"])
+    @pytest.mark.parametrize("kind", ["lr", "rf", "knn", "svm"])
     @pytest.mark.parametrize("routing", ["hard", "soft"])
     def test_single_sample_is_a_batch_of_one(self, kind, routing, separable):
         d, feats = separable
@@ -533,10 +534,11 @@ def _full_width_gate(kind, bases, val, labels, feats, meta_cfg, seed=0):
 
 class TestDenseGateActiveColumns:
     """Dense gates fit and score on the columns the validation rows touch;
-    the model is the fit on the full 2^dims + M*K wide input, restricted to
-    those columns."""
+    an svm or knn gate is the fit on the full 2^dims + M*K wide input,
+    restricted to those columns, and an rf gate is the forest on the
+    touched columns themselves."""
 
-    @pytest.mark.parametrize("kind", ["svm", "rf", "knn"])
+    @pytest.mark.parametrize("kind", ["svm", "knn"])
     def test_matches_full_width_reference(self, kind):
         rng = np.random.default_rng(11)
         feats = random_feature_matrix(rng, 90, dims=1024)
@@ -557,14 +559,37 @@ class TestDenseGateActiveColumns:
         stack = np.stack([p.probs for p in test_bases])
         got = gate_scores_many(g, *feats.rows_for(test), stack)
         want = gate_scores_many(full, *feats.rows_for(test), stack)
-        if kind == "rf":
-            assert np.array_equal(got, want)
-        else:  # svm sums over fewer columns; knn drops a per-row constant
-            assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
-            assert np.allclose(got, want, rtol=0.0, atol=16 * np.finfo(np.float64).eps)
+        # svm sums over fewer columns; knn drops a per-row constant
+        assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+        assert np.allclose(got, want, rtol=0.0, atol=16 * np.finfo(np.float64).eps)
         hard = [dgs_predict_set(replace(h, routing="hard"), test_bases, test, feats,
                                 "test").probs for h in (g, full)]
         assert np.array_equal(*hard)
+
+    def test_rf_gate_is_the_forest_on_its_columns(self, tmp_path):
+        rng = np.random.default_rng(11)
+        feats = random_feature_matrix(rng, 90, dims=1024)
+        labels = rng.integers(0, 2, 90)
+        val = feats.ids[:50]
+        bases = _random_bases(rng, val, 3, 2, "val")
+        cfg = MetaConfig(trees=20)
+        g = dgs_fit(bases, val, labels[:50], feats, DgsConfig("hard", "rf"),
+                    meta_cfg=cfg, seed=4)
+        stack = np.stack([p.reindexed(val) for p in bases])
+        ref = meta_fit("rf", _gate_input(*feats.rows_for(val), feats.dims, stack,
+                                         g.columns),
+                       gate_targets(stack, labels[:50]).argmax(axis=1), cfg, 4,
+                       output_width=3)
+        save_ensemble(tmp_path, g)
+        saved = load_ensemble(tmp_path).gate
+        assert saved.input_width == ref.input_width == len(g.columns)
+        assert saved.params.keys() == ref.params.keys()
+        for name, value in ref.params.items():
+            assert saved.params[name].dtype == value.dtype, name
+            assert np.array_equal(saved.params[name], value), name
+        # every tree splits: its features are drawn from the touched columns
+        split = ref.params["left"] != np.arange(len(ref.params["left"]))
+        assert split[ref.params["roots"]].all()
 
     @pytest.mark.parametrize("kind", META_KINDS)
     def test_memory_is_a_fraction_of_the_dense_input(self, kind):

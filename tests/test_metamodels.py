@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_compact_of
 from vulforge import _kernels
 from vulforge.errors import EmptyTrainingSet, NonFiniteInput, WidthMismatch
 from vulforge.metamodels import (
@@ -56,10 +55,7 @@ class TestAllKinds:
         X, y = _blobs(30)
         m = meta_fit(kind, X, y)
         single = np.vstack([meta_predict(m, x) for x in X])
-        if kind == "svm":  # a matmul of one row sums in another order
-            assert np.allclose(single, meta_predict_many(m, X))
-        else:
-            assert np.array_equal(single, meta_predict_many(m, X))
+        assert np.array_equal(single, meta_predict_many(m, X))
 
     def test_width_mismatch(self, kind):
         X, y = _blobs(30)
@@ -345,72 +341,36 @@ def _wide(width=16, columns=(2, 5, 9, 13)):
     X[:, 3] = X[:, 0]  # equal Gini on two columns: the first drawn must win
     full = np.zeros((X.shape[0], width))
     full[:, list(columns)] = X
-    return X, full, y, np.array(columns)
+    return X, full, y
 
 
 class TestColumns:
-    """meta_fit on the nonzero columns of a wider input is the fit on the
-    full-width input, restricted to those columns."""
-
-    @pytest.mark.parametrize("kind", ["svm", "rf", "knn"])
-    def test_matches_full_width_fit(self, kind):
-        X, full, y, columns = _wide()
-        cfg = MetaConfig(trees=20, epochs=50)
-        got = meta_fit(kind, X, y, cfg, seed=3, columns=columns, width=full.shape[1])
-        ref = meta_fit(kind, full, y, cfg, seed=3)
-        assert ref.input_width == full.shape[1]
-        assert_compact_of(got, ref, columns)
-        if kind == "svm":  # sums over fewer columns may round differently
-            assert np.allclose(meta_predict_many(got, X), meta_predict_many(ref, full),
-                               rtol=0.0, atol=16 * np.finfo(np.float64).eps)
-        else:
-            assert np.array_equal(meta_predict_many(got, X),
-                                  meta_predict_many(ref, full))
+    """Every meta-model fits exactly the matrix it is given, all-zero columns
+    included."""
 
     @pytest.mark.parametrize("compact", [False, True])
     def test_forest_matches_whole_matrix_builder(self, compact):
-        # the tree builder that scanned every drawn column of the full matrix
-        X, full, y, columns = _wide()
+        # the tree builder that scans every drawn column of the matrix it is given
+        X, full, y = _wide()
+        if not compact:
+            X = full
         cfg = MetaConfig(trees=20)
-        m = (meta_fit("rf", X, y, cfg, seed=6, columns=columns, width=16) if compact
-             else meta_fit("rf", full, y, cfg, seed=6))
+        m = meta_fit("rf", X, y, cfg, seed=6)
         ref = []
         for t in range(cfg.trees):
             rng = np.random.default_rng(np.random.SeedSequence([6, 0x43E57, t]))
-            rows = rng.integers(0, full.shape[0], size=full.shape[0])
-            ref.append(_ref_build_tree(full[rows], y[rows], 0, rng, 2, cfg.max_depth))
+            rows = rng.integers(0, X.shape[0], size=X.shape[0])
+            ref.append(_ref_build_tree(X[rows], y[rows], 0, rng, 2, cfg.max_depth))
         flat = _ref_flatten(ref, 2)
-        split = _split_nodes(flat)
-        if compact:  # split features are renumbered onto the compact columns
-            flat["feature"][split] = np.searchsorted(columns, flat["feature"][split])
         assert m.params.keys() == flat.keys()
         for name, value in flat.items():
             assert m.params[name].dtype == value.dtype, name
             assert np.array_equal(m.params[name], value), name
-        assert split.any()
-        want = np.zeros((full.shape[0], 2))
+        assert _split_nodes(flat).any()
+        want = np.zeros((X.shape[0], 2))
         for tree in ref:
-            want += _ref_tree_predict(tree, full, 2)
-        assert np.array_equal(meta_predict_many(m, X if compact else full),
-                              want / len(ref))
-
-    def test_lr_matches_up_to_rounding(self):
-        X, full, y, columns = _wide()
-        cfg = MetaConfig(epochs=50)
-        got = meta_fit("lr", X, y, cfg, columns=columns, width=full.shape[1])
-        ref = meta_fit("lr", full, y, cfg)
-        assert np.allclose(got.params["W"], ref.params["W"][:, columns],
-                           rtol=1e-12, atol=1e-12)
-        assert not np.delete(ref.params["W"], columns, axis=1).any()
-
-    @pytest.mark.parametrize("columns", [[5, 2, 9, 13], [2, 5, 5, 13], [-1, 2, 5, 9],
-                                         [2, 5, 9, 16], [2, 5, 9]],
-                             ids=["unsorted", "repeated", "negative", "past-width",
-                                  "too-few"])
-    def test_bad_columns_rejected(self, columns):
-        X, _, y, _ = _wide()
-        with pytest.raises(WidthMismatch):
-            meta_fit("svm", X, y, MetaConfig(epochs=1), columns=columns, width=16)
+            want += _ref_tree_predict(tree, X, 2)
+        assert np.array_equal(meta_predict_many(m, X), want / len(ref))
 
     @pytest.mark.parametrize("kind", ["lr", "svm", "knn"])
     def test_params_are_arrays(self, kind):
