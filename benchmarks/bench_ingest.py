@@ -14,13 +14,12 @@ microseconds per row, for:
   from the snapshot, then validate it);
 - ``make_prediction_set``: validation of the same rows from an id -> list
   mapping, without the file;
-- ``load_dataset``: the parse of the dataset file, a first read through
-  ``Snapshots`` and a snapshot hit.
+- ``load_dataset``: the parse of the dataset file.
 
 Last, for ``paired_cwe_corpus`` datasets of 12,800 and 128,000 samples,
-a snapshot hit as a label-only command reads
-it (ids and labels; the code stays in the snapshot) and as a full read
-(the same, then ``.samples``): best-of-three milliseconds, and the
+the read of a label-only command, ``load_splits`` of the splits.json that
+``vulforge split`` writes and the ``labelled`` dataset made from it, and
+the parse of the dataset file: best-of-three milliseconds, and the
 megabytes the result holds and the read's peak, both under
 ``tracemalloc``.
 
@@ -31,8 +30,11 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
+import logging
 import tempfile
 import time
 import tracemalloc
@@ -40,15 +42,15 @@ from pathlib import Path
 
 import numpy as np
 
-from vulforge import synth
+from vulforge import cli, synth
 from vulforge.core import make_prediction_set
-from vulforge.ingest import Snapshots, load_dataset
+from vulforge.ingest import Snapshots, load_dataset, load_splits
 from vulforge.learners import ingest_predictions
 
 K = 9
 CWES = 8
 REPEATS = 3
-#: pairs per CWE of the label-only and full reads: 12,800 and 128,000 samples
+#: pairs per CWE of the label-only reads and parses: 12,800 and 128,000 samples
 LABEL_ONLY_PAIRS = (800, 8000)
 
 
@@ -103,23 +105,23 @@ def _ms_held_and_peak_mb(fn) -> tuple[float, float, float]:
     return best * 1e3, held / 1e6, peak / 1e6
 
 
-def _label_only_and_full(pairs: int, seed: int) -> tuple[int, tuple, tuple]:
-    """(samples, label-only (ms, MB held, MB peak), full (the same)) for a
-    snapshot hit of a ``paired_cwe_corpus`` with ``pairs`` pairs per CWE."""
+def _label_only_and_parse(pairs: int, seed: int) -> tuple[int, tuple, tuple]:
+    """(samples, label-only read (ms, MB held, MB peak), parse (the same))
+    of a ``paired_cwe_corpus`` with ``pairs`` pairs per CWE."""
     d = synth.paired_cwe_corpus({f"CWE-{100 + 7 * i}": pairs for i in range(CWES)},
                                 seed=seed)
     n = len(d)
     with tempfile.TemporaryDirectory() as tmp:
-        data = Path(tmp) / "data.jsonl"
+        data, out = Path(tmp) / "data.jsonl", Path(tmp) / "out"
         _write_corpus(data, d)
         del d
-        snaps = Snapshots(Path(tmp) / "snapshots")
-        load_dataset(data, "multiclass", snapshots=snaps)
-        label_only = _ms_held_and_peak_mb(
-            lambda: load_dataset(data, "multiclass", snapshots=snaps))
-        full = _ms_held_and_peak_mb(lambda: (lambda x: (x, x.samples))(
-            load_dataset(data, "multiclass", snapshots=snaps)))
-    return n, label_only, full
+        with contextlib.redirect_stdout(io.StringIO()):  # split's summary line
+            assert cli.main(["split", "--dataset", str(data), "--schema", "multiclass",
+                             "--out", str(out), "--seed", str(seed)]) == 0
+        label_only = _ms_held_and_peak_mb(lambda: (lambda s: (s, s.labelled("data")))(
+            load_splits(out / "splits.json")))
+        parse = _ms_held_and_peak_mb(lambda: load_dataset(data, "multiclass"))
+    return n, label_only, parse
 
 
 def main() -> None:
@@ -146,9 +148,6 @@ def main() -> None:
         data = tmp / "data.jsonl"
         _write_corpus(data, d)
         parse = _best_us_per_row(lambda: load_dataset(data, "multiclass"), len(d))
-        data_first, data_hit = _snapshot_timings(
-            lambda snaps: load_dataset(data, "multiclass", snapshots=snaps),
-            tmp / "data_snapshots", len(d))
     make = _best_us_per_row(
         lambda: make_prediction_set("ext", "val", rows), args.rows)
     print(f"rows={args.rows} K={K} seed={args.seed} best of {REPEATS}")
@@ -158,14 +157,13 @@ def main() -> None:
     print(f"make_prediction_set             {make:7.2f} us/row")
     print(f"load_dataset, paired_cwe_corpus {len(d)} samples")
     print(f"  parse                         {parse:7.2f} us/row")
-    print(f"  first read through snapshots  {data_first:7.2f} us/row")
-    print(f"  snapshot hit                  {data_hit:7.2f} us/row")
-    print("snapshot hit, label-only against full (ms, MB held / MB peak)")
+    print("load_splits + labelled against the parse (ms, MB held / MB peak)")
+    logging.disable(logging.INFO)  # split's log lines
     for pairs in LABEL_ONLY_PAIRS:
         n, (lo_ms, lo_mb, lo_peak), (full_ms, full_mb, full_peak) = \
-            _label_only_and_full(pairs, args.seed)
+            _label_only_and_parse(pairs, args.seed)
         print(f"  {n:7d} samples  label-only {lo_ms:7.1f} ms {lo_mb:6.1f} / {lo_peak:6.1f} MB"
-              f"   full {full_ms:7.1f} ms {full_mb:6.1f} / {full_peak:6.1f} MB")
+              f"   parse {full_ms:7.1f} ms {full_mb:6.1f} / {full_peak:6.1f} MB")
 
 
 if __name__ == "__main__":

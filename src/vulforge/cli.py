@@ -187,9 +187,13 @@ class _Run:
     out/manifest.json under the config hash.
 
     Inputs load in pipeline order (dataset, splits, features), so a missing
-    one is reported before any input built from it.  The dataset and the
-    prediction files are read through the snapshots in out/ingest/, so each
-    file's bytes are parsed once per --out."""
+    one is reported before any input built from it.  Only ``split``,
+    ``featurize`` and ``cwe-subsets`` parse the --dataset file
+    (``dataset``).  Every other command takes the split ids and their labels
+    from splits.json (``labelled``), which must have been written for the
+    same dataset bytes and --schema.  Prediction files are read through the
+    snapshots in out/ingest/, so each file's bytes are parsed once per
+    --out."""
 
     def __init__(self, args: argparse.Namespace):
         from .store import config_hash
@@ -206,29 +210,42 @@ class _Run:
         return Snapshots(self.out / "ingest", write=self.emit)
 
     @cached_property
-    def dataset(self) -> Dataset:
-        from .ingest import load_dataset
-
+    def dataset_path(self) -> Path:
         if not self.cfg["dataset"]:
             raise ConfigError("no dataset given (--dataset or config file)")
         path = Path(self.cfg["dataset"])
         if not path.exists():
             raise IoError(f"dataset file {path} does not exist")
-        return load_dataset(path, self.cfg["schema"], snapshots=self.snapshots)
+        return path
+
+    @cached_property
+    def dataset_sha256(self) -> str:
+        from .ingest import file_sha256
+
+        with self.dataset_path.open("rb") as fh:
+            return file_sha256(fh)
+
+    @cached_property
+    def dataset(self) -> Dataset:
+        """The parsed --dataset file, code included."""
+        from .ingest import load_dataset
+
+        return load_dataset(self.dataset_path, self.cfg["schema"])
 
     @cached_property
     def splits(self) -> SplitIndices:
         from .ingest import load_splits
 
-        _ = self.dataset
+        sha256 = self.dataset_sha256
         path = self.out / "splits.json"
         if not path.exists():
             raise IoError(f"{path} missing; run `vulforge split` first")
-        s = load_splits(path)
-        d = self.dataset
-        if not all(sid in d for sid in (*s.train, *s.val, *s.test)):
-            raise IoError(f"{path} names samples that are not in the dataset")
-        return s
+        return load_splits(path, dataset_sha256=sha256, schema=self.cfg["schema"])
+
+    @cached_property
+    def labelled(self) -> Dataset:
+        """The split ids and their labels, from splits.json; no code."""
+        return self.splits.labelled(self.dataset_path.stem)
 
     @cached_property
     def features(self) -> FeatureMatrix:
@@ -315,7 +332,7 @@ class _Run:
         """Score ``pred`` on ``ids`` and emit report_<name>.json and .csv."""
         from . import metrics
 
-        d = self.dataset
+        d = self.labelled
         labels, truth = pred.reindexed(ids).argmax(axis=1), d.labels_for(ids)
         report = (metrics.binary_metrics(labels, truth) if d.class_count == 2
                   else metrics.weighted_metrics(labels, truth, d.class_count))
@@ -352,8 +369,7 @@ def cmd_split(args) -> int:
 
     run = _Run(args)
     s = stratified_split(run.dataset, run.cfg["seed"])
-    run.emit_json(run.out / "splits.json", {"seed": s.seed, "train": list(s.train),
-                                            "val": list(s.val), "test": list(s.test)})
+    run.emit_json(run.out / "splits.json", s.to_dict(run.cfg["schema"], run.dataset_sha256))
     print(f"split: train={len(s.train)} val={len(s.val)} test={len(s.test)}")
     return 0
 
@@ -383,7 +399,7 @@ def cmd_train_base(args) -> int:
     run = _Run(args)
     model_id = _model_id("--model-id", args.model_id)
     s = run.splits
-    model = fit_builtin(run.dataset, s.train, SampleWeights.uniform(s.train),
+    model = fit_builtin(run.labelled, s.train, SampleWeights.uniform(s.train),
                         run.learner, run.features)
     for split in ("train", "val", "test"):
         ids = s.for_split(split)
@@ -407,7 +423,7 @@ def cmd_bag(args) -> int:
                                                args.mode)
         pred = ensembles.bagging_predict_set(e, run.splits.test, None, "test", name)
     else:
-        d, s, fm = run.dataset, run.splits, run.features
+        d, s, fm = run.labelled, run.splits, run.features
         plan = bootstrap(d, s, run.cfg["members"], run.cfg["seed"])
         spec = BaseLearnerSpec("builtin_linear", name, run.learner)
         e = ensembles.bagging_fit(spec, plan, d, args.mode, fm)
@@ -423,17 +439,17 @@ def cmd_boost(args) -> int:
     from .learners import BaseLearnerSpec, ingest_round_predictions
 
     run = _Run(args)
-    d, s = run.dataset, run.splits
+    d, s = run.labelled, run.splits
     weight_log: list = []
     if run.cfg["external"]:
         root = Path(run.cfg["external"])
         e = ensembles.adaboost_fit_external(root, d, s.train, run.cfg["rounds"],
                                             args.vote_mode)
-        # test-split votes come from each round's preds_test protocol file
-        e_test = replace(e, rounds=tuple(
+        # each round votes, and is saved, with its preds_test protocol file
+        e = replace(e, rounds=tuple(
             replace(r, model=ingest_round_predictions(root, r.t, "test", s.test))
             for r in e.rounds))
-        pred = ensembles.adaboost_predict_set(e_test, s.test, None, "test")
+        pred = ensembles.adaboost_predict_set(e, s.test, None, "test")
     else:
         spec = BaseLearnerSpec("builtin_linear", "boosting", run.learner)
         bcfg = ensembles.BoostConfig(run.cfg["rounds"], args.weight_mode, args.vote_mode)
@@ -459,7 +475,7 @@ def cmd_stack(args) -> int:
 
     run = _Run(args)
     base_ids = _base_ids(args, "stacking")
-    d, s = run.dataset, run.splits
+    d, s = run.labelled, run.splits
     name = f"stacking_{run.cfg['meta']}"
     if args.oof:
         if not 2 <= args.folds <= len(s.train):
@@ -486,7 +502,7 @@ def cmd_dgs(args) -> int:
 
     run = _Run(args)
     base_ids = _base_ids(args, "dgs")
-    d, s, fm = run.dataset, run.splits, run.features
+    d, s, fm = run.labelled, run.splits, run.features
     name = f"dgs_{run.cfg['routing']}"
     gate = ensembles.dgs_fit(
         run.predictions(base_ids, "val"), s.val, d.labels_for(s.val), fm,
@@ -563,7 +579,7 @@ def cmd_overlap(args) -> int:
 
     run = _Run(args)
     ids = run.splits.for_split(args.split)
-    truth = run.dataset.labels_for(ids)
+    truth = run.labelled.labels_for(ids)
     sets = [{sid for sid, ok in zip(ids, p.reindexed(ids).argmax(axis=1) == truth) if ok}
             for p in run.predictions(_model_ids("--preds", args.preds), args.split)]
     regions = metrics.overlap_regions(sets)
@@ -580,7 +596,7 @@ def cmd_divergence(args) -> int:
     run = _Run(args)
     ids = run.splits.for_split(args.split)
     preds = run.predictions(_model_ids("--preds", args.preds), args.split)
-    truth = {sid: int(lbl) for sid, lbl in zip(ids, run.dataset.labels_for(ids))}
+    truth = {sid: int(lbl) for sid, lbl in zip(ids, run.labelled.labels_for(ids))}
     report = metrics.divergence(preds, truth)
     metrics.write_divergence_csv(run.out / "divergence.csv", report, write=run.emit_csv)
     run.emit_json(run.out / "divergence.json", report.to_dict())
@@ -613,7 +629,7 @@ def cmd_cwe_subsets(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .ingest import _read_json
+    from .ingest import _read_json, load_splits
     from .store import ensemble_fault, schema_fault
 
     out = _Run(args).out
@@ -638,6 +654,11 @@ def cmd_verify(args) -> int:
                 payload = None
             fault = (schema_fault(payload.get("schema_version"))
                      if isinstance(payload, dict) else "not a JSON object")
+            if not fault and rel == "splits.json":
+                try:
+                    load_splits(path)
+                except IoError as exc:
+                    fault = str(exc)
             if fault:
                 failures.append(f"{rel}: {fault}")
     for edir in sorted(out.glob("ensembles/*")):

@@ -1,20 +1,21 @@
 """Corpus loading, stratified 8:1:1 splits, bootstrap plans, CWE subsets,
-and ingest snapshots.
+and the snapshot store for prediction files.
 
 File formats:
   dataset.jsonl  one record per line:
       {"id": str, "code": str, "label": int, "cwe": str|null, "pair_id": str|null}
-  splits.json    {"seed": int, "train": [ids], "val": [ids], "test": [ids]}
+  splits.json    {"seed": int, "train": [ids], "val": [ids], "test": [ids],
+                  "labels": {"train": [ints], "val": [ints], "test": [ints]},
+                  "class_count": int, "schema": "binary"|"multiclass",
+                  "dataset_sha256": str}
 
-A ``Snapshots`` directory keeps what a reader parsed from an input file,
-named by the sha256 of the file's bytes, so a later command that reads the
-same bytes rebuilds the result without parsing them again.  A dataset
-snapshot is two files: ``<sha256>.<schema>.code`` holds the code strings
-as one UTF-8 blob (lone surrogates kept by ``surrogatepass``), and
-``<sha256>.<schema>.json`` holds K, the ids, labels, cwe and pair_id
-fields, and each code string's length in bytes, as compact JSON.  A
-dataset read from its snapshot takes its columns from the JSON and leaves
-its code in the blob until code is asked for.
+``splits.json`` carries each split id's label, K, the schema and the
+sha256 of the dataset file it was split from, so a command that needs only
+ids and labels reads it (``SplitIndices.labelled``) and never the dataset.
+
+A ``Snapshots`` directory keeps the raw probs a reader parsed from a
+prediction file, named by the sha256 of the file's bytes, so a later
+command that reads the same bytes rebuilds them without parsing again.
 
 numpy is imported inside the functions that use it, so a command that only
 reads and writes JSON (``verify``) runs without it.
@@ -22,12 +23,9 @@ reads and writes JSON (``verify``) runs without it.
 
 from __future__ import annotations
 
-import codecs
 import hashlib
-import io
 import json
 import logging
-import mmap
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -60,77 +58,35 @@ class Sample(NamedTuple):
     pair_id: str | None = None
 
 
-class _CodeBlob:
-    """The code column of a dataset snapshot: its ``.code`` file, mapped
-    read-only, and each string's byte offsets.  Iterating decodes each
-    string from its own slice of the map; until then none of the file's
-    pages is read into the process."""
-
-    def __init__(self, blob, offsets: np.ndarray):
-        self._blob = blob
-        self._offsets = offsets
-
-    @classmethod
-    def open(cls, path: Path, offsets: np.ndarray) -> _CodeBlob | None:
-        """The blob in ``path``, or None unless the file is as long as
-        ``offsets`` says, is UTF-8 (lone surrogates allowed) and each string
-        starts on a character.  The check reads the file in 64 KiB chunks
-        and keeps no decoded text, so it adds little to the peak of a
-        label-only read."""
-        import numpy as np
-
-        size = int(offsets[-1])
-        starts = offsets[:-1][offsets[:-1] < size]
-        utf8 = codecs.getincrementaldecoder("utf-8")("surrogatepass")
-        with path.open("rb") as fh:
-            if os.fstat(fh.fileno()).st_size != size:
-                return None
-            pos = 0
-            while chunk := fh.read(1 << 16):
-                lo, hi = np.searchsorted(starts, (pos, pos + len(chunk)))
-                lead = np.frombuffer(chunk, np.uint8)[starts[lo:hi] - pos]
-                if ((lead & 0xC0) == 0x80).any():  # a string starts mid-character
-                    return None
-                pos += len(chunk)
-                utf8.decode(chunk)  # raises on bytes that are not UTF-8
-            utf8.decode(b"", final=True)
-            # an empty file cannot be mapped
-            return cls(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b"",
-                       offsets)
-
-    def __iter__(self):
-        blob, bounds = self._blob, self._offsets.tolist()
-        return (blob[start:end].decode("utf-8", "surrogatepass")
-                for start, end in zip(bounds, bounds[1:]))
-
-
 class Dataset:
     """A corpus as columns, one entry per sample in file order: ``ids``,
-    ``labels``, ``cwes``, ``pair_ids``, and the code.  The code is either
-    the strings or a snapshot's code file, decoded when code is first asked
-    for (``codes``, ``samples``, ``by_id``), so a command that reads only
-    ids and labels never holds the source text.
+    ``labels``, ``cwes``, ``pair_ids``, and the code.
 
     ``Dataset(samples, class_count, name)`` builds the columns from
-    ``Sample`` rows; ``samples`` gives them back."""
+    ``Sample`` rows; ``samples`` gives them back.  ``from_columns`` builds
+    them from the columns, and without ``code`` makes a dataset of ids and
+    labels alone (cwe and pair_id null), which raises when code is asked
+    for (``codes``, ``samples``, ``by_id``)."""
 
     def __init__(self, samples, class_count: int, name: str):
-        self._fill(class_count, name, *(tuple(zip(*samples)) or ((),) * 5))
+        ids, code, labels, cwes, pair_ids = tuple(zip(*samples)) or ((),) * 5
+        self._fill(class_count, name, ids, labels, code, cwes, pair_ids)
 
     @classmethod
-    def from_columns(cls, class_count: int, name: str, ids, code, labels, cwes,
-                     pair_ids) -> Dataset:
+    def from_columns(cls, class_count: int, name: str, ids, labels, code=None,
+                     cwes=None, pair_ids=None) -> Dataset:
         d = cls.__new__(cls)
-        d._fill(class_count, name, ids, code, labels, cwes, pair_ids)
+        d._fill(class_count, name, ids, labels, code, cwes, pair_ids)
         return d
 
-    def _fill(self, class_count, name, ids, code, labels, cwes, pair_ids) -> None:
+    def _fill(self, class_count, name, ids, labels, code, cwes, pair_ids) -> None:
         self.class_count, self.name = class_count, name
         self.ids: tuple[str, ...] = tuple(ids)
         self.labels: tuple[int, ...] = tuple(labels)
-        self.cwes: tuple[str | None, ...] = tuple(cwes)
-        self.pair_ids: tuple[str | None, ...] = tuple(pair_ids)
-        self._code = code if isinstance(code, _CodeBlob) else tuple(code)
+        null = (None,) * len(self.ids)
+        self.cwes: tuple[str | None, ...] = null if cwes is None else tuple(cwes)
+        self.pair_ids: tuple[str | None, ...] = null if pair_ids is None else tuple(pair_ids)
+        self._code: tuple[str, ...] | None = None if code is None else tuple(code)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -139,9 +95,9 @@ class Dataset:
         if not isinstance(other, Dataset):
             return NotImplemented
         return ((self.class_count, self.name, self.ids, self.labels, self.cwes,
-                 self.pair_ids, self.codes)
+                 self.pair_ids, self._code)
                 == (other.class_count, other.name, other.ids, other.labels, other.cwes,
-                    other.pair_ids, other.codes))
+                    other.pair_ids, other._code))
 
     def __repr__(self) -> str:
         return f"Dataset({self.name!r}, {len(self)} samples, K={self.class_count})"
@@ -155,8 +111,8 @@ class Dataset:
 
     @property
     def codes(self) -> tuple[str, ...]:
-        if isinstance(self._code, _CodeBlob):
-            self._code = tuple(self._code)
+        if self._code is None:
+            raise ValueError(f"{self!r} holds ids and labels, not code")
         return self._code
 
     @property
@@ -179,15 +135,36 @@ class Dataset:
         return dict(Counter(self.labels))
 
 
+SPLITS = ("train", "val", "test")
+
+
 @dataclass(frozen=True)
 class SplitIndices:
+    """The three splits' ids, the seed that drew them, and ``labels``, the
+    labels of the train, val and test ids, of ``class_count`` classes."""
+
     train: tuple[str, ...]
     val: tuple[str, ...]
     test: tuple[str, ...]
     seed: int
+    labels: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    class_count: int
 
     def for_split(self, split: str) -> tuple[str, ...]:
         return {"train": self.train, "val": self.val, "test": self.test}[split]
+
+    def to_dict(self, schema: str, dataset_sha256: str) -> dict:
+        """The splits.json payload of these splits of the dataset file whose
+        bytes hash to ``dataset_sha256``, read under ``schema``."""
+        return {"seed": self.seed, **{split: list(self.for_split(split)) for split in SPLITS},
+                "labels": dict(zip(SPLITS, map(list, self.labels))),
+                "class_count": self.class_count, "schema": schema,
+                "dataset_sha256": dataset_sha256}
+
+    def labelled(self, name: str) -> Dataset:
+        """The split ids and their labels as a Dataset without code."""
+        return Dataset.from_columns(self.class_count, name,
+                                    self.train + self.val + self.test, sum(self.labels, ()))
 
 
 @dataclass(frozen=True)
@@ -218,8 +195,8 @@ def _atomic_write_chunks(path: Path, chunks) -> None:
 @dataclass(frozen=True)
 class Snapshots:
     """Where readers keep what they parsed: the directory ``root``, one
-    snapshot per input file's sha256, each file stored through
-    ``write(path, blob)``, by default the atomic writer.
+    snapshot per input file's sha256 (``file_sha256``), each file stored
+    through ``write(path, blob)``, by default the atomic writer.
 
     A reader given a ``Snapshots`` rebuilds its result from a snapshot of
     its input's bytes when it has a usable one.  Otherwise it parses the
@@ -231,17 +208,18 @@ class Snapshots:
     root: Path
     write: Callable[[Path, bytes], None] = _atomic_write
 
-    def key(self, fh, *tags: str) -> str:
-        """The sha256 of the bytes of the binary file ``fh``, read in 1 MiB
-        chunks, then ``tags``, joined by dots; ``fh`` is left at its start."""
-        h = hashlib.sha256()
-        while chunk := fh.read(1 << 20):
-            h.update(chunk)
-        fh.seek(0)
-        return ".".join((h.hexdigest(), *tags))
-
     def path(self, key: str, suffix: str) -> Path:
         return self.root / f"{key}{suffix}"
+
+
+def file_sha256(fh) -> str:
+    """The sha256 of the bytes of the binary file ``fh``, read in 1 MiB
+    chunks; ``fh`` is left at its start."""
+    h = hashlib.sha256()
+    while chunk := fh.read(1 << 20):
+        h.update(chunk)
+    fh.seek(0)
+    return h.hexdigest()
 
 
 def _read_json(path, what: str, check):
@@ -334,72 +312,16 @@ def _parse_dataset(fh, path: Path, schema: str) -> Dataset:
         for label in labels:
             if label >= k:
                 raise UnknownLabel(f"label {label} >= inferred K={k}")
-    return Dataset.from_columns(k, path.stem, ids, codes, labels, cwes, pair_ids)
+    return Dataset.from_columns(k, path.stem, ids, labels, codes, cwes, pair_ids)
 
 
-def _write_dataset_snapshot(snapshots: Snapshots, key: str, d: Dataset) -> None:
-    """Store ``d`` under ``key``: the code blob, then the JSON that indexes
-    it, so a reader that finds the JSON finds the blob.  Each distinct CWE
-    tag is written once; a sample's ``cwe`` is its index in ``cwe_tags``."""
-    codes = [c.encode("utf-8", "surrogatepass") for c in d.codes]
-    snapshots.write(snapshots.path(key, ".code"), b"".join(codes))
-    tags: dict[str, int] = {}
-    meta = {"k": d.class_count, "ids": d.ids, "labels": d.labels,
-            "cwe": [None if c is None else tags.setdefault(c, len(tags)) for c in d.cwes],
-            "cwe_tags": list(tags), "pair_id": d.pair_ids,
-            "code_bytes": [len(c) for c in codes]}
-    snapshots.write(snapshots.path(key, ".json"),
-                    json.dumps(meta, separators=(",", ":")).encode("ascii"))
-
-
-def _read_dataset_snapshot(snapshots: Snapshots, key: str, name: str) -> Dataset | None:
-    """The dataset stored under ``key``, named ``name``, or None when the
-    snapshot is missing or is not what ``_write_dataset_snapshot`` writes.
-    The columns come from the JSON, each built as its list is dropped, so
-    no two copies of a column are held; the code file is checked, then
-    mapped and decoded only when code is asked for.  Samples of one CWE
-    share one tag string."""
-    import numpy as np
-
-    try:
-        meta = json.loads(snapshots.path(key, ".json").read_bytes())
-        lengths = np.array(meta.pop("code_bytes"), dtype=np.int64)
-        ids = tuple(meta.pop("ids"))
-        labels = tuple(meta.pop("labels"))
-        pair_ids = tuple(meta.pop("pair_id"))
-        tags = meta["cwe_tags"]
-        cwes = tuple([None if i is None else tags[i] for i in meta.pop("cwe")])
-        if (type(meta["k"]) is not int or lengths.ndim != 1 or (lengths < 0).any()
-                or not len(ids) == len(labels) == len(cwes) == len(pair_ids) == len(lengths)):
-            return None
-        offsets = np.zeros(len(lengths) + 1, np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        code = _CodeBlob.open(snapshots.path(key, ".code"), offsets)
-        if code is None:
-            return None
-        return Dataset.from_columns(meta["k"], name, ids, code, labels, cwes, pair_ids)
-    except (OSError, ValueError, LookupError, TypeError, AttributeError,
-            OverflowError):
-        return None
-
-
-def load_dataset(path, schema: str, *, snapshots: Snapshots | None = None) -> Dataset:
-    """Load a dataset.jsonl file; K is 2 (binary) or 1 + distinct CWE count.
-
-    With ``snapshots``, a snapshot of the file's bytes under ``schema``
-    stands in for the parse, and its code stays in the snapshot until it is
-    asked for; a parse that succeeds stores one."""
+def load_dataset(path, schema: str) -> Dataset:
+    """Load a dataset.jsonl file; K is 2 (binary) or 1 + distinct CWE count."""
     if schema not in ("binary", "multiclass"):
         raise ValueError(f"unknown schema {schema!r}")
     path = Path(path)
-    with path.open("rb") as raw:
-        key = None if snapshots is None else snapshots.key(raw, schema)
-        ds = None if key is None else _read_dataset_snapshot(snapshots, key, path.stem)
-        if ds is None:
-            with io.TextIOWrapper(raw, encoding="utf-8") as fh:
-                ds = _parse_dataset(fh, path, schema)
-            if key is not None:
-                _write_dataset_snapshot(snapshots, key, ds)
+    with path.open(encoding="utf-8") as fh:
+        ds = _parse_dataset(fh, path, schema)
     if not len(ds):
         log.warning("loaded empty dataset from %s", path)
     else:
@@ -423,9 +345,8 @@ def stratified_split(d: Dataset, seed: int) -> SplitIndices:
             raise ClassTooSmall(c, len(ids), MIN_CLASS_SIZE)
     import numpy as np
 
-    train: list[str] = []
-    val: list[str] = []
-    test: list[str] = []
+    splits: dict[str, list[str]] = {s: [] for s in SPLITS}
+    labels: dict[str, list[int]] = {s: [] for s in SPLITS}
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x591]))
     for c in sorted(by_class):
         ids = by_class[c]
@@ -434,10 +355,13 @@ def stratified_split(d: Dataset, seed: int) -> SplitIndices:
         n = len(ids)
         n_train = int(np.floor(0.8 * n))
         n_val = int(np.floor(0.1 * n))
-        train += shuffled[:n_train]
-        val += shuffled[n_train:n_train + n_val]
-        test += shuffled[n_train + n_val:]
-    return SplitIndices(tuple(train), tuple(val), tuple(test), seed)
+        for split, part in zip(SPLITS, (shuffled[:n_train],
+                                        shuffled[n_train:n_train + n_val],
+                                        shuffled[n_train + n_val:])):
+            splits[split] += part
+            labels[split] += [c] * len(part)
+    return SplitIndices(*map(tuple, splits.values()), seed,
+                        tuple(map(tuple, labels.values())), d.class_count)
 
 
 def bootstrap(d: Dataset, s: SplitIndices, m: int, seed: int) -> BootstrapPlan:
@@ -496,16 +420,40 @@ def top_cwes(d: Dataset, n: int = 10) -> list[str]:
     return sorted(counts, key=lambda c: (-counts[c], c))[:n]
 
 
-def load_splits(path) -> SplitIndices:
-    payload = _read_json(path, "an integer seed and train, val and test id lists",
-                         lambda p: isinstance(p, dict) and isinstance(p.get("seed"), int)
-                         and all(_is_id_list(p.get(k)) for k in ("train", "val", "test")))
+def _is_splits(p) -> bool:
+    """True when ``p`` is what ``split`` writes to splits.json."""
+    if not (isinstance(p, dict) and isinstance(p.get("seed"), int)
+            and all(_is_id_list(p.get(split)) for split in SPLITS)
+            and type(p.get("class_count")) is int and isinstance(p.get("labels"), dict)
+            and p.get("schema") in ("binary", "multiclass")
+            and isinstance(p.get("dataset_sha256"), str)):
+        return False
+    k = range(p["class_count"])
+    return all(isinstance(labels := p["labels"].get(split), list)
+               and len(labels) == len(p[split])
+               and all(type(c) is int and c in k for c in labels) for split in SPLITS)
+
+
+def load_splits(path, *, dataset_sha256: str | None = None,
+                schema: str | None = None) -> SplitIndices:
+    """The splits in ``path``, a splits.json.  Given ``dataset_sha256`` or
+    ``schema``, a file that ``split`` wrote for another dataset file or
+    schema raises IoError naming it."""
+    payload = _read_json(path, "what `vulforge split` writes: a seed, the train, val "
+                         "and test ids, their labels in [0, class_count), an integer "
+                         "class_count, the schema and the dataset's sha256",
+                         _is_splits)
+    for key, given in (("dataset_sha256", dataset_sha256), ("schema", schema)):
+        if given is not None and payload[key] != given:
+            raise IoError(f"{path} was written for {key} {payload[key]!r}, not "
+                          f"{given!r}; rerun `vulforge split`")
     seen = {}
-    for split in ("train", "val", "test"):
+    for split in SPLITS:
         for sid in payload[split]:
             if sid in seen:
                 raise IoError(f"{path}: sample id {sid!r} is in {seen[sid]} "
                               f"and again in {split}")
             seen[sid] = split
-    return SplitIndices(tuple(payload["train"]), tuple(payload["val"]),
-                        tuple(payload["test"]), int(payload["seed"]))
+    return SplitIndices(*(tuple(payload[split]) for split in SPLITS), int(payload["seed"]),
+                        tuple(tuple(payload["labels"][split]) for split in SPLITS),
+                        payload["class_count"])

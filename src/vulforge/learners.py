@@ -49,7 +49,7 @@ from .errors import (
     UnknownSample,
     WeightCoverageMismatch,
 )
-from .ingest import Dataset, Snapshots, _atomic_write
+from .ingest import Dataset, Snapshots, _atomic_write, file_sha256
 
 if TYPE_CHECKING:
     from .codefeat import FeaturizerConfig, FeatureVector
@@ -419,7 +419,7 @@ def _ingest(path: Path, model_id: str, split: str, expected_ids,
         raise MissingSample(f"prediction file {path} does not exist")
     ids = tuple(dict.fromkeys(expected_ids))
     with path.open("rb") as fh:
-        key = None if snapshots is None or not ids else snapshots.key(fh)
+        key = None if snapshots is None or not ids else file_sha256(fh)
         raw = None if key is None else _read_probs_snapshot(snapshots, key, ids)
         if raw is None:
             with io.TextIOWrapper(fh, encoding="utf-8") as text:

@@ -12,8 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vulforge import cli, store, synth
+from vulforge import cli, ensembles, ingest, store, synth
+from vulforge.core import PredictionSet
 from vulforge.errors import ProtocolOrderError
+from vulforge.ingest import SPLITS, load_splits
+from vulforge.learners import FeatureMatrix, ingest_predictions, write_predictions
 from vulforge.metamodels import meta_fit
 
 LEARN = ["--epochs", "1", "--learning-rate", "2.0", "--batch-size", "160"]
@@ -141,18 +144,18 @@ class TestPipeline:
         assert files - tracked == set()
 
     def test_each_input_file_has_one_snapshot_named_by_its_digest(self, workspace):
-        """out/ingest/ holds one snapshot of the dataset and one of each
-        prediction file the commands read (m1 and m2 on val and test), and
-        nothing else.  Files with the same bytes share one snapshot."""
+        """out/ingest/ holds one snapshot of each prediction file the
+        commands read (m1 and m2 on val and test), and nothing else: the
+        dataset is not copied.  Files with the same bytes share one
+        snapshot."""
         out = workspace / "out"
 
         def sha(path):
             return hashlib.sha256(path.read_bytes()).hexdigest()
 
-        expected = {f"{sha(workspace / 'dataset.jsonl')}.binary.{ext}" for ext in ("code", "json")}
-        expected |= {f"{sha(out / 'preds' / mid / f'{split}.jsonl')}.{ext}"
-                     for mid in ("m1", "m2") for split in ("val", "test")
-                     for ext in ("ids.json", "probs.npy")}
+        expected = {f"{sha(out / 'preds' / mid / f'{split}.jsonl')}.{ext}"
+                    for mid in ("m1", "m2") for split in ("val", "test")
+                    for ext in ("ids.json", "probs.npy")}
         assert {p.name for p in (out / "ingest").iterdir()} == expected
 
     def test_dense_gate_columns_tracked(self, workspace):
@@ -181,12 +184,19 @@ for i in range(40):
 """
 
 
+def _features(out) -> FeatureMatrix:
+    """The feature matrix `featurize` wrote under ``out``."""
+    fdir = Path(out) / "features"
+    meta = json.loads((fdir / "meta.json").read_text())
+    return FeatureMatrix(tuple(meta["ids"]), *(np.load(fdir / f"{name}.npy")
+                                               for name in ("indptr", "indices", "data")),
+                         meta["dims"])
+
+
 def _sentinel_routing(tmp_path, gate_kind):
     """Share of the sentinel corpus's test samples that `vulforge dgs --gate
     gate_kind` at its defaults sends to the one expert that is right on it."""
     from vulforge.ensembles import gate_scores_many
-    from vulforge.ingest import load_splits
-    from vulforge.learners import FeatureMatrix, write_predictions
 
     d, owner = synth.sentinel_corpus(2000, experts=5, seed=1)
     data, out, ext = tmp_path / "dataset.jsonl", tmp_path / "out", tmp_path / "ext"
@@ -202,11 +212,7 @@ def _sentinel_routing(tmp_path, gate_kind):
                      "--base", ",".join(p.model_id for p in test_preds)]) == 0
 
     gate = store.load_ensemble(out / "ensembles" / "dgs_hard")
-    fdir = out / "features"
-    features = FeatureMatrix(tuple(json.loads((fdir / "meta.json").read_text())["ids"]),
-                             *(np.load(fdir / f"{name}.npy")
-                               for name in ("indptr", "indices", "data")), gate.dims)
-    scores = gate_scores_many(gate, *features.rows_for(s.test),
+    scores = gate_scores_many(gate, *_features(out).rows_for(s.test),
                               np.stack([p.probs for p in test_preds]))
     return (scores.argmax(axis=1) == np.array([owner[sid] for sid in s.test])).mean()
 
@@ -235,6 +241,84 @@ def test_concurrent_commands_keep_every_manifest_entry(tmp_path):
     assert sorted(manifest) == sorted(f"p{j}/{i}.txt" for j in range(4)
                                       for i in range(40))
     assert cli.main(["verify", "--out", str(tmp_path)]) == 0
+
+
+@pytest.fixture(scope="module")
+def external(tmp_path_factory):
+    """An external-model pipeline on a paired corpus of K = 3: prediction
+    files of models e1 and e2, three boosting rounds' files, and the bag,
+    boost and stack ensembles built from them: (--external dir, out dir)."""
+    ws = tmp_path_factory.mktemp("extws")
+    data, ext, out = ws / "dataset.jsonl", ws / "ext", ws / "out"
+    d = synth.paired_cwe_corpus({"CWE-119": 20, "CWE-787": 20}, seed=2)
+    _write_dataset(data, d)
+    base = ["--dataset", str(data), "--out", str(out), "--schema", "multiclass",
+            "--external", str(ext)]
+    assert cli.main(["split", *base]) == 0
+    s = load_splits(out / "splits.json")
+    rng = np.random.default_rng(0)
+
+    def noisy(ids):  # probs that lean to the true label
+        logits = rng.normal(size=(len(ids), d.class_count))
+        logits[np.arange(len(ids)), d.labels_for(ids)] += 1.5
+        return np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+
+    for mid in ("e1", "e2"):
+        for split in SPLITS:
+            ids = s.for_split(split)
+            write_predictions(ext, PredictionSet(mid, split, ids, noisy(ids)))
+    for t in (1, 2, 3):
+        for split in ("train", "test"):
+            ids = s.for_split(split)
+            path = ext / "boost" / f"round_{t}" / f"preds_{split}.jsonl"
+            write_predictions(ext, PredictionSet("round", split, ids, noisy(ids)),
+                              write=lambda _, blob, path=path: ingest._atomic_write(path, blob))
+    assert cli.main(["bag", *base, "--mode", "soft", "--base", "e1,e2"]) == 0
+    assert cli.main(["boost", *base, "--rounds", "3"]) == 0
+    assert cli.main(["stack", *base, "--meta", "lr", "--base", "e1,e2"]) == 0
+    return ext, out
+
+
+def _replayed(out, root, name: str, features) -> bytes:
+    """The bytes of preds/<name>/test.jsonl as the ensemble saved in
+    out/ensembles/<name> predicts them: loaded with ``load_ensemble`` and run
+    by its ``*_predict_set`` on the test split, base models read from
+    ``root``."""
+    e = store.load_ensemble(out / "ensembles" / name)
+    ids = load_splits(out / "splits.json").test
+
+    def bases():
+        return [ingest_predictions(root, mid, "test", ids) for mid in e.base_ids]
+
+    if isinstance(e, ensembles.BaggingEnsemble):
+        pred = ensembles.bagging_predict_set(e, ids, features, "test", name)
+    elif isinstance(e, ensembles.BoostEnsemble):
+        pred = ensembles.adaboost_predict_set(e, ids, features, "test", name)
+    elif isinstance(e, ensembles.StackingModel):
+        pred = ensembles.stacking_predict_set(e, bases(), ids, "test", name)
+    else:
+        pred = ensembles.dgs_predict_set(e, bases(), ids, features, "test", name)
+    written = []
+    write_predictions(out, pred, write=lambda _, blob: written.append(blob))
+    return written[0]
+
+
+@pytest.mark.parametrize("fixture,names", [
+    ("workspace", ("bagging_soft", "boosting", "stacking_lr", "dgs_hard")),
+    ("external", ("bagging_soft", "boosting", "stacking_lr")),
+], ids=["builtin", "external"])
+def test_every_saved_ensemble_reproduces_its_test_predictions(fixture, names, request):
+    """Each ensemble a command saves, loaded back, predicts its test split
+    bit for bit as the command wrote it to preds/<name>/test.jsonl."""
+    if fixture == "workspace":
+        out = request.getfixturevalue("workspace") / "out"
+        root, features = out, _features(out)
+    else:
+        root, out = request.getfixturevalue("external")
+        features = None
+    for name in names:
+        assert (_replayed(out, root, name, features)
+                == (out / "preds" / name / "test.jsonl").read_bytes()), name
 
 
 class TestExitCodes:
@@ -468,6 +552,32 @@ class TestExitCodes:
         assert cli.main(["verify", *base]) == 2
         assert "ensembles/boosting/ensemble.json" in capsys.readouterr().out
 
+    def test_verify_fails_a_splits_json_without_labels(self, tmp_path, capsys):
+        # splits.json as `split` wrote it before it carried the labels, K,
+        # the schema and the dataset digest; its manifest digest intact
+        data = tmp_path / "d.jsonl"
+        _write_dataset(data, synth.separable_corpus(100, seed=0))
+        out = tmp_path / "out"
+        base = ["--dataset", str(data), "--out", str(out)]
+        assert cli.main(["split", *base]) == 0
+        payload = json.loads((out / "splits.json").read_text())
+        for key in ("labels", "class_count", "schema", "dataset_sha256"):
+            del payload[key]
+        blob = (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode()
+        (out / "splits.json").write_bytes(blob)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["splits.json"]["sha256"] = hashlib.sha256(blob).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert cli.main(["verify", *base]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            f"FAIL splits.json: {out / 'splits.json'} does not hold what `vulforge "
+            "split` writes: a seed, the train, val and test ids, their labels in "
+            "[0, class_count), an integer class_count, the schema and the dataset's "
+            "sha256"]
+        assert "Traceback" not in captured.err
+
     def test_verify_names_the_schema_of_an_older_tree(self, tmp_path, capsys):
         # an ensemble written at schema 3, its manifest digest intact
         data = tmp_path / "d.jsonl"
@@ -691,7 +801,8 @@ _UNSAFE_INPUTS = {
                         "splits.json"),
     "splits-unknown-id": (["train-base", "--model-id", "m"],
                           {"splits.json": '{"seed": 0, "train": ["ghost"], "val": [], '
-                                          '"test": []}'}, 3, "not in the dataset"),
+                                          '"test": []}'}, 3,
+                          "does not hold what `vulforge split` writes"),
     "features-meta-short": (["train-base", "--model-id", "m"],
                             {"features/meta.json": '{"ids": [], "dims": 1024}'}, 3,
                             "do not match"),
@@ -782,8 +893,10 @@ def test_splits_with_a_repeated_id_exit_3(edit, trained, tmp_path, capsys):
     out = tmp_path / "out"
     shutil.copytree(template, out)
     splits = json.loads((out / "splits.json").read_text())
-    extra = splits["test"][:5] if edit == "test-ids-in-train" else splits["train"][:1]
+    source = "test" if edit == "test-ids-in-train" else "train"
+    extra = splits[source][:5]
     splits["train"] += extra
+    splits["labels"]["train"] += splits["labels"][source][:5]
     (out / "splits.json").write_text(json.dumps(splits))
     capsys.readouterr()
     assert cli.main(["train-base", "--dataset", str(data), "--out", str(out), *LEARN,
@@ -791,6 +904,65 @@ def test_splits_with_a_repeated_id_exit_3(edit, trained, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"sample id {extra[0]!r} is in" in err and "Traceback" not in err
     assert not (out / "preds" / "m3").exists()
+
+
+#: Each command that reads ids and labels, not code: its argv after the
+#: trained workspace's --dataset and --out.
+_LABEL_COMMANDS = {
+    "train-base": ["train-base", *LEARN, "--model-id", "m3"],
+    "bag": ["bag", *LEARN, "--members", "2"],
+    "boost": ["boost", *LEARN, "--rounds", "2"],
+    "stack": ["stack", "--base", "m1,m2"],
+    "dgs": ["dgs", "--base", "m1,m2"],
+    "eval": ["eval", "--preds", "m1"],
+    "overlap": ["overlap", "--preds", "m1,m2"],
+    "divergence": ["divergence", "--preds", "m1,m2"],
+}
+
+
+def _label_run(argv, data, out, *extra):
+    return cli.main([argv[0], "--dataset", str(data), "--out", str(out), *extra,
+                     *argv[1:]])
+
+
+def test_label_commands_never_parse_the_dataset(trained, tmp_path, monkeypatch):
+    data, _, template = trained
+    out = tmp_path / "out"
+    shutil.copytree(template, out)
+
+    def refuse(*args):
+        raise AssertionError("the dataset file was parsed")
+
+    monkeypatch.setattr(ingest, "_parse_dataset", refuse)
+    for argv in _LABEL_COMMANDS.values():
+        assert _label_run(argv, data, out) == 0, argv[0]
+
+
+@pytest.mark.parametrize("change", ["dataset-byte", "schema"])
+@pytest.mark.parametrize("command", sorted(_LABEL_COMMANDS))
+def test_dataset_or_schema_changed_since_split_exits_3(command, change, trained,
+                                                       tmp_path, capsys):
+    """splits.json names the dataset bytes and --schema it was split from; a
+    label command given others stops before it writes anything."""
+    data, _, template = trained
+    out = tmp_path / "out"
+    shutil.copytree(template, out)
+    extra = []
+    if change == "schema":
+        extra = ["--schema", "multiclass"]
+    else:
+        blob = bytearray(data.read_bytes())
+        at = blob.index(b'"code": "') + len(b'"code": "')
+        blob[at] = ord("Z") if blob[at] != ord("Z") else ord("Y")
+        data = tmp_path / data.name
+        data.write_bytes(bytes(blob))
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert _label_run(_LABEL_COMMANDS[command], data, out, *extra) == 3
+    err = capsys.readouterr().err
+    assert str(out / "splits.json") in err and "rerun `vulforge split`" in err
+    assert "Traceback" not in err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 def _with(a, i, value):

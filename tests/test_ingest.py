@@ -1,4 +1,5 @@
-"""Dataset loading, stratified splits, bootstrap plans, CWE subsets."""
+"""Dataset loading, stratified splits and splits.json, bootstrap plans,
+CWE subsets."""
 
 import json
 
@@ -14,6 +15,7 @@ from vulforge.errors import (
     UnknownLabel,
 )
 from vulforge.ingest import (
+    SPLITS,
     bootstrap,
     cwe_subset,
     load_dataset,
@@ -171,14 +173,47 @@ class TestStratifiedSplit:
         (lambda s: s["test"].insert(0, s["val"][-1]), "is in val and again in test"),
     ], ids=["repeated-in-train", "test-ids-in-train", "val-id-in-test"])
     def test_repeated_or_shared_id_is_refused(self, edit, needle, tmp_path):
-        splits = stratified_split(synth.separable_corpus(100, seed=0), 0)
-        payload = {"seed": 0, "train": list(splits.train), "val": list(splits.val),
-                   "test": list(splits.test)}
+        d = synth.separable_corpus(100, seed=0)
+        splits = stratified_split(d, 0)
+        payload = {"seed": 0, **{split: list(splits.for_split(split)) for split in SPLITS}}
         edit(payload)
         path = tmp_path / "splits.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(_labelled(payload, d)))
         with pytest.raises(IoError, match=needle):
             load_splits(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda s: s["labels"]["val"].__setitem__(0, 2),
+        lambda s: s["labels"]["test"].__setitem__(-1, -1),
+        lambda s: s["labels"]["train"].__setitem__(3, True),
+        lambda s: s["labels"]["train"].pop(),
+        lambda s: s["labels"]["test"].append(0),
+        lambda s: s["labels"].pop("val"),
+        lambda s: s.update(class_count=2.0),
+        lambda s: s.update(class_count="2"),
+        lambda s: s.update(schema="ternary"),
+        lambda s: s.pop("dataset_sha256"),
+    ], ids=["label-at-k", "label-negative", "label-bool", "labels-short", "labels-long",
+            "labels-of-a-split-missing", "k-float", "k-string", "schema-unknown",
+            "sha256-missing"])
+    def test_malformed_labels_are_refused(self, edit, tmp_path):
+        splits = stratified_split(synth.separable_corpus(100, seed=0), 0)
+        payload = splits.to_dict("binary", "0" * 64)
+        path = tmp_path / "splits.json"
+        path.write_text(json.dumps(payload))
+        assert load_splits(path) == splits
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(IoError, match="does not hold what `vulforge split` writes"):
+            load_splits(path)
+
+
+def _labelled(payload: dict, d) -> dict:
+    """``payload`` with the keys ``split`` adds to the ids: each id's label
+    in ``d``, K, a schema and a dataset digest."""
+    return {**payload, "labels": {split: d.labels_for(payload[split]).tolist()
+                                  for split in SPLITS},
+            "class_count": d.class_count, "schema": "binary", "dataset_sha256": "0" * 64}
 
 
 class TestBootstrap:

@@ -1,5 +1,7 @@
-"""Ingest snapshots: a dataset or prediction file read through
-``ingest.Snapshots`` gives the result, or the fault, that parsing it gives."""
+"""Ingest snapshots: a prediction file read through ``ingest.Snapshots``
+gives the result, or the fault, that parsing it gives.  A dataset has no
+snapshot: the commands that need only its ids and labels read them from
+splits.json, and give what the parsed dataset gives."""
 
 import json
 import shutil
@@ -13,18 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vulforge import cli, synth
-from vulforge.errors import MalformedRecord
 from vulforge.ingest import (
     Dataset,
     Snapshots,
     SplitIndices,
     _atomic_write,
-    _CodeBlob,
     bootstrap,
-    cwe_subset,
     load_dataset,
+    load_splits,
     stratified_split,
-    top_cwes,
 )
 from vulforge.learners import ingest_predictions
 
@@ -82,61 +81,36 @@ def _dataset_files(draw):
     return schema, ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass")
 
 
-@settings(max_examples=150, deadline=None)
-@given(_dataset_files())
-def test_dataset_from_snapshot_equals_the_parse(case):
-    schema, blob = case
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "data.jsonl"
-        path.write_bytes(blob)
-        written = []
-        snaps = Snapshots(Path(tmp) / "ingest", write=_recording(written))
-        parsed = _outcome(lambda: load_dataset(path, schema))
-        first = _outcome(lambda: load_dataset(path, schema, snapshots=snaps))
-        stored = list(written)
-        again = _outcome(lambda: load_dataset(path, schema, snapshots=snaps))
-    assert first == parsed and again == parsed
-    if isinstance(parsed, Dataset):
-        assert [p.name.split(".", 1)[1] for p in stored] == [f"{schema}.code",
-                                                              f"{schema}.json"]
-        assert written == stored  # the second read was a hit
-    else:
-        assert written == []  # a failed read stores nothing
-
-
-def _label_views(d: Dataset, seed: int) -> dict:
-    """What the readers of ids and labels make of ``d``: each result, or
-    the error it raised."""
-    split = _outcome(lambda: stratified_split(d, seed))
-    return {"ids": d.ids, "len": len(d), "class_count": d.class_count,
-            "labels_for": d.labels_for(d.ids[::-1]).tolist(),
-            "class_counts": d.class_counts(), "top_cwes": top_cwes(d, 3), "split": split,
-            "bootstrap": _outcome(lambda: bootstrap(d, split, 2, seed))
-            if isinstance(split, SplitIndices) else None}
+def _label_views(d: Dataset, s: SplitIndices, seed: int) -> dict:
+    """What the readers of ids and labels make of ``d`` on the splits ``s``."""
+    ids = s.train + s.val + s.test
+    return {"class_count": d.class_count, "labels_for": d.labels_for(ids[::-1]).tolist(),
+            "bootstrap": bootstrap(d, s, 2, seed)}
 
 
 @settings(max_examples=150, deadline=None)
 @given(_dataset_files(), st.integers(0, 3))
-def test_label_readers_see_the_snapshot_as_the_parse(case, seed):
-    """Read through a snapshot, a dataset gives every label-only reader what
-    the parsed one gives, without decoding its code; ``cwe_subset``, which
-    reads code, gives the same subsets and faults."""
+def test_label_readers_see_splits_json_as_the_parse(case, seed):
+    """The ids and labels `split` writes to splits.json give every label-only
+    reader what the parsed dataset gives, and the dataset they make holds no
+    code."""
     schema, blob = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.jsonl"
         path.write_bytes(blob)
         parsed = _outcome(lambda: load_dataset(path, schema))
-        if not isinstance(parsed, Dataset):
+        if not isinstance(parsed, Dataset) or not isinstance(
+                _outcome(lambda: stratified_split(parsed, seed)), SplitIndices):
             return
-        snaps = Snapshots(Path(tmp) / "ingest")
-        load_dataset(path, schema, snapshots=snaps)
-        hit = load_dataset(path, schema, snapshots=snaps)
-    assert isinstance(hit._code, _CodeBlob)
-    assert _label_views(hit, seed) == _label_views(parsed, seed)
-    assert isinstance(hit._code, _CodeBlob)  # no label reader decoded code
-    for cwe in (*top_cwes(parsed), "CWE-1", "CWE-404"):
-        assert _outcome(lambda: cwe_subset(hit, cwe)) == _outcome(
-            lambda: cwe_subset(parsed, cwe))
+        out = Path(tmp) / "out"
+        assert cli.main(["split", "--dataset", str(path), "--schema", schema,
+                         "--out", str(out), "--seed", str(seed)]) == 0
+        s = load_splits(out / "splits.json")
+    assert s == stratified_split(parsed, seed)
+    labelled = s.labelled(path.stem)
+    assert _label_views(labelled, s, seed) == _label_views(parsed, s, seed)
+    with pytest.raises(ValueError, match="not code"):
+        labelled.samples
 
 
 def _corpus_file(tmp_path, cwes=("CWE-119", "CWE-787")):
@@ -148,154 +122,80 @@ def _corpus_file(tmp_path, cwes=("CWE-119", "CWE-787")):
     return path
 
 
-def test_schema_is_part_of_the_snapshot_name(tmp_path):
-    path = _corpus_file(tmp_path, cwes=("CWE-119",))  # labels 0 and 1 fit both schemas
-    snaps = Snapshots(tmp_path / "ingest")
-    for schema in ("multiclass", "binary", "multiclass"):
-        assert load_dataset(path, schema, snapshots=snaps) == load_dataset(path, schema)
-    names = sorted(p.name.split(".", 1)[1] for p in snaps.root.iterdir())
-    assert names == ["binary.code", "binary.json", "multiclass.code", "multiclass.json"]
-
-
-def _edit_json(path, **changes):
-    meta = json.loads(path.read_text())
-    path.write_text(json.dumps({**meta, **changes}))
-
-
-_DATASET_TAMPERS = {
-    "json_missing": lambda js, code: js.unlink(),
-    "code_missing": lambda js, code: code.unlink(),
-    "json_garbage": lambda js, code: js.write_bytes(b"\xff{"),
-    "json_not_an_object": lambda js, code: js.write_text("[]"),
-    "json_a_string": lambda js, code: js.write_text('"ids"'),
-    "code_truncated": lambda js, code: code.write_bytes(code.read_bytes()[:-1]),
-    "code_longer": lambda js, code: code.write_bytes(code.read_bytes() + b"x"),
-    "length_negative": lambda js, code: _edit_json(
-        js, code_bytes=[-1, 1 + sum(json.loads(js.read_text())["code_bytes"][:2])]
-        + json.loads(js.read_text())["code_bytes"][2:]),
-    "lengths_shifted": lambda js, code: _edit_json(
-        js, code_bytes=[1] + json.loads(js.read_text())["code_bytes"][:-1]),
-    "cwe_tag_missing": lambda js, code: _edit_json(js, cwe_tags=[]),
-    "cwe_not_an_index": lambda js, code: _edit_json(
-        js, cwe=["CWE-119"] * len(json.loads(js.read_text())["cwe"])),
-    "a_list_too_short": lambda js, code: _edit_json(
-        js, labels=json.loads(js.read_text())["labels"][1:]),
-    "k_not_an_int": lambda js, code: _edit_json(js, k="3"),
-    "code_not_utf8": lambda js, code: code.write_bytes(b"\xff" * len(code.read_bytes())),
-    "string_starts_mid_character": lambda js, code: code.write_bytes(
-        _straddle(code.read_bytes(), json.loads(js.read_text())["code_bytes"][0])),
-}
-
-
-def _straddle(blob: bytes, at: int) -> bytes:
-    """``blob`` with a two-byte character over offset ``at``: still UTF-8
-    and as long, but the string starting at ``at`` starts mid-character."""
-    return blob[:at - 1] + "é".encode("utf-8") + blob[at + 1:]
-
-
-@pytest.mark.parametrize("tamper", sorted(_DATASET_TAMPERS))
-def test_unusable_dataset_snapshot_is_parsed_again(tamper, tmp_path):
+def test_edited_dataset_is_parsed_again_and_its_fault_named(tmp_path, capsys):
+    """The commands that read code parse the dataset at every run, so an
+    edit made after `split` is read and its fault named; a label-only
+    command names splits.json, written for the old bytes."""
     path = _corpus_file(tmp_path)
-    snaps = Snapshots(tmp_path / "ingest")
-    parsed = load_dataset(path, "multiclass", snapshots=snaps)
-    js, = snaps.root.glob("*.json")
-    _DATASET_TAMPERS[tamper](js, js.with_suffix(".code"))
-    written = []
-    again = load_dataset(path, "multiclass",
-                         snapshots=Snapshots(snaps.root, write=_recording(written)))
-    assert again == parsed
-    assert sorted(p.name for p in written) == [js.with_suffix(".code").name, js.name]
-    assert load_dataset(path, "multiclass", snapshots=snaps) == parsed
-
-
-def test_edited_dataset_is_parsed_again_and_its_fault_named(tmp_path):
-    path = _corpus_file(tmp_path)
-    snaps = Snapshots(tmp_path / "ingest")
-    load_dataset(path, "multiclass", snapshots=snaps)
+    base = ["--dataset", str(path), "--out", str(tmp_path / "out"),
+            "--schema", "multiclass"]
+    assert cli.main(["split", *base]) == 0
+    assert cli.main(["featurize", *base, "--dims", "1024"]) == 0
     lines = path.read_text().splitlines()
     rec = json.loads(lines[6])
     lines[6] = json.dumps({**rec, "pair_id": [rec["pair_id"]]})
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(MalformedRecord, match="line 7: pair_id must be a string or null"):
-        load_dataset(path, "multiclass", snapshots=snaps)
+    for command, code, needle in (
+            (["featurize", "--dims", "1024"], 5, "line 7: pair_id must be a string or null"),
+            (["cwe-subsets"], 5, "line 7: pair_id must be a string or null"),
+            (["eval", "--preds", "m1"], 3, "splits.json was written for dataset_sha256")):
+        capsys.readouterr()
+        assert cli.main([command[0], *base, *command[1:]]) == code
+        assert needle in capsys.readouterr().err
 
 
-def test_snapshot_read_peaks_no_higher_than_the_parse(tmp_path):
-    """16k samples: the rebuild decodes each code string from its own slice
-    of the blob, so it never holds the blob and every string at once."""
-    d = synth.paired_cwe_corpus({f"CWE-{100 + i}": 1000 for i in range(8)}, seed=2)
-    path = tmp_path / "data.jsonl"
-    path.write_text("".join(json.dumps({"id": s.id, "code": s.code, "label": s.label,
-                                        "cwe": s.cwe, "pair_id": s.pair_id}) + "\n"
-                            for s in d.samples), encoding="utf-8")
-    snaps = Snapshots(tmp_path / "ingest")
-    load_dataset(path, "multiclass", snapshots=snaps)
-
-    def peak(fn):
-        tracemalloc.start()
-        try:
-            result = fn()
-            return tracemalloc.get_traced_memory()[1], result
-        finally:
-            tracemalloc.stop()
-
-    parse_peak, parsed = peak(lambda: load_dataset(path, "multiclass"))
-    snap_peak, rebuilt = peak(lambda: load_dataset(path, "multiclass", snapshots=snaps))
-    assert len(parsed) == 16000 and rebuilt == parsed
-    assert snap_peak <= parse_peak, (snap_peak, parse_peak)
-
-
-def test_label_only_read_peaks_at_most_72_bytes_a_sample_above_what_it_holds(tmp_path):
-    """16k samples of 300 to 396 bytes of code, read through a snapshot.
-    Each column is built as its JSON list is dropped, and the code file is
-    checked 64 KiB at a time: the read peaks about 57 bytes a sample above
-    what it holds.  Holding every list beside its column took it to 88, and
-    the 1 MiB check chunks as well to 195."""
-    n = 16000
+def _splits_file(tmp_path, samples: int):
+    """A splits.json that `split` wrote for a ``samples``-sample corpus of
+    300 to 396 bytes of code a sample, and the corpus file."""
     path = tmp_path / "data.jsonl"
     path.write_text("".join(json.dumps({"id": f"s{i}", "code": "x" * (300 + i % 97),
                                         "label": i % 3,
                                         "cwe": None if i % 3 == 0 else f"CWE-{i % 3}",
                                         "pair_id": f"s{i ^ 1}"}) + "\n"
-                            for i in range(n)), encoding="utf-8")
-    snaps = Snapshots(tmp_path / "ingest")
-    load_dataset(path, "multiclass", snapshots=snaps)
+                            for i in range(samples)), encoding="utf-8")
+    assert cli.main(["split", "--dataset", str(path), "--schema", "multiclass",
+                     "--out", str(tmp_path / "out")]) == 0
+    return tmp_path / "out" / "splits.json", path
+
+
+def _traced(fn):
+    """``fn()``, and the bytes its result holds and the call's peak, under
+    ``tracemalloc``."""
     tracemalloc.start()
     try:
-        ds = load_dataset(path, "multiclass", snapshots=snaps)
+        result = fn()
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(ds) == n and ds.labels[:4] == (0, 1, 2, 0)
+    return result, held, peak
+
+
+def _label_only_read(splits_path):
+    """What a label-only command holds: the splits and their dataset."""
+    s = load_splits(splits_path)
+    return s, s.labelled("data")
+
+
+def test_label_only_read_peaks_at_most_72_bytes_a_sample_above_what_it_holds(tmp_path):
+    """16k samples: reading splits.json and making its dataset of ids and
+    labels peaks about 19 bytes a sample above what the two hold, the
+    file's text and JSON lists while the tuples are built."""
+    n = 16000
+    splits_path, _ = _splits_file(tmp_path, n)
+    (s, ds), held, peak = _traced(lambda: _label_only_read(splits_path))
+    assert len(ds) == n and ds.labels_for(s.test[:1]).tolist() == [s.labels[2][0]]
     assert peak - held <= 72 * n, ((peak - held) / n, held / n)
 
 
 def test_label_only_read_holds_under_half_of_the_full_read(tmp_path):
-    """16k samples read through a snapshot: ids and labels without the code
-    hold at most half of what the same read holds once ``samples`` has
-    decoded it."""
-    d = synth.paired_cwe_corpus({f"CWE-{100 + i}": 1000 for i in range(8)}, seed=4)
-    path = tmp_path / "data.jsonl"
-    path.write_text("".join(json.dumps({"id": s.id, "code": s.code, "label": s.label,
-                                        "cwe": s.cwe, "pair_id": s.pair_id}) + "\n"
-                            for s in d.samples), encoding="utf-8")
-    snaps = Snapshots(tmp_path / "ingest")
-    load_dataset(path, "multiclass", snapshots=snaps)
-
-    def held(fn):
-        tracemalloc.start()
-        try:
-            result = fn()
-            return tracemalloc.get_traced_memory()[0], result
-        finally:
-            tracemalloc.stop()
-
-    label_only, ds = held(lambda: load_dataset(path, "multiclass", snapshots=snaps))
+    """16k samples: the label-only read holds at most half of what the
+    parsed dataset holds with its code; it holds about a sixth."""
+    splits_path, data = _splits_file(tmp_path, 16000)
+    (_, ds), label_only, _ = _traced(lambda: _label_only_read(splits_path))
     assert len(ds) == 16000
     del ds
-    full, (ds, samples) = held(lambda: (lambda x: (x, x.samples))(
-        load_dataset(path, "multiclass", snapshots=snaps)))
-    assert samples == d.samples
+    parsed, full, _ = _traced(lambda: load_dataset(data, "multiclass"))
+    assert len(parsed) == 16000
     assert label_only <= full / 2, (label_only, full)
 
 
@@ -459,7 +359,7 @@ _TABLE = {
 @pytest.fixture(scope="module")
 def table_ws(tmp_path_factory):
     """A dataset, an --external directory and an --out that holds only
-    splits.json and the dataset's snapshot."""
+    splits.json."""
     ws = tmp_path_factory.mktemp("snaptable")
     data = ws / "data.jsonl"
     d = synth.separable_corpus(60, seed=2)
