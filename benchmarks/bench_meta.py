@@ -1,12 +1,16 @@
-"""Time rf and knn ``meta_predict_many`` at stacking and gate scale.
+"""Time the rf fit, and rf and knn ``meta_predict_many``, at stacking and
+gate scale.
 
-Fits each meta-learner with its default config on 1,600 rows and times one
-``meta_predict_many`` call over 1,600 query rows, best of 3.  The stacking
-cases are rows of stacked base-model probabilities (5 bases, so D = 5K) at
-(D, K) = (10, 2) and (45, 9).  The gate case is like a dense DGS gate
-input: D = 206 Poisson counts whose rates depend on the routing label, over
-K = 5 experts.  ``peak MB`` is the ``tracemalloc`` peak of one more,
-untimed, call.  Runs in well under a minute.
+Fits each meta-learner with its default config, best of 3 (a knn fit only
+copies its rows), and times one ``meta_predict_many`` call over as many
+query rows as it was fit on, best of 3.  The stacking cases are rows of
+stacked base-model probabilities (D = K per base): 5 bases on 1,600 rows
+at (D, K) = (10, 2) and (45, 9), and 2 bases on 150 rows at (4, 2), the
+shape of `stack --meta rf` on a small built-in corpus.  The gate case is
+like a dense DGS gate input: D = 206 Poisson counts on 1,600 rows whose
+rates depend on the routing label, over K = 5 experts.  ``peak MB`` is
+the ``tracemalloc`` peak of one more, untimed, predict call.  Runs in
+about two minutes.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_meta.py
@@ -27,11 +31,11 @@ BASES = 5
 GATE_D, GATE_K = 206, 5
 
 
-def _stacked(rng, n: int, k: int):
-    """Labels and the concatenated probability rows of BASES noisy bases."""
+def _stacked(rng, n: int, k: int, bases: int = BASES):
+    """Labels and the concatenated probability rows of ``bases`` noisy bases."""
     y = rng.integers(0, k, size=n)
     blocks = []
-    for _ in range(BASES):
+    for _ in range(bases):
         logits = rng.normal(size=(n, k))
         logits[np.arange(n), y] += 1.5
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -45,13 +49,14 @@ def _gate_like(rng, n: int, rates):
     return rng.poisson(rates[y]).astype(np.float64), y
 
 
-def _best_of_3(m, X) -> float:
+def _best_of_3(call):
+    """The least wall time of three calls, and the last call's result."""
     times = []
     for _ in range(3):
         t0 = time.perf_counter()
-        meta_predict_many(m, X)
+        out = call()
         times.append(time.perf_counter() - t0)
-    return min(times)
+    return min(times), out
 
 
 def _peak_mb(m, X) -> float:
@@ -64,21 +69,22 @@ def _peak_mb(m, X) -> float:
 
 
 def main() -> int:
-    print(f"{'kind':<6} {'D':>4} {'K':>3} {'rows':>6} {'predict s':>10} "
+    print(f"{'kind':<6} {'D':>4} {'K':>3} {'rows':>6} {'fit s':>8} {'predict s':>10} "
           f"{'peak MB':>8}")
     cases = []
-    for k in (2, 9):
+    for n, k, bases in ((ROWS, 2, BASES), (ROWS, 9, BASES), (150, 2, 2)):
         rng = np.random.default_rng(11)
-        cases.append((*_stacked(rng, ROWS, k), _stacked(rng, ROWS, k)[0], k))
+        cases.append((*_stacked(rng, n, k, bases), _stacked(rng, n, k, bases)[0], k))
     rng = np.random.default_rng(11)
     rates = rng.gamma(0.5, 2.0, size=(GATE_K, GATE_D))  # one row per label
     cases.append((*_gate_like(rng, ROWS, rates), _gate_like(rng, ROWS, rates)[0],
                   GATE_K))
     for X, y, Q, k in cases:
         for kind in ("rf", "knn"):
-            m = meta_fit(kind, X, y, seed=3, output_width=k)
-            print(f"{kind:<6} {X.shape[1]:>4} {k:>3} {ROWS:>6} "
-                  f"{_best_of_3(m, Q):>10.4f} {_peak_mb(m, Q):>8.1f}")
+            fit_s, m = _best_of_3(lambda: meta_fit(kind, X, y, seed=3, output_width=k))
+            predict_s, _ = _best_of_3(lambda: meta_predict_many(m, Q))
+            print(f"{kind:<6} {X.shape[1]:>4} {k:>3} {X.shape[0]:>6} {fit_s:>8.4f} "
+                  f"{predict_s:>10.4f} {_peak_mb(m, Q):>8.1f}")
     return 0
 
 

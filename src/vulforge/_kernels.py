@@ -284,32 +284,31 @@ def knn_votes(Q, X, labels, k, K):
 
 
 # ---------------------------------------------------------------------------
-# decision-tree split scan (Gini)
+# decision-tree split scan (Gini): one call scores all of a node's drawn
+# columns, gathered by row index from the matrix the forest fits
 # ---------------------------------------------------------------------------
 
-def split_scan(vals, ys, K):
-    """Best binary split of a column pre-sorted by value.
-
-    Returns (weighted_gini, position) where the split separates
-    ``[0..pos]`` from ``[pos+1..]``; position -1 means no valid split.
-    """
-    n = len(vals)
-    if n < 2 or vals[0] == vals[-1]:  # a constant column has no split
-        return np.inf, -1
-    onehot = np.zeros((n, K))
-    onehot[np.arange(n), ys] = 1.0
-    left = onehot.cumsum(axis=0)          # counts in [0..i]
-    total = left[-1]
-    nl = np.arange(1, n, dtype=np.float64)
-    lcounts = left[:-1]
-    rcounts = total - lcounts
+def split_scan(V, ys, K):
+    """Best binary split of each column of a node's (n, m) drawn columns
+    ``V``, n >= 2, whose rows hold the labels ``ys``: stable-sort each
+    column, then one (n, m, K) cumulative class-count pass scores every gap
+    between two distinct neighbouring values.  Returns (score, threshold),
+    each (m,): a column's least weighted Gini, at its first position in
+    sorted order, and the value halfway between the two values there; inf
+    for both where a column has fewer than two distinct values."""
+    n, m = V.shape
+    cols = np.arange(m)
+    order = np.argsort(V, axis=0, kind="stable")
+    vals = V[order, cols]
+    left = np.eye(K)[ys[order]].cumsum(axis=0)    # counts in [0..i], (n, m, K)
+    lcounts, rcounts = left[:-1], left[-1] - left[:-1]
+    nl = np.arange(1, n, dtype=np.float64)[:, None]
     nr = n - nl
-    gl = 1.0 - ((lcounts / nl[:, None]) ** 2).sum(axis=1)
-    gr = 1.0 - ((rcounts / nr[:, None]) ** 2).sum(axis=1)
-    g = (nl * gl + nr * gr) / n
-    valid = vals[:-1] != vals[1:]
-    if not valid.any():
-        return np.inf, -1
-    g = np.where(valid, g, np.inf)
-    pos = int(np.argmin(g))
-    return float(g[pos]), pos
+    # each Gini sums its K squares alone, as one contiguous row
+    gl = 1.0 - ((lcounts / nl[..., None]) ** 2).sum(axis=2)
+    gr = 1.0 - ((rcounts / nr[..., None]) ** 2).sum(axis=2)
+    g = np.where(vals[:-1] != vals[1:], (nl * gl + nr * gr) / n, np.inf)
+    pos = np.argmin(g, axis=0)
+    score = g[pos, cols]
+    mid = (vals[pos, cols] + vals[pos + 1, cols]) / 2.0
+    return score, np.where(score < np.inf, mid, np.inf)

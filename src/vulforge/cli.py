@@ -297,13 +297,19 @@ class _Run:
 
     def predictions(self, model_ids, split: str) -> list[PredictionSet]:
         """The prediction sets of ``model_ids`` on ``split``, read from
-        --external, or else from --out."""
+        --external, or else from --out; each must hold the K of splits.json."""
+        from .errors import MemberKMismatch
         from .learners import ingest_predictions
 
         root = Path(self.cfg["external"] or self.out)
-        ids = self.splits.for_split(split)
-        return [ingest_predictions(root, mid, split, ids, snapshots=self.snapshots)
+        ids, k = self.splits.for_split(split), self.splits.class_count
+        sets = [ingest_predictions(root, mid, split, ids, snapshots=self.snapshots)
                 for mid in model_ids]
+        for p in sets:
+            if p.k != k:
+                raise MemberKMismatch(f"{root / 'preds' / p.model_id / f'{split}.jsonl'} "
+                                      f"holds K = {p.k}; splits.json has K = {k}")
+        return sets
 
     def emit(self, path: Path, blob: bytes) -> None:
         """Write ``blob`` to ``path`` atomically and record its digest."""

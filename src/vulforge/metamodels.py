@@ -18,7 +18,9 @@ prediction moves all rows through all trees one depth level per step until
 none moves, then sums the leaf values in tree order.
 
 Every kind fits exactly the X it is given: the forest draws sqrt(X.shape[1])
-features a node from X's own columns.
+features a node from X's own columns.  A tree grows over arrays of row
+indices into that X, copying no row, and scores each node's drawn columns
+in one ``_kernels.split_scan`` call.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ def _fit_rf(X, y, k_out, cfg, seed):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x43E57, t]))
         rows = rng.integers(0, X.shape[0], size=X.shape[0])
         nodes = []
-        _build_tree(X[rows], y[rows], 0, rng, k_out, cfg.max_depth, nodes)
+        _build_tree(X, y, rows, 0, rng, k_out, cfg.max_depth, nodes)
         trees.append(nodes)
     offsets = np.cumsum([0] + [len(nodes) for nodes in trees])
     rows = ((f, thr, lo + off, hi + off, v)  # node indices shifted to forest-wide
@@ -160,34 +162,25 @@ def _fit_rf(X, y, k_out, cfg, seed):
     return {**forest, "roots": offsets[:-1]}
 
 
-def _build_tree(X, y, depth, rng, k_out, max_depth, nodes):
-    """Grow a tree over X; append its nodes to ``nodes`` in preorder and
-    return its root's index."""
-    node = len(nodes)
-    counts = np.bincount(y, minlength=k_out).astype(np.float64)
+def _build_tree(X, y, rows, depth, rng, k_out, max_depth, nodes):
+    """Grow a tree over the rows ``rows`` of X, scoring each node's drawn
+    columns in one ``split_scan`` call; append its nodes to ``nodes`` in
+    preorder and return its root's index."""
+    node, ys = len(nodes), y[rows]
+    counts = np.bincount(ys, minlength=k_out).astype(np.float64)
     nodes.append([0, 0.0, node, node, counts / counts.sum()])  # a leaf until split
-    if X.shape[0] < 2 or depth >= max_depth or (y == y[0]).all():
+    if len(rows) < 2 or depth >= max_depth or (ys == ys[0]).all():
         return node
-    m = max(1, int(np.sqrt(X.shape[1])))
-    best_g, best_c, best_thr = np.inf, -1, 0.0
-    for c in rng.choice(X.shape[1], size=m, replace=False):
-        order = np.argsort(X[:, c], kind="stable")
-        vals = X[order, c]
-        ys = y[order]
-        g, pos = _kernels.split_scan(vals, ys, k_out)
-        if pos >= 0 and g < best_g:
-            best_g, best_c = g, int(c)
-            best_thr = (vals[pos] + vals[pos + 1]) / 2.0
-    if best_c < 0:
-        return node
-    left = X[:, best_c] <= best_thr
+    drawn = rng.choice(X.shape[1], size=max(1, int(np.sqrt(X.shape[1]))), replace=False)
+    score, threshold = _kernels.split_scan(X[rows[:, None], drawn], ys, k_out)
+    best = int(np.argmin(score))  # the first drawn of the least scores
+    c, thr = int(drawn[best]), threshold[best]
+    left = X[rows, c] <= thr  # all rows when no column splits: thr is inf
     if not left.any() or left.all():
         return node
-    nodes[node] = [best_c, best_thr, None, None, np.zeros(k_out)]
-    nodes[node][2] = _build_tree(X[left], y[left], depth + 1, rng, k_out,
-                                 max_depth, nodes)
-    nodes[node][3] = _build_tree(X[~left], y[~left], depth + 1, rng, k_out,
-                                 max_depth, nodes)
+    lo = _build_tree(X, y, rows[left], depth + 1, rng, k_out, max_depth, nodes)
+    hi = _build_tree(X, y, rows[~left], depth + 1, rng, k_out, max_depth, nodes)
+    nodes[node] = [c, thr, lo, hi, np.zeros(k_out)]
     return node
 
 

@@ -69,6 +69,33 @@ def assert_compact_of(got, ref, columns) -> None:
         assert np.array_equal(p[name], q[name]), name
 
 
+def ref_split_scan(vals, ys, K):
+    """The former one-column split kernel, kept as the reference for the
+    batched ``_kernels.split_scan``: the best binary split of a column
+    pre-sorted by value, as (weighted_gini, position), where the split
+    separates ``[0..pos]`` from ``[pos+1..]``; position -1 means no split."""
+    n = len(vals)
+    if n < 2 or vals[0] == vals[-1]:  # a constant column has no split
+        return np.inf, -1
+    onehot = np.zeros((n, K))
+    onehot[np.arange(n), ys] = 1.0
+    left = onehot.cumsum(axis=0)          # counts in [0..i]
+    total = left[-1]
+    nl = np.arange(1, n, dtype=np.float64)
+    lcounts = left[:-1]
+    rcounts = total - lcounts
+    nr = n - nl
+    gl = 1.0 - ((lcounts / nl[:, None]) ** 2).sum(axis=1)
+    gr = 1.0 - ((rcounts / nr[:, None]) ** 2).sum(axis=1)
+    g = (nl * gl + nr * gr) / n
+    valid = vals[:-1] != vals[1:]
+    if not valid.any():
+        return np.inf, -1
+    g = np.where(valid, g, np.inf)
+    pos = int(np.argmin(g))
+    return float(g[pos]), pos
+
+
 def make_predset(model_id: str, split: str, ids, probs) -> PredictionSet:
     return PredictionSet(model_id, split, tuple(ids),
                          np.asarray(probs, dtype=np.float64))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vulforge import cli, ensembles, ingest, store, synth
+from vulforge import META_KINDS, cli, ensembles, ingest, store, synth
 from vulforge.core import PredictionSet
 from vulforge.errors import ProtocolOrderError
 from vulforge.ingest import SPLITS, load_splits
@@ -319,6 +319,46 @@ def test_every_saved_ensemble_reproduces_its_test_predictions(fixture, names, re
     for name in names:
         assert (_replayed(out, root, name, features)
                 == (out / "preds" / name / "test.jsonl").read_bytes()), name
+
+
+@pytest.fixture(scope="module")
+def two_class_files(tmp_path_factory):
+    """The flags of a featurized K = 3 multiclass split whose --external
+    prediction files of e1 and e2 hold K = 2."""
+    ws = tmp_path_factory.mktemp("kws")
+    data, ext, out = ws / "dataset.jsonl", ws / "ext", ws / "out"
+    _write_dataset(data, synth.paired_cwe_corpus({"CWE-1": 40, "CWE-2": 40}))
+    base = ["--dataset", str(data), "--out", str(out), "--schema", "multiclass",
+            "--external", str(ext)]
+    assert cli.main(["split", *base]) == 0
+    assert cli.main(["featurize", *base, "--dims", "4096"]) == 0
+    s = load_splits(out / "splits.json")
+    assert s.class_count == 3
+    for mid in ("e1", "e2"):
+        for split in SPLITS:
+            ids = s.for_split(split)
+            write_predictions(ext, PredictionSet(mid, split, ids,
+                                                 np.full((len(ids), 2), 0.5)))
+    return base
+
+
+@pytest.mark.parametrize("argv,split", [
+    *((["stack", "--meta", meta, "--base", "e1,e2"], "val") for meta in META_KINDS),
+    (["bag", "--mode", "soft", "--base", "e1,e2"], "test"),
+    (["dgs", "--gate", "lr", "--base", "e1,e2"], "val"),
+    (["eval", "--preds", "e1"], "test"),
+    (["overlap", "--preds", "e1,e2"], "test"),
+    (["divergence", "--preds", "e1,e2"], "test"),
+], ids=[*(f"stack-{meta}" for meta in META_KINDS), "bag", "dgs", "eval", "overlap",
+        "divergence"])
+def test_prediction_file_of_another_k_is_5(argv, split, two_class_files, capsys):
+    # stack used to stop with a traceback; the others scored K = 2 against K = 3
+    capsys.readouterr()
+    assert cli.main([*argv, *two_class_files]) == 5
+    err = capsys.readouterr().err
+    assert (f"{Path('e1') / f'{split}.jsonl'} holds K = 2; splits.json has K = 3"
+            in err)
+    assert "Traceback" not in err
 
 
 class TestExitCodes:
@@ -821,13 +861,15 @@ _UNSAFE_INPUTS = {
     "manifest-not-json": (["verify"], {"manifest.json": "["}, 3, "manifest.json"),
     "ensemble-no-hash": (["verify"], {"ensembles/e/ensemble.json": '{"config": {}}'},
                          2, "FAIL e: "),
+    # each prediction file must hold the K of splits.json
     "bag-unequal-k": (["bag", "--external", "{out}", "--base", "m1,k3"], {}, 5,
-                      "member class counts [2, 3]"),
-    "stack-unequal-k": (["stack", "--base", "m1,k3"], {}, 5, "member class counts [2, 3]"),
+                      "k3/test.jsonl holds K = 3; splits.json has K = 2"),
+    "stack-unequal-k": (["stack", "--base", "m1,k3"], {}, 5,
+                        "k3/val.jsonl holds K = 3; splits.json has K = 2"),
     "dgs-lr-unequal-k": (["dgs", "--gate", "lr", "--base", "m1,k3"], {}, 5,
-                         "member class counts [2, 3]"),
+                         "k3/val.jsonl holds K = 3; splits.json has K = 2"),
     "dgs-svm-unequal-k": (["dgs", "--gate", "svm", "--base", "m1,k3"], {}, 5,
-                          "member class counts [2, 3]"),
+                          "k3/val.jsonl holds K = 3; splits.json has K = 2"),
     "stack-repeated-id": (["stack", "--base", "m1,m1"], {}, 2, "--base names 'm1' twice"),
     "dgs-repeated-id": (["dgs", "--base", "m1,m2,m1"], {}, 2, "--base names 'm1' twice"),
     "bag-repeated-id": (["bag", "--external", "{out}", "--base", "m2,m2"], {}, 2,

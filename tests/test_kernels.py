@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vulforge._kernels as kernels
+from conftest import ref_split_scan
 
 
 def _csr_fixture(seed=0, n=50, d=64, k=3, nnz=6):
@@ -40,10 +41,14 @@ def test_csr_logits_match_dense():
 
 
 def test_split_scan_constant_column():
-    vals = np.ones(10)
+    # a constant column has no split, whatever the columns beside it hold
+    V = np.ones((10, 3))
+    V[:, 1] = np.arange(10)
     ys = np.arange(10) % 2
-    g, pos = kernels.split_scan(vals, ys, 2)
-    assert pos == -1 and g == np.inf
+    score, threshold = kernels.split_scan(V, ys, 2)
+    assert score.shape == threshold.shape == (3,)
+    assert score[0] == score[2] == threshold[0] == threshold[2] == np.inf
+    assert np.isfinite(score[1]) and threshold[1] == 0.5
 
 
 @pytest.mark.parametrize("n,d", [(7, 5), (20, (1 << 18) + 6)],
@@ -71,17 +76,60 @@ def _ref_split(vals, ys, K):
     return best
 
 
+def _few_values(rng, n, m):
+    """(n, m) columns of few distinct values, unsorted: leading, trailing and
+    all-equal runs are common."""
+    return rng.integers(0, rng.integers(1, 4, size=m), size=(n, m)).astype(np.float64)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_split_scan_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 30))
-    # few distinct values: leading, trailing and all-equal runs are common
-    vals = np.sort(rng.integers(0, int(rng.integers(1, 4)), n).astype(np.float64))
+    n, m = int(rng.integers(2, 30)), int(rng.integers(1, 6))
+    V = _few_values(rng, n, m)
     ys = rng.integers(0, 3, n)
-    g, pos = kernels.split_scan(vals, ys, 3)
-    ref_g, ref_pos = _ref_split(vals, ys, 3)
-    assert pos == ref_pos
-    assert g == pytest.approx(ref_g, abs=1e-12) if pos >= 0 else g == np.inf
+    score, threshold = kernels.split_scan(V, ys, 3)
+    for c in range(m):
+        order = np.argsort(V[:, c], kind="stable")
+        vals = V[order, c]
+        ref_g, ref_pos = _ref_split(vals, ys[order], 3)
+        if ref_pos < 0:
+            assert score[c] == threshold[c] == np.inf
+        else:
+            assert threshold[c] == (vals[ref_pos] + vals[ref_pos + 1]) / 2.0
+            assert score[c] == pytest.approx(ref_g, abs=1e-12)
+
+
+@st.composite
+def _split_problems(draw):
+    """A node's (n, m) drawn columns of few distinct values, with labels of
+    K classes: ties, leading and trailing runs and constant columns."""
+    n, m = draw(st.integers(2, 40)), draw(st.integers(1, 20))
+    k = draw(st.sampled_from([2, 3, 9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = _few_values(rng, n, m)
+    if draw(st.booleans()):  # continuous values beside the few-valued ones
+        V[:, ::2] = rng.normal(size=(n, (m + 1) // 2))
+    return V, rng.integers(0, k, size=n), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_problems())
+def test_split_scan_is_the_one_column_kernel_per_column(problem):
+    """Score and threshold of each column are the former one-column kernel's
+    on that column, stable-sorted, bit for bit."""
+    V, ys, k = problem
+    score, threshold = kernels.split_scan(V, ys, k)
+    want_score, want_threshold = np.full(V.shape[1], np.inf), np.full(V.shape[1], np.inf)
+    for c in range(V.shape[1]):
+        order = np.argsort(V[:, c], kind="stable")
+        vals = V[order, c]
+        g, pos = ref_split_scan(vals, ys[order], k)
+        if pos >= 0:
+            want_score[c] = g
+            want_threshold[c] = (vals[pos] + vals[pos + 1]) / 2.0
+    assert np.array_equal(score, want_score)
+    assert np.array_equal(threshold, want_threshold)
 
 
 # ---------------------------------------------------------------------------

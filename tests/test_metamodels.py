@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ref_split_scan
 from vulforge import _kernels
 from vulforge.errors import EmptyTrainingSet, NonFiniteInput, WidthMismatch
 from vulforge.metamodels import (
@@ -275,7 +276,7 @@ def _ref_build_tree(X, y, depth, rng, k_out, max_depth):
     best_g, best_f, best_thr = np.inf, -1, 0.0
     for f in rng.choice(d, size=max(1, int(np.sqrt(d))), replace=False):
         order = np.argsort(X[:, f], kind="stable")
-        g, pos = _kernels.split_scan(X[order, f], y[order], k_out)
+        g, pos = ref_split_scan(X[order, f], y[order], k_out)
         if pos >= 0 and g < best_g:
             best_g, best_f = g, int(f)
             best_thr = (X[order[pos], f] + X[order[pos + 1], f]) / 2.0
@@ -286,6 +287,25 @@ def _ref_build_tree(X, y, depth, rng, k_out, max_depth):
     return ["split", best_f, best_thr,
             _ref_build_tree(X[left], y[left], depth + 1, rng, k_out, max_depth),
             _ref_build_tree(X[~left], y[~left], depth + 1, rng, k_out, max_depth)]
+
+
+def _ref_forest(X, y, cfg, seed, k_out):
+    """The nested trees of the forest ``meta_fit("rf", X, y, cfg, seed)``
+    grows, by the builder that copies its rows and scans one drawn column
+    at a time with the former one-column split kernel."""
+    trees = []
+    for t in range(cfg.trees):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x43E57, t]))
+        rows = rng.integers(0, X.shape[0], size=X.shape[0])
+        trees.append(_ref_build_tree(X[rows], y[rows], 0, rng, k_out, cfg.max_depth))
+    return trees
+
+
+def _assert_forest_is(params, flat):
+    assert params.keys() == flat.keys()
+    for name, value in flat.items():
+        assert params[name].dtype == value.dtype, name
+        assert np.array_equal(params[name], value), name
 
 
 def _ref_flatten(trees, k_out):
@@ -356,21 +376,32 @@ class TestColumns:
             X = full
         cfg = MetaConfig(trees=20)
         m = meta_fit("rf", X, y, cfg, seed=6)
-        ref = []
-        for t in range(cfg.trees):
-            rng = np.random.default_rng(np.random.SeedSequence([6, 0x43E57, t]))
-            rows = rng.integers(0, X.shape[0], size=X.shape[0])
-            ref.append(_ref_build_tree(X[rows], y[rows], 0, rng, 2, cfg.max_depth))
+        ref = _ref_forest(X, y, cfg, 6, 2)
         flat = _ref_flatten(ref, 2)
-        assert m.params.keys() == flat.keys()
-        for name, value in flat.items():
-            assert m.params[name].dtype == value.dtype, name
-            assert np.array_equal(m.params[name], value), name
+        _assert_forest_is(m.params, flat)
         assert _split_nodes(flat).any()
         want = np.zeros((X.shape[0], 2))
         for tree in ref:
             want += _ref_tree_predict(tree, X, 2)
         assert np.array_equal(meta_predict_many(m, X), want / len(ref))
+
+    def test_tied_columns_split_on_the_first_drawn(self):
+        # four copies of one column: the two columns drawn at a node tie on
+        # every score, so the one drawn first must win
+        X, y = _blobs(60, seed=5)
+        X = np.repeat(X[:, :1], 4, axis=1)
+        cfg = MetaConfig(trees=20)
+        m = meta_fit("rf", X, y, cfg, seed=6)
+        _assert_forest_is(m.params, _ref_flatten(_ref_forest(X, y, cfg, 6, 2), 2))
+        draws = []
+        for t in range(cfg.trees):
+            rng = np.random.default_rng(np.random.SeedSequence([6, 0x43E57, t]))
+            rng.integers(0, X.shape[0], size=X.shape[0])
+            draws.append(rng.choice(4, size=2, replace=False))
+        roots = m.params["roots"]
+        assert _split_nodes(m.params)[roots].all()
+        assert np.array_equal(m.params["feature"][roots], [d[0] for d in draws])
+        assert any(d[0] > d[1] for d in draws)  # not merely the lower column
 
     @pytest.mark.parametrize("kind", ["lr", "svm", "knn"])
     def test_params_are_arrays(self, kind):
